@@ -55,9 +55,10 @@ def _read_instance(path: str, keep_weights: bool):
 
 def _read_state(path: str) -> State:
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "choices" not in doc:
-        raise InstanceError(f"{path}: state file must be {{\"choices\": [...]}}")
-    return State(tuple(doc["choices"]))
+    choices = doc.get("choices") if isinstance(doc, dict) else None
+    if not isinstance(choices, list) or not all(type(k) is int for k in choices):
+        raise InstanceError(f"{path}: state file must be {{\"choices\": [<integer>, ...]}}")
+    return State(tuple(choices))
 
 
 def _write_state(path: str, state: State) -> None:
@@ -94,7 +95,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     validate_state(game, state)
     group = None
     if args.group:
-        group = [int(tok) for tok in args.group.split(",") if tok != ""]
+        try:
+            group = [int(tok) for tok in args.group.split(",") if tok != ""]
+        except ValueError as exc:
+            raise InstanceError(f"--group must list player indices: {exc}") from exc
         for u in group:
             if not 0 <= u < game.n:
                 raise InstanceError(f"player index {u} out of range")

@@ -23,26 +23,27 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from typing import IO, Sequence
 
 from .errors import (
     AlreadyZeroError,
     MalformedInstanceError,
+    MalformedTraceError,
     MoveBudgetExceededError,
-    TraceMismatchError,
     ZeroMinCostError,
 )
 from .game import (
     Game,
     State,
+    compile_game,
     format_rational,
-    loads,
+    loads as compute_loads,
     parse_rational,
     player_costs,
     serialize_instance,
     validate_state,
 )
-from .potential import alpha, potential
+from .potential import alpha
 
 ALPHA_MOVE = "alpha_move"
 P_MOVE = "p_move"
@@ -54,11 +55,15 @@ def target_p(degree: int) -> int:
     return (2 * d + 3) * (d + 1) * (4 * d) ** (d + 1)
 
 
-def best_response(game: Game, state: State, u: int) -> tuple[int, Fraction]:
+def best_response(
+    game: Game, state: State, u: int, loads: Sequence[Fraction] | None = None
+) -> tuple[int, Fraction]:
     """Best strategy index for player u against the others' choices, with
-    its exact cost.  Ties resolve to the lowest strategy index."""
+    its exact cost.  Ties resolve to the lowest strategy index.  ``loads``,
+    when given, must be the state's loads; callers that ask for many
+    players of one state pass them to skip recomputing."""
     player = game.players[u]
-    base = list(loads(game, state))
+    base = list(compute_loads(game, state) if loads is None else loads)
     for e in player.strategies[state.choices[u]]:
         base[e] -= player.weight
     best_idx = 0
@@ -79,8 +84,12 @@ def has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
     greater than rho, or None.  The witness returned is the best response."""
     if rho < 1:
         raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
-    br, br_cost = best_response(game, state, u)
-    current = player_costs(game, state)[u]
+    x = compute_loads(game, state)
+    br, br_cost = best_response(game, state, u, loads=x)
+    player = game.players[u]
+    current = player.weight * sum(
+        (game.resources[e](x[e]) for e in player.strategies[state.choices[u]]), Fraction(0)
+    )
     if current > rho * br_cost:
         return br
     return None
@@ -116,12 +125,37 @@ class Schedule:
         p * (1 + 3/p) / (1 - 2/p)."""
         return Fraction(self.p * (self.p + 3), self.p - 2)
 
+    def classify(
+        self, phase: int, cost, boundaries: Sequence
+    ) -> tuple[Fraction, str] | None:
+        """The phase's eligibility rule: the improvement factor a player of
+        this cost must beat to move, with the class of that move, or None
+        when the player may not move in the phase.
+
+        ``boundaries`` are the schedule's boundaries in the scale of
+        ``cost``: the integer kernel passes them rounded up to its integer
+        costs, which keeps every comparison exact.
+        """
+        if phase == 0:
+            return (self.alpha_threshold, ALPHA_MOVE) if cost >= boundaries[1] else None
+        if cost >= boundaries[phase]:
+            return Fraction(self.p), P_MOVE
+        if cost >= boundaries[phase + 1]:
+            return self.alpha_threshold, ALPHA_MOVE
+        return None
+
     def move_budget(self, phase: int) -> int:
         """Theoretical cap on moves in a phase; exceeding it means a bug."""
         n = self.n_players
         if phase == 0:
             return n * self.alpha * self.g * (self.alpha * self.p + 1)
         return n * self.g * (self.alpha * self.p + 1) * self.p
+
+
+def improves(cost, br_cost, threshold: Fraction) -> bool:
+    """cost > threshold * br_cost, cross-multiplied so that integer costs
+    stay integers."""
+    return cost * threshold.denominator > threshold.numerator * br_cost
 
 
 @dataclass(frozen=True)
@@ -268,47 +302,42 @@ def run_algorithm(
     except AlreadyZeroError:
         return s_init, _trivial_trace(game, s_init)
 
+    # The run works on the compiled integer game: every test below is
+    # homogeneous in the cost scale, so it gives the same answer as on the
+    # Fraction values, which are formed only for the MoveRecords.
+    ig = compile_game(game)
     n = game.n
-    b = schedule.boundaries
     m = schedule.m
-    thr_alpha = schedule.alpha_threshold
-    thr_p = Fraction(schedule.p)
+    bounds = tuple(ig.cost_ceil(b) for b in schedule.boundaries)
 
-    state = s_init
+    choices = list(s_init.choices)
+    x = ig.loads(choices)
+    pot = ig.potential(x)
     fixed: set[int] = set()
     moves: list[MoveRecord] = []
     phase_end_states: list[State] = []
     movers_per_phase: list[frozenset[int]] = []
     fixed_sets: list[frozenset[int]] = []
-    step = 0
 
-    def find_move(phase: int) -> tuple[int, int, Fraction, Fraction, str] | None:
-        """First eligible (player, br, cost_before, cost_after, class)."""
-        costs = player_costs(game, state)
+    def find_move(phase: int) -> tuple[int, int, int, int, str] | None:
+        """First eligible (player, br, cost_before, cost_after, class),
+        costs scaled."""
+        rcosts = ig.resource_costs(x)
+        costs = ig.player_costs(choices, rcosts)
         for u in range(n):
             if u in fixed:
                 continue
-            cost = costs[u]
-            if phase == 0:
-                if cost < b[1]:
-                    continue
-                threshold = thr_alpha
-                move_class = ALPHA_MOVE
-            elif cost >= b[phase]:
-                threshold = thr_p
-                move_class = P_MOVE
-            elif cost >= b[phase + 1]:
-                threshold = thr_alpha
-                move_class = ALPHA_MOVE
-            else:
+            rule = schedule.classify(phase, costs[u], bounds)
+            if rule is None:
                 continue
-            br, br_cost = best_response(game, state, u)
-            if cost > threshold * br_cost:
-                return u, br, cost, br_cost, move_class
+            threshold, move_class = rule
+            br, br_cost = ig.best_response(choices, x, rcosts, u)
+            if improves(costs[u], br_cost, threshold):
+                return u, br, costs[u], br_cost, move_class
         return None
 
     def run_phase(phase: int) -> None:
-        nonlocal state, step
+        nonlocal pot
         budget = schedule.move_budget(phase)
         count = 0
         movers: set[int] = set()
@@ -322,53 +351,51 @@ def run_algorithm(
                 raise MoveBudgetExceededError(
                     f"phase {phase} exceeded its move budget {budget}"
                 )
-            pot_before = potential(game, state)
-            new_state = state.with_choice(u, br)
-            pot_after = potential(game, new_state)
+            from_strategy = choices[u]
+            pot_before = pot
+            pot += ig.move(choices, x, u, br)
             moves.append(
                 MoveRecord(
                     phase=phase,
-                    step=step,
+                    step=len(moves),
                     player=u,
-                    from_strategy=state.choices[u],
+                    from_strategy=from_strategy,
                     to_strategy=br,
-                    cost_before=cost_before,
-                    cost_after=cost_after,
+                    cost_before=ig.cost_value(cost_before),
+                    cost_after=ig.cost_value(cost_after),
                     move_class=move_class,
-                    potential_before=pot_before,
-                    potential_after=pot_after,
+                    potential_before=ig.potential_value(pot_before),
+                    potential_after=ig.potential_value(pot),
                 )
             )
             movers.add(u)
-            state = new_state
-            step += 1
         movers_per_phase.append(frozenset(movers))
-        phase_end_states.append(state)
+        phase_end_states.append(State(tuple(choices)))
+
+    def fix_players(boundary: int) -> None:
+        costs = ig.player_costs(choices, ig.resource_costs(x))
+        newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= boundary)
+        fixed.update(newly)
+        fixed_sets.append(newly)
 
     run_phase(0)
     fixed_sets.append(frozenset())
     for phase in range(1, m):
         run_phase(phase)
-        costs = player_costs(game, state)
-        newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= b[phase])
-        fixed |= newly
-        fixed_sets.append(newly)
-    costs = player_costs(game, state)
-    newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= b[m])
-    fixed |= newly
-    fixed_sets.append(newly)
+        fix_players(bounds[phase])
+    fix_players(bounds[m])
 
     trace = Trace(
         schedule=schedule,
         initial_state=s_init,
-        final_state=state,
+        final_state=State(tuple(choices)),
         moves=tuple(moves),
         phase_end_states=tuple(phase_end_states),
         movers_per_phase=tuple(movers_per_phase),
         fixed_sets=tuple(fixed_sets),
         game_sha256=game_fingerprint(game),
     )
-    return state, trace
+    return trace.final_state, trace
 
 
 # --------------------------------------------------------------------------
@@ -392,19 +419,70 @@ def _schedule_to_doc(schedule: Schedule | None) -> dict | None:
     }
 
 
+def _get(doc, key: str, where: str):
+    """doc[key]; MalformedTraceError when doc is no object or lacks the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise MalformedTraceError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedTraceError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise MalformedTraceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_int(k, what) for k in _list(value, what))
+
+
+def _int_lists(value, what: str) -> list[tuple[int, ...]]:
+    return [_ints(r, what) for r in _list(value, what)]
+
+
 def _schedule_from_doc(doc: dict | None) -> Schedule | None:
     if doc is None:
         return None
+
+    def field(key: str):
+        return _get(doc, key, "trace schedule")
+
+    exact_constants = field("exact_constants")
+    if not isinstance(exact_constants, bool):
+        raise MalformedTraceError(f"exact_constants must be a boolean, got {exact_constants!r}")
     return Schedule(
-        p=doc["p"],
-        alpha=doc["alpha"],
-        c_max=parse_rational(doc["c_max"]),
-        c_min=parse_rational(doc["c_min"]),
-        m=doc["m"],
-        g=doc["g"],
-        boundaries=tuple(parse_rational(x) for x in doc["boundaries"]),
-        exact_constants=doc["exact_constants"],
-        n_players=doc["n_players"],
+        **{key: _int(field(key), key) for key in ("p", "alpha", "m", "g", "n_players")},
+        c_max=parse_rational(field("c_max")),
+        c_min=parse_rational(field("c_min")),
+        boundaries=tuple(parse_rational(x) for x in _list(field("boundaries"), "boundaries")),
+        exact_constants=exact_constants,
+    )
+
+
+def _move_from_doc(doc, where: str) -> MoveRecord:
+    """Index fields are kept as written: audit_trace checks them against
+    the game, so that a bad index reads as a trace mismatch."""
+
+    def field(key: str):
+        return _get(doc, key, where)
+
+    return MoveRecord(
+        phase=field("phase"),
+        step=field("step"),
+        player=field("player"),
+        from_strategy=field("from_strategy"),
+        to_strategy=field("to_strategy"),
+        cost_before=parse_rational(field("cost_before")),
+        cost_after=parse_rational(field("cost_after")),
+        move_class=field("move_class"),
+        potential_before=parse_rational(field("potential_before")),
+        potential_after=parse_rational(field("potential_after")),
     )
 
 
@@ -442,39 +520,38 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
 
 
 def read_trace(fp: IO[str]) -> Trace:
-    """Read a trace written by write_trace."""
+    """Read a trace written by write_trace.
+
+    An empty file, invalid JSON, missing keys and wrongly typed fields
+    raise MalformedTraceError (MalformedInstanceError for a malformed
+    rational).
+    """
     lines = [line for line in fp.read().splitlines() if line.strip()]
     if not lines:
-        raise TraceMismatchError("empty trace file")
+        raise MalformedTraceError("empty trace file")
     try:
         header = json.loads(lines[0])
         move_docs = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
-        raise TraceMismatchError(f"invalid trace JSON: {exc}") from exc
+        raise MalformedTraceError(f"invalid trace JSON: {exc}") from exc
     moves = tuple(
-        MoveRecord(
-            phase=doc["phase"],
-            step=doc["step"],
-            player=doc["player"],
-            from_strategy=doc["from_strategy"],
-            to_strategy=doc["to_strategy"],
-            cost_before=parse_rational(doc["cost_before"]),
-            cost_after=parse_rational(doc["cost_after"]),
-            move_class=doc["move_class"],
-            potential_before=parse_rational(doc["potential_before"]),
-            potential_after=parse_rational(doc["potential_after"]),
-        )
-        for doc in move_docs
+        _move_from_doc(doc, f"trace line {i}") for i, doc in enumerate(move_docs, start=2)
     )
+
+    def field(key: str):
+        return _get(header, key, "trace header")
+
     return Trace(
-        schedule=_schedule_from_doc(header["schedule"]),
-        initial_state=State(tuple(header["initial_state"])),
-        final_state=State(tuple(header["final_state"])),
+        schedule=_schedule_from_doc(field("schedule")),
+        initial_state=State(_ints(field("initial_state"), "initial_state")),
+        final_state=State(_ints(field("final_state"), "final_state")),
         moves=moves,
         phase_end_states=tuple(
-            State(tuple(s)) for s in header["phase_end_states"]
+            State(r) for r in _int_lists(field("phase_end_states"), "phase_end_states")
         ),
-        movers_per_phase=tuple(frozenset(r) for r in header["movers_per_phase"]),
-        fixed_sets=tuple(frozenset(r) for r in header["fixed_sets"]),
-        game_sha256=header["game_sha256"],
+        movers_per_phase=tuple(
+            frozenset(r) for r in _int_lists(field("movers_per_phase"), "movers_per_phase")
+        ),
+        fixed_sets=tuple(frozenset(r) for r in _int_lists(field("fixed_sets"), "fixed_sets")),
+        game_sha256=field("game_sha256"),
     )

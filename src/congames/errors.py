@@ -61,3 +61,8 @@ class NoEquilibriumError(CongamesError):
 
 class TraceMismatchError(CongamesError):
     """A trace's recorded values disagree with exact recomputation."""
+
+
+class MalformedTraceError(CongamesError):
+    """A trace file is structurally broken: a missing key or a field of
+    the wrong type, as opposed to values that disagree with recomputation."""

@@ -10,6 +10,20 @@ and potentials are exact, so every threshold comparison made by the solver
 is bit-exact and reproducible.  All types are immutable after construction
 and safe to share between threads; the operations below are pure functions.
 
+The Fraction functions (loads, player_costs, ...) are the reference.  The
+solver and the trace auditor run on an integer form of the same game,
+made once by compile_game: weights are scaled by W, the lcm of their
+denominators, so loads are integers X = W*x; each c_e(X/W) is scaled to
+integer coefficients over one common denominator D, and each potential
+phi_e(X/W) over its own common denominator Dp.  A player's cost is then
+an integer K standing for K/(W*D), and a potential an integer P standing
+for P/Dp.  Every test the solver makes (cost >= b_i, cost > t * cost',
+drop >= floor) is homogeneous in the cost scale, so one uniform positive
+rescaling leaves its answer unchanged: a boundary b becomes the integer
+ceil(b*W*D), and a rational factor t = a/c is compared by
+cross-multiplying, K*c > a*K'.  Values become Fractions again only where
+they are reported.
+
 Instance file format (JSON, UTF-8, strict — unknown keys are rejected)::
 
     {
@@ -25,10 +39,11 @@ Rationals are written as "p/q" or integer strings, always in lowest terms.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -307,6 +322,139 @@ def group_cost(game: Game, state: State, players: Iterable[int]) -> Fraction:
 
 def social_cost(game: Game, state: State) -> Fraction:
     return group_cost(game, state, range(game.n))
+
+
+# --------------------------------------------------------------------------
+# Integer kernel: the game compiled once by a uniform rescaling
+# --------------------------------------------------------------------------
+
+
+def _horner(coeffs: tuple[int, ...], x: int) -> int:
+    """Evaluate integer coefficients given highest degree first."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+@dataclass(frozen=True)
+class IntGame:
+    """A Game compiled to integers; see compile_game.
+
+    A load X stands for X/W, a cost K for K/(W*D) and a potential P for
+    P/Dp.  ``costs[e]`` and ``potentials[e]`` are the integer coefficients,
+    highest degree first, of D*c_e(X/W) and Dp*phi_e(X/W).  ``choices``
+    arguments are strategy indices per player, as in State.choices.
+    """
+
+    W: int
+    D: int
+    Dp: int
+    weights: tuple[int, ...]
+    strategies: tuple[tuple[tuple[int, ...], ...], ...]
+    costs: tuple[tuple[int, ...], ...]
+    potentials: tuple[tuple[int, ...], ...]
+
+    def loads(self, choices: Sequence[int], players: Iterable[int] | None = None) -> list[int]:
+        """Scaled loads of all players, or of a group."""
+        totals = [0] * len(self.costs)
+        for u in range(len(choices)) if players is None else players:
+            w = self.weights[u]
+            for e in self.strategies[u][choices[u]]:
+                totals[e] += w
+        return totals
+
+    def resource_costs(self, x: Sequence[int]) -> list[int]:
+        """D * c_e(X_e/W) for every resource."""
+        return [_horner(poly, x[e]) for e, poly in enumerate(self.costs)]
+
+    def player_costs(self, choices: Sequence[int], rcosts: Sequence[int]) -> list[int]:
+        """Scaled cost of every player, from the resource_costs of the loads."""
+        return [
+            self.weights[u] * sum(rcosts[e] for e in self.strategies[u][k])
+            for u, k in enumerate(choices)
+        ]
+
+    def best_response(
+        self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int
+    ) -> tuple[int, int]:
+        """Best strategy index of player u with its scaled cost; ties go to
+        the lowest index.  ``x`` and ``rcosts`` belong to ``choices``."""
+        w = self.weights[u]
+        current = self.strategies[u][choices[u]]
+        best_idx, best = 0, None
+        for k, strat in enumerate(self.strategies[u]):
+            total = 0
+            for e in strat:
+                total += rcosts[e] if e in current else _horner(self.costs[e], x[e] + w)
+            if best is None or total < best:
+                best_idx, best = k, total
+        return best_idx, w * best
+
+    def potential(self, x: Sequence[int]) -> int:
+        """Scaled global potential at the loads."""
+        return sum(_horner(poly, x[e]) for e, poly in enumerate(self.potentials))
+
+    def partial_potential(self, choices: Sequence[int], players: Iterable[int]) -> int:
+        """Scaled partial potential of a group (see potential.partial_potential)."""
+        group = set(players)
+        complement = [u for u in range(len(choices)) if u not in group]
+        return self.potential(self.loads(choices)) - self.potential(
+            self.loads(choices, complement)
+        )
+
+    def move(self, choices: list[int], x: list[int], u: int, k: int) -> int:
+        """Switch player u to strategy k, updating choices and loads in
+        place; returns the change of the scaled potential."""
+        w = self.weights[u]
+        old, new = set(self.strategies[u][choices[u]]), set(self.strategies[u][k])
+        delta = 0
+        for e in old ^ new:
+            x_new = x[e] + w if e in new else x[e] - w
+            delta += _horner(self.potentials[e], x_new) - _horner(self.potentials[e], x[e])
+            x[e] = x_new
+        choices[u] = k
+        return delta
+
+    def cost_value(self, k: int) -> Fraction:
+        return Fraction(k, self.W * self.D)
+
+    def potential_value(self, p: int) -> Fraction:
+        return Fraction(p, self.Dp)
+
+    def cost_ceil(self, c: Fraction) -> int:
+        """Smallest scaled cost K with K/(W*D) >= c."""
+        return math.ceil(c * self.W * self.D)
+
+
+def compile_game(game: Game) -> IntGame:
+    """Compile a game to the integer form of IntGame.
+
+    W is the lcm of the weight denominators, D the common denominator of
+    every c_e(X/W) coefficient and Dp that of every phi_e(X/W) coefficient.
+    """
+    from .potential import potential_coefficients  # potential imports this module
+
+    W = math.lcm(*(p.weight.denominator for p in game.players))
+
+    def scale(polys: list[tuple[Fraction, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The common denominator of every coefficient of every p(X/W),
+        with each polynomial's integer coefficients over it, highest first."""
+        terms = [[c / W**v for v, c in enumerate(coeffs)] for coeffs in polys]
+        den = math.lcm(*(t.denominator for row in terms for t in row))
+        return den, tuple(tuple(int(t * den) for t in reversed(row)) for row in terms)
+
+    D, costs = scale([poly.coeffs for poly in game.resources])
+    Dp, potentials = scale([potential_coefficients(poly) for poly in game.resources])
+    return IntGame(
+        W=W,
+        D=D,
+        Dp=Dp,
+        weights=tuple(int(p.weight * W) for p in game.players),
+        strategies=tuple(p.strategies for p in game.players),
+        costs=costs,
+        potentials=potentials,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -33,15 +33,12 @@ def alpha(degree: int) -> int:
     return degree + 1
 
 
-def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
-    """Evaluate the per-resource potential phi at load x (exact).
+def potential_coefficients(poly: CostPolynomial) -> tuple[Fraction, ...]:
+    """Coefficients of phi as an ordinary polynomial in x, lowest first.
 
-    Assembled as an ordinary polynomial in x and evaluated by Horner's rule:
-    the x^k coefficient collects a_{k-1} (for k >= 2), a_k * (k+1)/2 and,
+    The x^k coefficient collects a_{k-1} (for k >= 2), a_k * (k+1)/2 and,
     for k = 1, the constant-cost term a_0.
     """
-    if x < 0:
-        raise MalformedInstanceError(f"potential undefined for negative load {x}")
     a = poly.coeffs
     d = len(a) - 1
     b = [Fraction(0)] * (d + 2)
@@ -49,8 +46,16 @@ def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
     for v in range(1, d + 1):
         b[v + 1] += a[v]
         b[v] += a[v] * Fraction(v + 1, 2)
+    return tuple(b)
+
+
+def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
+    """Evaluate the per-resource potential phi at load x (exact), by
+    Horner's rule on its potential_coefficients."""
+    if x < 0:
+        raise MalformedInstanceError(f"potential undefined for negative load {x}")
     acc = Fraction(0)
-    for coeff in reversed(b):
+    for coeff in reversed(potential_coefficients(poly)):
         acc = acc * x + coeff
     return acc
 

@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dynamics import (
-    ALPHA_MOVE,
-    P_MOVE,
+    Schedule,
     Trace,
     best_response,
     compute_schedule,
     game_fingerprint,
+    improves,
 )
 from .errors import (
     AlreadyZeroError,
@@ -29,8 +29,17 @@ from .errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from .game import Game, State, group_cost, player_costs, social_cost
-from .potential import partial_potential, potential
+from .game import (
+    Game,
+    IntGame,
+    State,
+    compile_game,
+    group_cost,
+    loads,
+    player_costs,
+    social_cost,
+)
+from .potential import partial_potential
 
 Factor = Fraction | float  # exact rational, or math.inf as explicit sentinel
 
@@ -39,6 +48,13 @@ def _ratio(numer: Fraction, denom: Fraction) -> Factor:
     if denom == 0:
         return Fraction(1) if numer == 0 else math.inf
     return numer / denom
+
+
+def _player_factors(game: Game, state: State, players: Iterable[int]) -> list[Factor]:
+    """Each listed player's ratio of current cost to best-response cost."""
+    x = loads(game, state)
+    costs = player_costs(game, state)
+    return [_ratio(costs[u], best_response(game, state, u, loads=x)[1]) for u in players]
 
 
 def min_equilibrium_factor(
@@ -51,14 +67,7 @@ def min_equilibrium_factor(
     the explicit infinite factor.
     """
     group = range(game.n) if players is None else players
-    costs = player_costs(game, state)
-    worst: Factor = Fraction(1)
-    for u in group:
-        _, br_cost = best_response(game, state, u)
-        r = _ratio(costs[u], br_cost)
-        if r > worst:
-            worst = r
-    return worst
+    return max([Fraction(1), *_player_factors(game, state, group)])
 
 
 def enumerate_states(game: Game, state_cap: int = 10**6) -> list[State]:
@@ -111,10 +120,7 @@ def smoothness_peakroup_poa_ratio(
     same strategies in s and s*.  Exhaustive; tiny games only."""
     states = enumerate_states(game, state_cap)
     n = game.n
-    factors = [
-        [_ratio(player_costs(game, s)[u], best_response(game, s, u)[1]) for u in range(n)]
-        for s in states
-    ]
+    factors = [_player_factors(game, s, range(n)) for s in states]
     worst: Factor = Fraction(0)
     for group_sizes in range(1, n + 1):
         for group in itertools.combinations(range(n), group_sizes):
@@ -143,10 +149,7 @@ def max_rho_stretch_ratio(
     smoothness_peakroup_poa_ratio; bounded by alpha * Phi(d, rho)^(d+1)."""
     states = enumerate_states(game, state_cap)
     n = game.n
-    factors = [
-        [_ratio(player_costs(game, s)[u], best_response(game, s, u)[1]) for u in range(n)]
-        for s in states
-    ]
+    factors = [_player_factors(game, s, range(n)) for s in states]
     worst: Factor = Fraction(0)
     for group_sizes in range(1, n + 1):
         for group in itertools.combinations(range(n), group_sizes):
@@ -242,31 +245,45 @@ def _check_same(label: str, recorded, recomputed) -> None:
         )
 
 
+def _check_indices(game: Game, trace: Trace) -> None:
+    """Every index a trace holds must be an int inside the game: Python's
+    negative indexing would otherwise alias player -1 to the last player."""
+
+    def check(label: str, value, size: int) -> None:
+        if type(value) is not int or not 0 <= value < size:
+            raise TraceMismatchError(f"{label} {value!r} is not an index below {size}")
+
+    _check_same("initial state length", len(trace.initial_state.choices), game.n)
+    for u, k in enumerate(trace.initial_state.choices):
+        check(f"initial strategy of player {u}:", k, len(game.players[u].strategies))
+    for i, mv in enumerate(trace.moves):
+        for label, value in (("phase", mv.phase), ("step", mv.step)):
+            if type(value) is not int:
+                raise TraceMismatchError(f"move {i}: {label} {value!r} is not an integer")
+        check(f"move {i}: player", mv.player, game.n)
+        size = len(game.players[mv.player].strategies)
+        check(f"move {i}: from_strategy", mv.from_strategy, size)
+        check(f"move {i}: to_strategy", mv.to_strategy, size)
+
+
 def _eligible_move_exists(
-    game: Game,
-    state: State,
+    ig: IntGame,
+    schedule: Schedule,
+    bounds: Sequence[int],
     phase: int,
+    state: State,
     fixed: set[int],
-    boundaries: Sequence[Fraction],
-    thr_alpha: Fraction,
-    thr_p: Fraction,
 ) -> bool:
-    costs = player_costs(game, state)
-    for u in range(game.n):
+    """Whether some non-fixed player may still move, recomputed from scratch."""
+    x = ig.loads(state.choices)
+    rcosts = ig.resource_costs(x)
+    for u, cost in enumerate(ig.player_costs(state.choices, rcosts)):
         if u in fixed:
             continue
-        cost = costs[u]
-        if phase == 0:
-            if cost < boundaries[1]:
-                continue
-            threshold = thr_alpha
-        elif cost >= boundaries[phase]:
-            threshold = thr_p
-        elif cost >= boundaries[phase + 1]:
-            threshold = thr_alpha
-        else:
-            continue
-        if cost > threshold * best_response(game, state, u)[1]:
+        rule = schedule.classify(phase, cost, bounds)
+        if rule is not None and improves(
+            cost, ig.best_response(state.choices, x, rcosts, u)[1], rule[0]
+        ):
             return True
     return False
 
@@ -275,17 +292,22 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     """Replay a trace from scratch and check every invariant the run claims.
 
     Recorded values (costs, potentials, states, schedule, fingerprint) must
-    match exact recomputation; disagreement raises TraceMismatchError.
+    match exact recomputation; disagreement raises TraceMismatchError, as
+    does an index outside the game.
     Property violations — potential drops below the per-move floor, a
     phase-start partial potential above n*p*b_i, cost inflation of a fixed
     player beyond 1 + 3/p, busted move budgets, an excessive final factor —
     do not raise; they are returned in the report with the offending
     phase or move named.
+
+    The replay runs on the compiled integer game (see game.IntGame) and
+    recomputes the loads of every recorded state from scratch, so it
+    shares none of the solver's incremental bookkeeping.
     """
     _check_same("game fingerprint", trace.game_sha256, game_fingerprint(game))
+    _check_indices(game, trace)
 
     failures: list[str] = []
-    final_factor = min_equilibrium_factor(game, trace.final_state)
 
     if trace.schedule is None:
         if max(player_costs(game, trace.initial_state)) != 0:
@@ -296,7 +318,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             moves=(),
             phases=(),
             fixes=(),
-            final_factor=final_factor,
+            final_factor=min_equilibrium_factor(game, trace.final_state),
             factor_ceiling=None,
             factor_ok=True,
             passed=True,
@@ -310,26 +332,32 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     )
     _check_same("schedule", schedule, recomputed)
 
+    ig = compile_game(game)
     n = game.n
     b = schedule.boundaries
+    bounds = [ig.cost_ceil(x) for x in b]
     m = schedule.m
     a = schedule.alpha
     p = schedule.p
-    thr_alpha = schedule.alpha_threshold
-    thr_p = Fraction(p)
     drop_denominator = a * p + 1
 
     _check_same("phase count (end states)", len(trace.phase_end_states), m)
     _check_same("phase count (movers)", len(trace.movers_per_phase), m)
     _check_same("fixed set count", len(trace.fixed_sets), m + 1)
 
+    def replay(state: State) -> tuple[list[int], int]:
+        """Scaled player costs and potential of a state, from scratch."""
+        x = ig.loads(state.choices)
+        return ig.player_costs(state.choices, ig.resource_costs(x)), ig.potential(x)
+
     move_audits: list[MoveAudit] = []
     phase_audits: list[PhaseAudit] = []
     fix_audits: list[FixAudit] = []
 
     state = trace.initial_state
+    costs, pot = replay(state)
     fixed: set[int] = set()
-    fixed_after: dict[int, tuple[int, Fraction]] = {}  # player -> (phase, cost then)
+    fixed_after: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
     move_iter = iter(trace.moves)
     pending = next(move_iter, None)
     expected_step = 0
@@ -344,36 +372,31 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             mv = pending
             _check_same(f"move {mv.step} step order", mv.step, expected_step)
             u = mv.player
-            costs = player_costs(game, state)
             _check_same(f"move {mv.step} from_strategy", mv.from_strategy, state.choices[u])
-            _check_same(f"move {mv.step} cost_before", mv.cost_before, costs[u])
-            pot_before = potential(game, state)
-            _check_same(f"move {mv.step} potential_before", mv.potential_before, pot_before)
-            new_state = state.with_choice(u, mv.to_strategy)
+            _check_same(f"move {mv.step} cost_before", mv.cost_before, ig.cost_value(costs[u]))
             _check_same(
-                f"move {mv.step} cost_after",
-                mv.cost_after,
-                player_costs(game, new_state)[u],
+                f"move {mv.step} potential_before", mv.potential_before, ig.potential_value(pot)
             )
-            pot_after = potential(game, new_state)
-            _check_same(f"move {mv.step} potential_after", mv.potential_after, pot_after)
+            new_state = state.with_choice(u, mv.to_strategy)
+            new_costs, new_pot = replay(new_state)
+            _check_same(
+                f"move {mv.step} cost_after", mv.cost_after, ig.cost_value(new_costs[u])
+            )
+            _check_same(
+                f"move {mv.step} potential_after", mv.potential_after, ig.potential_value(new_pot)
+            )
 
-            legal = u not in fixed
-            if mv.move_class == P_MOVE:
-                legal = legal and phase >= 1 and costs[u] >= b[phase]
-                legal = legal and mv.cost_before > thr_p * mv.cost_after
-            elif mv.move_class == ALPHA_MOVE:
-                if phase == 0:
-                    legal = legal and costs[u] >= b[1]
-                else:
-                    legal = legal and b[phase + 1] <= costs[u] < b[phase]
-                legal = legal and mv.cost_before > thr_alpha * mv.cost_after
-            else:
-                legal = False
+            rule = schedule.classify(phase, costs[u], bounds)
+            legal = (
+                u not in fixed
+                and rule is not None
+                and rule[1] == mv.move_class
+                and improves(costs[u], new_costs[u], rule[0])
+            )
             if not legal:
                 failures.append(f"move {mv.step}: ineligible move recorded")
 
-            drop = pot_before - pot_after
+            drop = mv.potential_before - mv.potential_after
             required = mv.cost_before / drop_denominator
             drop_ok = drop >= required
             if not drop_ok:
@@ -394,7 +417,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
             movers.add(u)
             last_cost_after[u] = mv.cost_after
-            state = new_state
+            state, costs, pot = new_state, new_costs, new_pot
             move_count += 1
             expected_step += 1
             pending = next(move_iter, None)
@@ -405,8 +428,8 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         _check_same(f"phase {phase} end state", trace.phase_end_states[phase], state)
         _check_same(f"phase {phase} movers", trace.movers_per_phase[phase], frozenset(movers))
 
-        start_partial = partial_potential(game, start_state, movers)
-        end_partial = partial_potential(game, state, movers)
+        start_partial = ig.potential_value(ig.partial_potential(start_state.choices, movers))
+        end_partial = ig.potential_value(ig.partial_potential(state.choices, movers))
 
         key_slack: Fraction | None = None
         key_ok = True
@@ -432,7 +455,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         if not budget_ok:
             failures.append(f"phase {phase}: {move_count} moves exceed budget {budget}")
 
-        settled = not _eligible_move_exists(game, state, phase, fixed, b, thr_alpha, thr_p)
+        settled = not _eligible_move_exists(ig, schedule, bounds, phase, state, fixed)
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 
@@ -455,9 +478,8 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         )
 
         if phase >= 1:
-            costs = player_costs(game, state)
             newly = frozenset(
-                u for u in range(n) if u not in fixed and costs[u] >= b[phase]
+                u for u in range(n) if u not in fixed and costs[u] >= bounds[phase]
             )
             _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
             for u in sorted(newly):
@@ -468,8 +490,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         raise TraceMismatchError(f"move {pending.step}: phase {pending.phase} >= m = {m}")
 
     _check_same("fixed set for phase 0", trace.fixed_sets[0], frozenset())
-    costs = player_costs(game, state)
-    newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= b[m])
+    newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= bounds[m])
     _check_same("final fixed set", trace.fixed_sets[m], newly)
     for u in sorted(newly):
         fixed_after[u] = (m, costs[u])
@@ -477,26 +498,26 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     _check_same("all players fixed", frozenset(range(n)), frozenset(fixed))
     _check_same("final state", trace.final_state, state)
 
-    inflation_bound = Fraction(p + 3, p)
-    final_costs = player_costs(game, trace.final_state)
     for u in range(n):
         j, cost_then = fixed_after[u]
-        ok = final_costs[u] <= inflation_bound * cost_then
+        ok = costs[u] * p <= (p + 3) * cost_then  # within the factor 1 + 3/p
+        cost_at_fix, final_cost = ig.cost_value(cost_then), ig.cost_value(costs[u])
         if not ok:
             failures.append(
-                f"player {u}: cost grew from {cost_then} at fixing (phase {j}) "
-                f"to {final_costs[u]}, beyond factor 1 + 3/p"
+                f"player {u}: cost grew from {cost_at_fix} at fixing (phase {j}) "
+                f"to {final_cost}, beyond factor 1 + 3/p"
             )
         fix_audits.append(
             FixAudit(
                 player=u,
                 fixed_after_phase=j,
-                cost_at_fix=cost_then,
-                final_cost=final_costs[u],
+                cost_at_fix=cost_at_fix,
+                final_cost=final_cost,
                 ok=ok,
             )
         )
 
+    final_factor = min_equilibrium_factor(game, trace.final_state)
     ceiling = schedule.final_factor_ceiling
     factor_ok = final_factor <= ceiling
     if not factor_ok:

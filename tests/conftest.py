@@ -65,3 +65,21 @@ def single_player_game() -> Game:
         resources=(CostPolynomial((Fraction(0), Fraction(1))),),
         players=(make_player(Fraction(1), [[0]]),),
     )
+
+
+def crafted_p_move_game() -> tuple[Game, State]:
+    """Player 0 spans four quadratic resources and is settled just under the
+    alpha threshold; four unit-weight players sit on constant-cost homes
+    priced inside [b_2, b_1) and migrate onto her resources in phase 1,
+    pushing her improvement factor past p = 4.  Player 5 only anchors c_max."""
+    gamma, q, h = Fraction(1), Fraction(5, 4), Fraction(100)
+    anchor = 200 * (1536 * (1 + 5 * 28) ** 2 + 1)
+    res = [CostPolynomial((Fraction(0), Fraction(0), gamma)) for _ in range(4)]
+    res.append(CostPolynomial((Fraction(0), Fraction(0), q)))
+    res += [CostPolynomial((h,)) for _ in range(4)]
+    res.append(CostPolynomial((Fraction(anchor),)))
+    players = [make_player(Fraction(4), [[0, 1, 2, 3], [4]])]
+    for k in range(4):
+        players.append(make_player(Fraction(1), [[5 + k], [k]]))
+    players.append(make_player(Fraction(1), [[9]]))
+    return Game(degree=2, resources=tuple(res), players=tuple(players)), State((0,) * 6)

@@ -148,7 +148,63 @@ class TestPipeline:
         assert "poa:" in out and "1.70" in out
 
 
+def solved(tmp_path, capsys):
+    """The GEN game solved with a trace: (game, state, trace) paths."""
+    game, state, trace = tmp_path / "game.json", tmp_path / "state.json", tmp_path / "trace.jsonl"
+    run(capsys, *GEN, "--out", str(game))
+    code, _, _ = run(capsys, "solve", "--input", str(game), "--output", str(state),
+                     "--trace", str(trace))
+    assert code == 0
+    return game, state, trace
+
+
+def edit_trace_line(trace, index: int, edit) -> None:
+    """Apply edit(doc) to the JSON object on one line of a trace file."""
+    lines = trace.read_text().splitlines()
+    doc = json.loads(lines[index])
+    edit(doc)
+    lines[index] = json.dumps(doc, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+
+
 class TestInputErrors:
+    def test_trace_header_without_schedule(self, tmp_path, capsys):
+        game, _, trace = solved(tmp_path, capsys)
+        edit_trace_line(trace, 0, lambda doc: doc.pop("schedule"))
+        code, _, err = run(capsys, "audit", "--game", str(game), "--trace", str(trace))
+        assert code == 3
+        assert "input error" in err and "schedule" in err
+
+    @pytest.mark.parametrize("text", ["", '{"schedule": null\n'])
+    def test_trace_empty_or_not_json(self, tmp_path, capsys, text):
+        game, _, trace = solved(tmp_path, capsys)
+        trace.write_text(text)
+        code, _, err = run(capsys, "audit", "--game", str(game), "--trace", str(trace))
+        assert code == 3
+        assert "input error" in err
+
+    def test_state_with_non_integer_choice(self, tmp_path, capsys):
+        game, state, _ = solved(tmp_path, capsys)
+        state.write_text('{"choices": ["a", 0, 0]}')
+        code, _, err = run(capsys, "verify", "--game", str(game), "--state", str(state))
+        assert code == 3
+        assert "input error" in err
+
+    def test_verify_group_not_an_index(self, tmp_path, capsys):
+        game, state, _ = solved(tmp_path, capsys)
+        code, _, err = run(capsys, "verify", "--game", str(game), "--state", str(state),
+                           "--group", "x")
+        assert code == 3
+        assert "input error" in err
+
+    @pytest.mark.parametrize("field, value", [("player", -1), ("to_strategy", 99)])
+    def test_audit_rejects_bad_move_index(self, tmp_path, capsys, field, value):
+        game, _, trace = solved(tmp_path, capsys)
+        edit_trace_line(trace, 1, lambda doc: doc.update({field: value}))
+        code, _, err = run(capsys, "audit", "--game", str(game), "--trace", str(trace))
+        assert code == 2
+        assert "check failed" in err and field in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--input", "/nonexistent.json",
                            "--output", "/tmp/out.json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,28 +23,15 @@ from congames import (
     target_p,
 )
 from congames.dynamics import ALPHA_MOVE, P_MOVE, read_trace, write_trace
-from congames.errors import AlreadyZeroError, MalformedInstanceError, ZeroMinCostError
+from congames.errors import (
+    AlreadyZeroError,
+    MalformedInstanceError,
+    MalformedTraceError,
+    ZeroMinCostError,
+)
 from congames.potential import alpha
 
-from conftest import random_game, random_state, single_player_game
-
-
-def crafted_p_move_game() -> tuple[Game, State]:
-    """Player 0 spans four quadratic resources and is settled just under the
-    alpha threshold; four unit-weight players sit on constant-cost homes
-    priced inside [b_2, b_1) and migrate onto her resources in phase 1,
-    pushing her improvement factor past p = 4.  Player 5 only anchors c_max."""
-    gamma, q, h = Fraction(1), Fraction(5, 4), Fraction(100)
-    anchor = 200 * (1536 * (1 + 5 * 28) ** 2 + 1)
-    res = [CostPolynomial((Fraction(0), Fraction(0), gamma)) for _ in range(4)]
-    res.append(CostPolynomial((Fraction(0), Fraction(0), q)))
-    res += [CostPolynomial((h,)) for _ in range(4)]
-    res.append(CostPolynomial((Fraction(anchor),)))
-    players = [make_player(Fraction(4), [[0, 1, 2, 3], [4]])]
-    for k in range(4):
-        players.append(make_player(Fraction(1), [[5 + k], [k]]))
-    players.append(make_player(Fraction(1), [[9]]))
-    return Game(degree=2, resources=tuple(res), players=tuple(players)), State((0,) * 6)
+from conftest import crafted_p_move_game, random_game, random_state, single_player_game
 
 
 class TestBestResponse:
@@ -166,6 +154,19 @@ class TestComputeSchedule:
         with pytest.raises(MalformedInstanceError):
             compute_schedule(game, State((0,)))
 
+    def test_classify_boundaries_are_inclusive(self):
+        game, s0 = crafted_p_move_game()
+        sched = compute_schedule(game, s0, p_override=4)
+        b = sched.boundaries
+        below = Fraction(1, 10**6)
+        alpha_rule = (sched.alpha_threshold, ALPHA_MOVE)
+        assert sched.classify(0, b[1], b) == alpha_rule
+        assert sched.classify(0, b[1] - below * b[1], b) is None
+        assert sched.classify(1, b[1], b) == (Fraction(4), P_MOVE)
+        assert sched.classify(1, b[1] - below * b[1], b) == alpha_rule
+        assert sched.classify(1, b[2], b) == alpha_rule
+        assert sched.classify(1, b[2] - below * b[2], b) is None
+
 
 class TestRunAlgorithm:
     def test_zero_cost_initial_state_returns_immediately(self):
@@ -270,3 +271,29 @@ class TestRunAlgorithm:
         write_trace(trace, buf)
         buf.seek(0)
         assert read_trace(buf) == trace
+
+
+@pytest.mark.parametrize(
+    "line, edit",
+    [
+        (0, lambda doc: doc.pop("fixed_sets")),
+        (0, lambda doc: doc.update(initial_state="000000")),
+        (0, lambda doc: doc.update(phase_end_states=[[0, "1"]])),
+        (0, lambda doc: doc["schedule"].update(p="4")),
+        (0, lambda doc: doc["schedule"].update(exact_constants=0)),
+        (0, lambda doc: doc["schedule"].pop("boundaries")),
+        (1, lambda doc: doc.pop("player")),
+    ],
+)
+def test_read_trace_rejects_malformed_fields(line, edit):
+    game, s0 = crafted_p_move_game()
+    _, trace = run_algorithm(game, s0, p_override=4)
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    lines = buf.getvalue().splitlines()
+    doc = json.loads(lines[line])
+    edit(doc)
+    lines[line] = json.dumps(doc)
+    with pytest.raises(MalformedTraceError):
+        read_trace(io.StringIO("\n".join(lines)))
+

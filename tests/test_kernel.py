@@ -1,0 +1,202 @@
+"""The integer kernel (game.IntGame) against the Fraction oracle.
+
+Random games of degree 1-4 with zero coefficients and weights whose
+denominators reach 8: every loads, cost, best response, potential and
+partial potential the kernel computes, scaled back to a Fraction, must
+equal game.py and potential.py exactly, and run_algorithm must produce
+the very trace of a from-scratch Fraction replay of the phased dynamics.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congames import CostPolynomial, Game, State, make_player, normalize
+from congames.dynamics import (
+    ALPHA_MOVE,
+    P_MOVE,
+    MoveRecord,
+    Trace,
+    best_response,
+    compute_schedule,
+    game_fingerprint,
+    run_algorithm,
+)
+from congames.errors import AlreadyZeroError, ZeroMinCostError
+from congames.game import compile_game, loads, player_costs
+from congames.potential import partial_potential, potential
+from congames.verify import audit_trace, min_equilibrium_factor
+
+from conftest import crafted_p_move_game
+
+SETTINGS = settings(max_examples=80, deadline=None, database=None)
+
+rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 8))
+weights = st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
+
+
+@st.composite
+def games(draw, anchored: bool = False) -> tuple[Game, State, list[int]]:
+    """A game, a state of it and a player group.  An anchored game adds a
+    player alone on a resource of constant cost 2^k, which stretches the
+    solver's schedule so that the others move in later phases."""
+    degree = draw(st.integers(1, 4))
+    num_resources = draw(st.integers(1, 5))
+    resources = [
+        CostPolynomial(tuple(draw(st.lists(rationals, min_size=1, max_size=degree + 1))))
+        for _ in range(num_resources)
+    ]
+    subsets = st.lists(st.integers(0, num_resources - 1), min_size=1, max_size=3, unique=True)
+    players = [
+        make_player(draw(weights), draw(st.lists(subsets, min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    if anchored:
+        resources.append(CostPolynomial((Fraction(2 ** draw(st.integers(0, 64))),)))
+        players.append(make_player(Fraction(1), [[num_resources]]))
+    game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
+    state = State(tuple(draw(st.integers(0, len(p.strategies) - 1)) for p in players))
+    group = draw(st.lists(st.integers(0, game.n - 1), unique=True))
+    return game, state, group
+
+
+@SETTINGS
+@given(games(), rationals)
+def test_kernel_matches_fraction_oracle(case, bound):
+    game, state, group = case
+    ig = compile_game(game)
+    x = ig.loads(state.choices)
+    assert [Fraction(v, ig.W) for v in x] == list(loads(game, state))
+    rcosts = ig.resource_costs(x)
+    costs = ig.player_costs(state.choices, rcosts)
+    assert [ig.cost_value(k) for k in costs] == list(player_costs(game, state))
+    oracle_x = loads(game, state)
+    for u in range(game.n):
+        k, cost = ig.best_response(state.choices, x, rcosts, u)
+        assert (k, ig.cost_value(cost)) == best_response(game, state, u)
+        assert (k, ig.cost_value(cost)) == best_response(game, state, u, loads=oracle_x)
+    assert ig.potential_value(ig.potential(x)) == potential(game, state)
+    assert ig.potential_value(ig.partial_potential(state.choices, group)) == partial_potential(
+        game, state, group
+    )
+    # boundaries round up: K >= cost_ceil(b) exactly when K/(W*D) >= b
+    ceil = ig.cost_ceil(bound)
+    assert ig.cost_value(ceil) >= bound > ig.cost_value(ceil - 1)
+
+
+@SETTINGS
+@given(games(), st.data())
+def test_move_keeps_loads_and_potential(case, data):
+    game, state, _ = case
+    ig = compile_game(game)
+    choices = list(state.choices)
+    x = ig.loads(choices)
+    pot = ig.potential(x)
+    for _ in range(3):
+        u = data.draw(st.integers(0, game.n - 1))
+        k = data.draw(st.integers(0, len(game.players[u].strategies) - 1))
+        pot += ig.move(choices, x, u, k)
+        assert x == ig.loads(choices)
+        assert ig.potential_value(pot) == potential(game, State(tuple(choices)))
+
+
+def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
+    """The phased dynamics on Fractions alone, every value from scratch."""
+    schedule = compute_schedule(game, s_init, p_override)
+    b = schedule.boundaries
+    state, fixed, moves = s_init, set(), []
+    phase_end_states, movers_per_phase, fixed_sets = [], [], []
+
+    def find_move(phase):
+        costs = player_costs(game, state)
+        for u in range(game.n):
+            cost = costs[u]
+            if u in fixed:
+                continue
+            if phase == 0:
+                if cost < b[1]:
+                    continue
+                threshold, move_class = schedule.alpha_threshold, ALPHA_MOVE
+            elif cost >= b[phase]:
+                threshold, move_class = Fraction(schedule.p), P_MOVE
+            elif cost >= b[phase + 1]:
+                threshold, move_class = schedule.alpha_threshold, ALPHA_MOVE
+            else:
+                continue
+            br, br_cost = best_response(game, state, u)
+            if cost > threshold * br_cost:
+                return u, br, cost, br_cost, move_class
+        return None
+
+    def fix(boundary):
+        costs = player_costs(game, state)
+        newly = frozenset(u for u in range(game.n) if u not in fixed and costs[u] >= boundary)
+        fixed.update(newly)
+        fixed_sets.append(newly)
+
+    for phase in range(schedule.m):
+        movers = set()
+        while (found := find_move(phase)) is not None:
+            u, br, cost, br_cost, move_class = found
+            new_state = state.with_choice(u, br)
+            moves.append(MoveRecord(
+                phase=phase, step=len(moves), player=u, from_strategy=state.choices[u],
+                to_strategy=br, cost_before=cost, cost_after=br_cost, move_class=move_class,
+                potential_before=potential(game, state),
+                potential_after=potential(game, new_state),
+            ))
+            movers.add(u)
+            state = new_state
+        movers_per_phase.append(frozenset(movers))
+        phase_end_states.append(state)
+        if phase == 0:
+            fixed_sets.append(frozenset())
+        else:
+            fix(b[phase])
+    fix(b[schedule.m])
+    return Trace(
+        schedule=schedule,
+        initial_state=s_init,
+        final_state=state,
+        moves=tuple(moves),
+        phase_end_states=tuple(phase_end_states),
+        movers_per_phase=tuple(movers_per_phase),
+        fixed_sets=tuple(fixed_sets),
+        game_sha256=game_fingerprint(game),
+    )
+
+
+@settings(SETTINGS, max_examples=100)
+@given(games(anchored=True), st.sampled_from([None, 0, 2]))
+def test_trace_matches_fraction_replay(case, p_extra):
+    game, state, _ = case
+    game = normalize(game)  # the solver needs weights >= 1
+    p_override = None if p_extra is None else game.degree + 2 + p_extra
+    try:
+        expected = reference_run(game, state, p_override)
+    except AlreadyZeroError:
+        final, trace = run_algorithm(game, state, p_override)
+        assert final == state and trace.schedule is None and not trace.moves
+        return
+    except ZeroMinCostError:
+        with pytest.raises(ZeroMinCostError):
+            run_algorithm(game, state, p_override)
+        return
+    final, trace = run_algorithm(game, state, p_override)
+    assert trace == expected
+    assert final == expected.final_state
+    report = audit_trace(game, trace)
+    assert report.passed, report.failures
+    assert report.final_factor == min_equilibrium_factor(game, final)
+
+
+def test_p_move_trace_matches_fraction_replay():
+    game, s0 = crafted_p_move_game()
+    _, trace = run_algorithm(game, s0, p_override=4)
+    assert any(mv.move_class == P_MOVE for mv in trace.moves)
+    assert trace == reference_run(game, s0, 4)
+

@@ -25,7 +25,7 @@ from congames import (
     run_algorithm,
     social_cost,
 )
-from congames.dynamics import ALPHA_MOVE, MoveRecord, Trace, game_fingerprint
+from congames.dynamics import ALPHA_MOVE, P_MOVE, MoveRecord, Trace, game_fingerprint
 from congames.errors import (
     NoEquilibriumError,
     StateSpaceTooLargeError,
@@ -34,8 +34,7 @@ from congames.errors import (
 from congames.potential import alpha
 from congames.verify import enumerate_states
 
-from conftest import random_game, random_state, single_player_game
-from test_dynamics import crafted_p_move_game
+from conftest import crafted_p_move_game, random_game, random_state, single_player_game
 
 
 class TestMinEquilibriumFactor:
@@ -222,3 +221,60 @@ class TestAuditTrace:
         assert not report.passed
         assert any("ineligible" in f for f in report.failures)
         assert not report.moves[0].legal
+
+
+def _index_mutations(v, size: int) -> list:
+    return [v + 1, v - 1, -1, size, (v + 1) % size, float(v), str(v)]
+
+
+def _value_mutations(v: Fraction) -> list:
+    return [v + Fraction(1, 7919), v * 2, Fraction(0)]
+
+
+class TestAuditMutations:
+    """Every single-field perturbation of every move record must make the
+    audit raise TraceMismatchError or report a failure; none may pass."""
+
+    @staticmethod
+    def mutations(game: Game, mv: MoveRecord):
+        strategies = len(game.players[mv.player].strategies)
+        yield "phase", [mv.phase + 1, mv.phase - 1, float(mv.phase), str(mv.phase)]
+        yield "step", [mv.step + 1, mv.step - 1, float(mv.step), str(mv.step)]
+        yield "player", _index_mutations(mv.player, game.n)
+        yield "from_strategy", _index_mutations(mv.from_strategy, strategies)
+        yield "to_strategy", _index_mutations(mv.to_strategy, strategies) + [99]
+        for name in ("cost_before", "cost_after", "potential_before", "potential_after"):
+            yield name, _value_mutations(getattr(mv, name))
+        other = P_MOVE if mv.move_class == ALPHA_MOVE else ALPHA_MOVE
+        yield "move_class", [other, "bogus"]
+
+    @staticmethod
+    def traces():
+        game, s0 = crafted_p_move_game()  # alpha and p moves, phases 0 and 1
+        yield game, run_algorithm(game, s0, p_override=4)[1]
+        game = gen_random(6, 2, 5, 3, 2, (Fraction(1, 4), Fraction(2)), seed=14)
+        yield game, run_algorithm(game, State((0,) * 6))[1]
+
+    def test_every_field_of_every_move(self):
+        tried = 0
+        for game, trace in self.traces():
+            assert audit_trace(game, trace).passed
+            assert trace.moves
+            for i, mv in enumerate(trace.moves):
+                for name, values in self.mutations(game, mv):
+                    original = getattr(mv, name)
+                    for value in values:
+                        if value == original and type(value) is type(original):
+                            continue
+                        moves = list(trace.moves)
+                        moves[i] = replace(mv, **{name: value})
+                        tampered = replace(trace, moves=tuple(moves))
+                        try:
+                            report = audit_trace(game, tampered)
+                        except TraceMismatchError:
+                            pass
+                        else:
+                            assert not report.passed, (i, name, value)
+                        tried += 1
+        assert tried > 100
+
