@@ -51,7 +51,7 @@ from .verify import (
     AuditReport,
     audit_trace,
     brute_force_poa,
-    smoothness_peakroup_poa_ratio,
+    max_group_poa_ratio,
     max_rho_stretch_ratio,
     min_equilibrium_factor,
 )

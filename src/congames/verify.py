@@ -1,7 +1,10 @@
 """Verification oracles: equilibrium factors, brute-force PoA, trace audits.
 
-Everything here recomputes from first principles in exact rational
-arithmetic.  The brute-force enumerations are deliberately capped and fail
+Everything here recomputes from first principles in exact arithmetic.  The
+PoA oracles and the trace auditor run on the integer game (game.IntGame):
+each test is homogeneous in the cost scale, so answers and ratios are those
+on Fractions.  The group oracles' complement loads and potential are
+constant per bucket.  The enumerations are deliberately capped and fail
 loudly rather than truncating, since their whole value is oracle status.
 A player who has positive cost but a zero-cost deviation gets the explicit
 infinite factor (math.inf), never a large stand-in number.
@@ -13,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import (
     Schedule,
@@ -24,7 +27,6 @@ from .dynamics import (
     improves,
 )
 from .errors import (
-    AlreadyZeroError,
     NoEquilibriumError,
     StateSpaceTooLargeError,
     TraceMismatchError,
@@ -34,27 +36,17 @@ from .game import (
     IntGame,
     State,
     compile_game,
-    group_cost,
     loads,
     player_costs,
-    social_cost,
 )
-from .potential import partial_potential
 
 Factor = Fraction | float  # exact rational, or math.inf as explicit sentinel
 
 
-def _ratio(numer: Fraction, denom: Fraction) -> Factor:
+def _ratio(numer: Fraction | int, denom: Fraction | int) -> Factor:
     if denom == 0:
         return Fraction(1) if numer == 0 else math.inf
-    return numer / denom
-
-
-def _player_factors(game: Game, state: State, players: Iterable[int]) -> list[Factor]:
-    """Each listed player's ratio of current cost to best-response cost."""
-    x = loads(game, state)
-    costs = player_costs(game, state)
-    return [_ratio(costs[u], best_response(game, state, u, loads=x)[1]) for u in players]
+    return Fraction(numer, denom)
 
 
 def min_equilibrium_factor(
@@ -66,107 +58,115 @@ def min_equilibrium_factor(
     0/0 counts as factor 1; positive cost against a zero-cost deviation is
     the explicit infinite factor.
     """
+    x = loads(game, state)
+    costs = player_costs(game, state)
     group = range(game.n) if players is None else players
-    return max([Fraction(1), *_player_factors(game, state, group)])
+    factors = [_ratio(costs[u], best_response(game, state, u, loads=x)[1]) for u in group]
+    return max([Fraction(1), *factors])
+
+
+def _all_choices(game: Game, state_cap: int) -> Iterator[tuple[int, ...]]:
+    """Every state's choices in itertools.product order, or
+    StateSpaceTooLargeError above the cap (raised before any is made)."""
+    if math.prod(len(p.strategies) for p in game.players) > state_cap:
+        raise StateSpaceTooLargeError(f"state space exceeds cap {state_cap}")
+    return itertools.product(*(range(len(p.strategies)) for p in game.players))
 
 
 def enumerate_states(game: Game, state_cap: int = 10**6) -> list[State]:
     """All states of the game, or StateSpaceTooLargeError above the cap."""
-    total = 1
-    for p in game.players:
-        total *= len(p.strategies)
-        if total > state_cap:
-            raise StateSpaceTooLargeError(
-                f"state space exceeds cap {state_cap}"
-            )
-    ranges = [range(len(p.strategies)) for p in game.players]
-    return [State(choices) for choices in itertools.product(*ranges)]
+    return [State(choices) for choices in _all_choices(game, state_cap)]
+
+
+class _Row(NamedTuple):
+    """A state's choices, loads, resource costs, potential and players within rho."""
+
+    choices: tuple[int, ...]
+    x: list[int]
+    rcosts: list[int]
+    potential: int
+    within: list[bool]
+
+
+def _rows(ig: IntGame, game: Game, rho: Fraction, state_cap: int) -> Iterator[_Row]:
+    """Every state's row from scratch, in product order.  K/K_br <= rho = a/b
+    is K*b <= a*K_br, where 0/0 counts as 1 and K/0 for K > 0 as infinite."""
+    for choices in _all_choices(game, state_cap):
+        x = ig.loads(choices)
+        rcosts = ig.resource_costs(x)
+        costs = ig.player_costs(choices, rcosts)
+        brs = [ig.best_response(choices, x, rcosts, u)[1] for u in range(game.n)]
+        within = [
+            k * rho.denominator <= rho.numerator * br if br else k == 0 and rho >= 1
+            for k, br in zip(costs, brs)
+        ]
+        yield _Row(choices, x, rcosts, ig.potential(x), within)
 
 
 def brute_force_poa(
     game: Game, rho: Fraction, state_cap: int = 10**6
 ) -> tuple[Factor, State, State]:
-    """Exhaustive price of anarchy of rho-approximate equilibria.
-
-    Enumerates every state; the optimum minimizes social cost, and the
-    result is the worst ratio C(s)/C(s*) over states whose equilibrium
-    factor is at most rho.  Raises NoEquilibriumError when no state
-    qualifies (possible in weighted games for small rho).
-    """
-    states = enumerate_states(game, state_cap)
-    costs = [social_cost(game, s) for s in states]
-    opt_index = min(range(len(states)), key=lambda i: costs[i])
-    optimum = states[opt_index]
-    opt_cost = costs[opt_index]
-
-    poa: Factor | None = None
-    worst_state: State | None = None
-    for s, c in zip(states, costs):
-        if min_equilibrium_factor(game, s) > rho:
-            continue
-        r = _ratio(c, opt_cost)
-        if poa is None or r > poa:
-            poa, worst_state = r, s
-    if poa is None or worst_state is None:
+    """Exhaustive price of anarchy of rho-approximate equilibria: the worst
+    ratio C(s)/C(s*) of a state s whose equilibrium factor is at most rho to
+    the optimum s*, ties going to the state enumerated first.  Raises
+    NoEquilibriumError when no state qualifies (possible in weighted games,
+    and always for rho < 1)."""
+    opt_cost, worst_cost = math.inf, -1
+    for row in _rows(compile_game(game), game, rho, state_cap):
+        cost = sum(load * rc for load, rc in zip(row.x, row.rcosts))
+        if cost < opt_cost:
+            opt_cost, optimum = cost, row.choices
+        # Ranking by cost ranks the ratios even when the optimum costs 0:
+        # then every player has a zero-cost strategy, so every equilibrium costs 0.
+        if cost > worst_cost and all(row.within):
+            worst_cost, worst = cost, row.choices
+    if worst_cost < 0:
         raise NoEquilibriumError(f"no {rho}-approximate equilibrium exists")
-    return poa, worst_state, optimum
+    return _ratio(worst_cost, opt_cost), State(worst), State(optimum)
 
 
-def smoothness_peakroup_poa_ratio(
-    game: Game, rho: Fraction, state_cap: int = 10**6
+def _max_group_ratio(
+    game: Game, rho: Fraction, state_cap: int, metric: Callable[[_Row, list[int], int], int]
 ) -> Factor:
+    """Worst ratio M_R(s)/M_R(s') of a group metric over all triples
+    (R, s, s') where s is a rho-equilibrium for R and the complement C of
+    R plays the same strategies in s and s'.  A bucket holds the states of
+    one choice of C; the metric of its rows is given C's loads X_C and
+    potential Phi(X_C), and its worst ratio is the largest value of its
+    equilibria over its smallest value."""
+    ig = compile_game(game)
+    rows = list(_rows(ig, game, rho, state_cap))
+    worst: Factor = Fraction(0)
+    for group_size in range(1, game.n + 1):
+        for group in itertools.combinations(range(game.n), group_size):
+            complement = [u for u in range(game.n) if u not in group]
+            buckets: dict[tuple[int, ...], list[_Row]] = {}
+            for row in rows:
+                buckets.setdefault(tuple(row.choices[u] for u in complement), []).append(row)
+            for bucket in buckets.values():
+                eq = [row for row in bucket if all(row.within[u] for u in group)]
+                if eq:
+                    xc = ig.loads(bucket[0].choices, complement)
+                    phi_c = ig.potential(xc)
+                    top = max(metric(row, xc, phi_c) for row in eq)
+                    worst = max(worst, _ratio(top, min(metric(row, xc, phi_c) for row in bucket)))
+    return worst
+
+
+def max_group_poa_ratio(game: Game, rho: Fraction, state_cap: int = 10**6) -> Factor:
     """Worst group cost ratio C_R(s)/C_R(s*) over all triples (R, s, s*)
     where s is a rho-equilibrium for R and the complement of R plays the
     same strategies in s and s*.  Exhaustive; tiny games only."""
-    states = enumerate_states(game, state_cap)
-    n = game.n
-    factors = [_player_factors(game, s, range(n)) for s in states]
-    worst: Factor = Fraction(0)
-    for group_sizes in range(1, n + 1):
-        for group in itertools.combinations(range(n), group_sizes):
-            complement = [u for u in range(n) if u not in group]
-            group_costs = [group_cost(game, s, group) for s in states]
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for i, s in enumerate(states):
-                key = tuple(s.choices[u] for u in complement)
-                buckets.setdefault(key, []).append(i)
-            for bucket in buckets.values():
-                eq = [i for i in bucket if max(factors[i][u] for u in group) <= rho]
-                if not eq:
-                    continue
-                for i in eq:
-                    for j in bucket:
-                        r = _ratio(group_costs[i], group_costs[j])
-                        if r > worst:
-                            worst = r
-    return worst
+    def group_cost(row: _Row, xc: list[int], phi_c: int) -> int:
+        return sum((x - x_c) * rc for x, x_c, rc in zip(row.x, xc, row.rcosts))
+
+    return _max_group_ratio(game, rho, state_cap, group_cost)
 
 
-def max_rho_stretch_ratio(
-    game: Game, rho: Fraction, state_cap: int = 10**6
-) -> Factor:
+def max_rho_stretch_ratio(game: Game, rho: Fraction, state_cap: int = 10**6) -> Factor:
     """Worst partial-potential ratio over the same (R, s, s') triples as
-    smoothness_peakroup_poa_ratio; bounded by alpha * Phi(d, rho)^(d+1)."""
-    states = enumerate_states(game, state_cap)
-    n = game.n
-    factors = [_player_factors(game, s, range(n)) for s in states]
-    worst: Factor = Fraction(0)
-    for group_sizes in range(1, n + 1):
-        for group in itertools.combinations(range(n), group_sizes):
-            complement = [u for u in range(n) if u not in group]
-            potentials = [partial_potential(game, s, group) for s in states]
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for i, s in enumerate(states):
-                key = tuple(s.choices[u] for u in complement)
-                buckets.setdefault(key, []).append(i)
-            for bucket in buckets.values():
-                eq = [i for i in bucket if max(factors[i][u] for u in group) <= rho]
-                for i in eq:
-                    for j in bucket:
-                        r = _ratio(potentials[i], potentials[j])
-                        if r > worst:
-                            worst = r
-    return worst
+    max_group_poa_ratio; bounded by alpha * Phi(d, rho)^(d+1)."""
+    return _max_group_ratio(game, rho, state_cap, lambda row, xc, phi_c: row.potential - phi_c)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from congames import (
     gen_lower_bound,
     gen_random,
     lambert_w,
-    smoothness_peakroup_poa_ratio,
+    max_group_poa_ratio,
     min_equilibrium_factor,
     phi_ratio,
     poa_bounds,
@@ -224,7 +224,7 @@ def test_criterion_06_brute_force_poa_vs_theory():
                 skipped += 1
                 continue
             ok = ok and poa <= bound
-            ok = ok and smoothness_peakroup_poa_ratio(game, rho) <= bound
+            ok = ok and max_group_poa_ratio(game, rho) <= bound
             checked += 1
     elapsed = time.perf_counter() - t0
     report(

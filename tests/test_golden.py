@@ -1,11 +1,14 @@
 """Golden digests: fixed instances must keep producing byte-identical
-trace JSONL, state files and `audit` output.
+trace JSONL, state files, `audit` and `brute-poa` output, and the same
+exact values from the group PoA oracles.
 
-The pins were computed with the all-Fraction solver and auditor; any
-change to how costs, potentials or thresholds are computed must leave
-every digest unchanged.  The cases cover degrees 1-3, a run whose moves
-happen after phase 0, a p-move run, a game whose weights normalize to
-non-integers, and the trivial all-zero-cost run.
+The pins were computed with the all-Fraction solver, auditor and
+oracles; any change to how costs, potentials or thresholds are computed
+must leave every digest and value unchanged.  The solver cases cover
+degrees 1-3, a run whose moves happen after phase 0, a p-move run, a
+game whose weights normalize to non-integers, and the trivial
+all-zero-cost run.  The oracle cases are 4-player games of degree 1-3
+with zero coefficients and weights that normalize to non-integers.
 """
 
 from __future__ import annotations
@@ -18,18 +21,27 @@ from pathlib import Path
 
 import pytest
 
-from congames import CostPolynomial, Game, State, make_player, serialize_instance
+from congames import (
+    CostPolynomial,
+    Game,
+    State,
+    gen_random,
+    make_player,
+    max_group_poa_ratio,
+    max_rho_stretch_ratio,
+    serialize_instance,
+)
 from congames.cli import main
 
 from conftest import crafted_p_move_game
 
 
 def _gen_random(seed: int, n: int, d: int, resources: int, strategies: int, max_size: int,
-                weight_range: str = "1:3") -> list[str]:
+                weight_range: str = "1:3", coeff_range: str = "1/4:2") -> list[str]:
     return [
         "gen-random", "--seed", str(seed), "--n", str(n), "--d", str(d),
         "--resources", str(resources), "--strategies", str(strategies),
-        "--max-size", str(max_size), "--coeff-range", "1/4:2", "--weight-range", weight_range,
+        "--max-size", str(max_size), "--coeff-range", coeff_range, "--weight-range", weight_range,
     ]
 
 
@@ -143,3 +155,43 @@ PINS: dict[str, dict[str, str]] = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == PINS[name]
+
+
+# brute-poa: (seed, degree, rho) of a 4-player, 3-resource, 3^4-state gen-random game
+# -> sha256 of the command's stdout (the PoA, the worst state and the optimum)
+BRUTE_POA_PINS = {
+    (46, 1, "1"): "b72b0d1c51925ea7acc9475f94fef8f419ab3d95a93e47c4487a4d9ff6f787b9",
+    (41, 2, "3/2"): "aba5800fe44b0d312a2a108c88616b431de184e9f57ded191203cac2f78091ec",
+    (41, 3, "2"): "879a7ae5f187b84047c31ec433af4e8289ba4f127d1ad7eb610dac5c921f8174",
+}
+
+
+@pytest.mark.parametrize("seed, d, rho", sorted(BRUTE_POA_PINS))
+def test_brute_poa_digest(seed, d, rho, tmp_path):
+    game = tmp_path / "game.json"
+    _cli([*_gen_random(seed, 4, d, 3, 3, 2, weight_range="1/2:5/2", coeff_range="0:2"),
+          "--out", str(game)])
+    out = _cli(["brute-poa", "--game", str(game), "--rho", rho])
+    assert hashlib.sha256(out.encode()).hexdigest() == BRUTE_POA_PINS[seed, d, rho]
+
+
+# (seed, degree) of a 4-player, 4-resource gen-random game -> rho -> exact
+# (max_group_poa_ratio, max_rho_stretch_ratio)
+GROUP_PINS = {
+    (51, 1): {
+        Fraction(1): (Fraction(1), Fraction(1)),
+        Fraction(3, 2): (Fraction(76, 51), Fraction(229, 136)),
+    },
+    (52, 2): {
+        Fraction(1): (Fraction(7551, 5194), Fraction(8721, 6904)),
+        Fraction(3, 2): (Fraction(17251, 9002), Fraction(20977, 10550)),
+    },
+}
+
+
+@pytest.mark.parametrize("seed, d", sorted(GROUP_PINS))
+def test_group_oracle_values(seed, d):
+    game = gen_random(4, d, 4, 3, 2, (Fraction(0), Fraction(2)), (Fraction(1, 2), Fraction(5, 2)),
+                      seed=seed)
+    for rho, expected in GROUP_PINS[seed, d].items():
+        assert (max_group_poa_ratio(game, rho), max_rho_stretch_ratio(game, rho)) == expected

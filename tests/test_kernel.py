@@ -3,12 +3,16 @@
 Random games of degree 1-4 with zero coefficients and weights whose
 denominators reach 8: every loads, cost, best response, potential and
 partial potential the kernel computes, scaled back to a Fraction, must
-equal game.py and potential.py exactly, and run_algorithm must produce
-the very trace of a from-scratch Fraction replay of the phased dynamics.
+equal game.py and potential.py exactly, run_algorithm must produce the
+very trace of a from-scratch Fraction replay of the phased dynamics, and
+the exhaustive PoA oracles of verify.py must return the values, states
+and errors of their from-scratch Fraction versions kept here.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,10 +30,21 @@ from congames.dynamics import (
     game_fingerprint,
     run_algorithm,
 )
-from congames.errors import AlreadyZeroError, ZeroMinCostError
-from congames.game import compile_game, loads, player_costs
+from congames.errors import (
+    AlreadyZeroError,
+    NoEquilibriumError,
+    StateSpaceTooLargeError,
+    ZeroMinCostError,
+)
+from congames.game import compile_game, group_cost, loads, player_costs, social_cost
 from congames.potential import partial_potential, potential
-from congames.verify import audit_trace, min_equilibrium_factor
+from congames.verify import (
+    audit_trace,
+    brute_force_poa,
+    max_group_poa_ratio,
+    max_rho_stretch_ratio,
+    min_equilibrium_factor,
+)
 
 from conftest import crafted_p_move_game
 
@@ -200,3 +215,115 @@ def test_p_move_trace_matches_fraction_replay():
     assert any(mv.move_class == P_MOVE for mv in trace.moves)
     assert trace == reference_run(game, s0, 4)
 
+
+# --------------------------------------------------------------------------
+# The exhaustive PoA oracles against their from-scratch Fraction versions
+# --------------------------------------------------------------------------
+
+
+def _ratio(numer: Fraction, denom: Fraction):
+    if denom == 0:
+        return Fraction(1) if numer == 0 else math.inf
+    return numer / denom
+
+
+def reference_states(game: Game, state_cap: int) -> list[State]:
+    if math.prod(len(p.strategies) for p in game.players) > state_cap:
+        raise StateSpaceTooLargeError(f"state space exceeds cap {state_cap}")
+    return [State(c) for c in itertools.product(*(range(len(p.strategies)) for p in game.players))]
+
+
+def reference_factors(game: Game, s: State) -> list:
+    """Each player's ratio of current cost to best-response cost."""
+    costs = player_costs(game, s)
+    return [_ratio(costs[u], best_response(game, s, u)[1]) for u in range(game.n)]
+
+
+def reference_brute_force_poa(game: Game, rho: Fraction, state_cap: int):
+    states = reference_states(game, state_cap)
+    costs = [social_cost(game, s) for s in states]
+    opt_index = min(range(len(states)), key=lambda i: costs[i])
+    poa = worst_state = None
+    for s, c in zip(states, costs):
+        if max([Fraction(1), *reference_factors(game, s)]) > rho:
+            continue
+        r = _ratio(c, costs[opt_index])
+        if poa is None or r > poa:
+            poa, worst_state = r, s
+    if poa is None:
+        raise NoEquilibriumError(f"no {rho}-approximate equilibrium exists")
+    return poa, worst_state, states[opt_index]
+
+
+def reference_group_ratio(game: Game, rho: Fraction, state_cap: int, metric):
+    """Worst metric(s, R)/metric(s', R) over every pair of states in which
+    the complement of R plays alike and s is a rho-equilibrium for R."""
+    states = reference_states(game, state_cap)
+    n = game.n
+    factors = [reference_factors(game, s) for s in states]
+    worst = Fraction(0)
+    for group_size in range(1, n + 1):
+        for group in itertools.combinations(range(n), group_size):
+            complement = [u for u in range(n) if u not in group]
+            values = [metric(game, s, group) for s in states]
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            for i, s in enumerate(states):
+                buckets.setdefault(tuple(s.choices[u] for u in complement), []).append(i)
+            for bucket in buckets.values():
+                eq = [i for i in bucket if max(factors[i][u] for u in group) <= rho]
+                for i in eq:
+                    for j in bucket:
+                        r = _ratio(values[i], values[j])
+                        if r > worst:
+                            worst = r
+    return worst
+
+
+@st.composite
+def oracle_games(draw) -> Game:
+    """A game of 2-4 players with 2-3 strategies each over 2-4 resources;
+    some resources cost nothing at any load."""
+    degree = draw(st.integers(1, 4))
+    num_resources = draw(st.integers(2, 4))
+    resources = tuple(
+        CostPolynomial(
+            (Fraction(0),)  # a quarter of the resources cost nothing at any load
+            if draw(st.integers(0, 3)) == 3
+            else tuple(draw(st.lists(rationals, min_size=1, max_size=degree + 1)))
+        )
+        for _ in range(num_resources)
+    )
+    subsets = st.lists(st.integers(0, num_resources - 1), min_size=1, max_size=2, unique=True)
+    players = tuple(
+        make_player(draw(weights), draw(st.lists(subsets, min_size=2, max_size=3)))
+        for _ in range(draw(st.integers(2, 4)))
+    )
+    return Game(degree=degree, resources=resources, players=players)
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type of the oracle error it raised; compared
+    by repr, so a Fraction never passes for an int or a float."""
+    try:
+        return fn(*args)
+    except (NoEquilibriumError, StateSpaceTooLargeError) as exc:
+        return type(exc)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(
+    oracle_games(),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+    st.sampled_from([10**6, 8]),
+)
+def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
+    got = _outcome(brute_force_poa, game, rho, state_cap)
+    expected = _outcome(reference_brute_force_poa, game, rho, state_cap)
+    assert repr(got) == repr(expected)  # same values, same types (Fraction or inf), same states
+    for oracle, metric in (
+        (max_group_poa_ratio, group_cost),
+        (max_rho_stretch_ratio, partial_potential),
+    ):
+        got = _outcome(oracle, game, rho, state_cap)
+        expected = _outcome(reference_group_ratio, game, rho, state_cap, metric)
+        assert repr(got) == repr(expected)

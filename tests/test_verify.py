@@ -18,7 +18,7 @@ from congames import (
     gen_lower_bound,
     gen_random,
     make_player,
-    smoothness_peakroup_poa_ratio,
+    max_group_poa_ratio,
     max_rho_stretch_ratio,
     min_equilibrium_factor,
     phi_ratio,
@@ -32,7 +32,7 @@ from congames.errors import (
     TraceMismatchError,
 )
 from congames.potential import alpha
-from congames.verify import enumerate_states
+from congames.verify import _max_group_ratio, enumerate_states
 
 from conftest import crafted_p_move_game, random_game, random_state, single_player_game
 
@@ -117,7 +117,7 @@ class TestGroupEnumerations:
             game = random_game(rng, 3, d, 4)
             for rho in (Fraction(1), Fraction(2)):
                 bound = Fraction(phi_ratio(d, float(rho)) ** (d + 1)) + Fraction(1, 10**6)
-                assert smoothness_peakroup_poa_ratio(game, rho) <= bound
+                assert max_group_poa_ratio(game, rho) <= bound
 
     def test_rho_stretch_within_theory(self, rng):
         for _ in range(8):
@@ -128,6 +128,75 @@ class TestGroupEnumerations:
                     phi_ratio(d, float(rho)) ** (d + 1)
                 ) + Fraction(1, 10**6)
                 assert max_rho_stretch_ratio(game, rho) <= bound
+
+
+    def test_group_ratio_measures_against_non_equilibria(self):
+        # Pigou-like: a shared road of cost x and a bypass of cost 5/2.  The
+        # only equilibrium puts both players on the road (cost 4); the
+        # optimum (cost 7/2) is no equilibrium, and it is the denominator.
+        game = Game(
+            degree=1,
+            resources=(
+                CostPolynomial((Fraction(0), Fraction(1))),
+                CostPolynomial((Fraction(5, 2),)),
+            ),
+            players=(make_player(Fraction(1), [[0], [1]]),) * 2,
+        )
+        assert brute_force_poa(game, Fraction(1)) == (Fraction(8, 7), State((0, 0)), State((0, 1)))
+        assert max_group_poa_ratio(game, Fraction(1)) == Fraction(8, 7)
+
+
+class TestOracleEdgeCases:
+    def test_all_zero_cost_game(self):
+        zero = CostPolynomial((Fraction(0),))
+        game = Game(
+            degree=2,
+            resources=(zero, zero),
+            players=(
+                make_player(Fraction(1), [[0], [1]]),
+                make_player(Fraction(3, 2), [[0], [0, 1]]),
+            ),
+        )
+        # every factor is 0/0 = 1, so no state is a 1/2-equilibrium
+        with pytest.raises(NoEquilibriumError):
+            brute_force_poa(game, Fraction(1, 2))
+        assert max_group_poa_ratio(game, Fraction(1, 2)) == 0
+        assert max_rho_stretch_ratio(game, Fraction(1, 2)) == 0
+        poa, worst, opt = brute_force_poa(game, Fraction(1))
+        assert (poa, worst, opt) == (1, State((0, 0)), State((0, 0)))
+        assert type(poa) is Fraction
+        assert max_group_poa_ratio(game, Fraction(1)) == max_rho_stretch_ratio(game, Fraction(1)) == 1
+
+    @staticmethod
+    def zero_deviation_game() -> Game:
+        """Strategy 0 costs 1 and strategy 1 nothing."""
+        return Game(
+            degree=1,
+            resources=(CostPolynomial((Fraction(1),)), CostPolynomial((Fraction(0),))),
+            players=(make_player(Fraction(1), [[0], [1]]),),
+        )
+
+    def test_zero_cost_deviation_is_never_an_equilibrium(self):
+        # state (0,) has the infinite factor, however large rho is
+        game = self.zero_deviation_game()
+        assert brute_force_poa(game, Fraction(10**9)) == (1, State((1,)), State((1,)))
+
+    def test_bucket_with_zero_minimum(self):
+        # The one bucket holds both states; only (1,) is an equilibrium.
+        game, rho = self.zero_deviation_game(), Fraction(3)
+        assert max_group_poa_ratio(game, rho) == 1
+        assert max_rho_stretch_ratio(game, rho) == 1
+
+        def ratio(values):
+            """The bucket's ratio under a metric valued values[k] at state (k,)."""
+            return _max_group_ratio(game, rho, 10**6, lambda row, xc, phi_c: values[row.choices[0]])
+
+        # The oracles' own metrics never reach inf: a group of value 0 uses
+        # only resources that cost nothing, so a member of positive cost has
+        # a zero-cost deviation and is no equilibrium.
+        assert ratio((0, 5)) == math.inf
+        assert ratio((5, 0)) == ratio((0, 0)) == 1
+        assert ratio((2, 3)) == Fraction(3, 2)
 
 
 class TestAuditTrace:
