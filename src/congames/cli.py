@@ -12,19 +12,14 @@ passes through floating point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, dynamics, instances, verify
-from .errors import (
-    CongamesError,
-    InstanceError,
-    NoEquilibriumError,
-    StateSpaceTooLargeError,
-    TraceMismatchError,
-)
+from .errors import CongamesError, InstanceError, NoEquilibriumError, TraceMismatchError
 from .game import (
     State,
     format_rational,
@@ -226,7 +221,9 @@ def _cmd_gen_random(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call: it depends on no argument."""
     parser = _Parser(prog="congames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -307,13 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceMismatchError, NoEquilibriumError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (InstanceError, StateSpaceTooLargeError, CongamesError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
+    except (CongamesError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -35,11 +35,9 @@ from .errors import (
 from .game import (
     Game,
     State,
-    compile_game,
     format_rational,
-    loads as compute_loads,
+    loads,
     parse_rational,
-    player_costs,
     serialize_instance,
     validate_state,
 )
@@ -55,15 +53,11 @@ def target_p(degree: int) -> int:
     return (2 * d + 3) * (d + 1) * (4 * d) ** (d + 1)
 
 
-def best_response(
-    game: Game, state: State, u: int, loads: Sequence[Fraction] | None = None
-) -> tuple[int, Fraction]:
+def best_response(game: Game, state: State, u: int) -> tuple[int, Fraction]:
     """Best strategy index for player u against the others' choices, with
-    its exact cost.  Ties resolve to the lowest strategy index.  ``loads``,
-    when given, must be the state's loads; callers that ask for many
-    players of one state pass them to skip recomputing."""
+    its exact cost.  Ties resolve to the lowest strategy index."""
     player = game.players[u]
-    base = list(compute_loads(game, state) if loads is None else loads)
+    base = list(loads(game, state))
     for e in player.strategies[state.choices[u]]:
         base[e] -= player.weight
     best_idx = 0
@@ -81,18 +75,15 @@ def best_response(
 
 def has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
     """Index of a strategy improving player u's cost by a factor strictly
-    greater than rho, or None.  The witness returned is the best response."""
+    greater than rho, or None.  The witness returned is the best response.
+    Decided on the integer game by cross-multiplying."""
     if rho < 1:
         raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
-    x = compute_loads(game, state)
-    br, br_cost = best_response(game, state, u, loads=x)
-    player = game.players[u]
-    current = player.weight * sum(
-        (game.resources[e](x[e]) for e in player.strategies[state.choices[u]]), Fraction(0)
-    )
-    if current > rho * br_cost:
-        return br
-    return None
+    ig = game.compiled
+    x = ig.loads(state.choices)
+    rcosts = ig.own_costs(state.choices, x, u)
+    br, br_cost = ig.best_response(state.choices, x, rcosts, u)
+    return br if improves(ig.player_cost(state.choices, rcosts, u), br_cost, rho) else None
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,8 @@ class Schedule:
 
     boundaries[i] = g^(-i) * c_max for i = 0..m; b_m never exceeds c_min,
     the cheapest best response any player has against empty resources.
-    ``exact_constants`` is False when p was overridden for experimentation.
+    ``exact_constants`` is False when p, overridden for experimentation,
+    differs from target_p(d).
     """
 
     p: int
@@ -201,28 +193,10 @@ def game_fingerprint(game: Game) -> str:
     return hashlib.sha256(serialize_instance(game).encode("utf-8")).hexdigest()
 
 
-def empty_profile_best_cost(game: Game, u: int) -> Fraction:
-    """Cheapest cost player u can get when she is alone on her resources:
-    min over strategies of w_u * sum_e c_e(w_u)."""
-    player = game.players[u]
-    best: Fraction | None = None
-    for strat in player.strategies:
-        total = Fraction(0)
-        for e in strat:
-            total += game.resources[e](player.weight)
-        cost = player.weight * total
-        if best is None or cost < best:
-            best = cost
-    assert best is not None
-    return best
-
-
-def _ceil_log2(q: Fraction) -> int:
-    """Smallest k >= 0 with 2^k >= q, for q >= 1, computed exactly."""
+def _ceil_log2(a: int, b: int) -> int:
+    """Smallest k >= 0 with 2^k * b >= a, for a >= b > 0."""
     k = 0
-    power = 1
-    while power < q:
-        power *= 2
+    while b << k < a:
         k += 1
     return k
 
@@ -232,8 +206,9 @@ def compute_schedule(
 ) -> Schedule:
     """Derive the run's constants from the game and initial state.
 
-    c_max is the largest player cost at s_init; c_min the smallest
-    empty-profile best-response cost; m = max(1, ceil(log2(c_max/c_min)));
+    c_max is the largest player cost at s_init; c_min the smallest cost a
+    player can get alone on the resources of one of her strategies (both
+    found on the integer game); m = max(1, ceil(log2(c_max/c_min)));
     g = n*p^3*(1+m*(1+p))^d*d^d + 1; boundaries b_i = g^(-i)*c_max.
 
     Raises AlreadyZeroError when c_max = 0 (s_init is trivially an
@@ -245,30 +220,31 @@ def compute_schedule(
         raise MalformedInstanceError(
             "player weights must be >= 1 for the solver; apply normalize() first"
         )
-    costs = player_costs(game, s_init)
-    c_max = max(costs)
-    if c_max == 0:
+    ig = game.compiled
+    k_max = max(ig.player_costs(s_init.choices, ig.resource_costs(ig.loads(s_init.choices))))
+    if k_max == 0:
         raise AlreadyZeroError("all player costs are zero at the initial state")
-    c_min = min(empty_profile_best_cost(game, u) for u in range(game.n))
-    if c_min == 0:
+    k_min = min(ig.alone_cost(u) for u in range(game.n))
+    if k_min == 0:
         raise ZeroMinCostError("a player can reach cost zero; phase count undefined")
+    c_max = ig.cost_value(k_max)
 
     d = game.degree
     p = target_p(d) if p_override is None else p_override
     if p < alpha(d) + 1:  # the p-move class must be stronger than alpha + 1/p
         raise MalformedInstanceError(f"p must be >= {alpha(d) + 1} for degree {d}, got {p}")
-    m = max(1, _ceil_log2(c_max / c_min))
+    m = max(1, _ceil_log2(k_max, k_min))
     g = game.n * p**3 * (1 + m * (1 + p)) ** d * d**d + 1
     boundaries = tuple(c_max * Fraction(1, g**i) for i in range(m + 1))
     return Schedule(
         p=p,
         alpha=alpha(d),
         c_max=c_max,
-        c_min=c_min,
+        c_min=ig.cost_value(k_min),
         m=m,
         g=g,
         boundaries=boundaries,
-        exact_constants=p_override is None,
+        exact_constants=p == target_p(d),
         n_players=game.n,
     )
 
@@ -305,7 +281,7 @@ def run_algorithm(
     # The run works on the compiled integer game: every test below is
     # homogeneous in the cost scale, so it gives the same answer as on the
     # Fraction values, which are formed only for the MoveRecords.
-    ig = compile_game(game)
+    ig = game.compiled
     n = game.n
     m = schedule.m
     bounds = tuple(ig.cost_ceil(b) for b in schedule.boundaries)
@@ -465,24 +441,16 @@ def _schedule_from_doc(doc: dict | None) -> Schedule | None:
     )
 
 
+# MoveRecord fields written as "p/q" strings; the others are written as they are
+_RATIONAL_MOVE_FIELDS = frozenset(f.name for f in fields(MoveRecord) if f.type == "Fraction")
+
+
 def _move_from_doc(doc, where: str) -> MoveRecord:
     """Index fields are kept as written: audit_trace checks them against
     the game, so that a bad index reads as a trace mismatch."""
-
-    def field(key: str):
-        return _get(doc, key, where)
-
+    values = {f.name: _get(doc, f.name, where) for f in fields(MoveRecord)}
     return MoveRecord(
-        phase=field("phase"),
-        step=field("step"),
-        player=field("player"),
-        from_strategy=field("from_strategy"),
-        to_strategy=field("to_strategy"),
-        cost_before=parse_rational(field("cost_before")),
-        cost_after=parse_rational(field("cost_after")),
-        move_class=field("move_class"),
-        potential_before=parse_rational(field("potential_before")),
-        potential_after=parse_rational(field("potential_after")),
+        **{k: parse_rational(v) if k in _RATIONAL_MOVE_FIELDS else v for k, v in values.items()}
     )
 
 
@@ -499,24 +467,9 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
     }
     fp.write(json.dumps(header, sort_keys=True) + "\n")
     for mv in trace.moves:
-        fp.write(
-            json.dumps(
-                {
-                    "phase": mv.phase,
-                    "step": mv.step,
-                    "player": mv.player,
-                    "from_strategy": mv.from_strategy,
-                    "to_strategy": mv.to_strategy,
-                    "cost_before": format_rational(mv.cost_before),
-                    "cost_after": format_rational(mv.cost_after),
-                    "move_class": mv.move_class,
-                    "potential_before": format_rational(mv.potential_before),
-                    "potential_after": format_rational(mv.potential_after),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        doc = {f.name: getattr(mv, f.name) for f in fields(MoveRecord)}
+        doc.update({k: format_rational(doc[k]) for k in _RATIONAL_MOVE_FIELDS})
+        fp.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def read_trace(fp: IO[str]) -> Trace:

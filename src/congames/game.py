@@ -11,16 +11,17 @@ is bit-exact and reproducible.  All types are immutable after construction
 and safe to share between threads; the operations below are pure functions.
 
 The Fraction functions (loads, player_costs, ...) are the reference.  The
-solver and the trace auditor run on an integer form of the same game,
-made once by compile_game: weights are scaled by W, the lcm of their
-denominators, so loads are integers X = W*x; each c_e(X/W) is scaled to
-integer coefficients over one common denominator D, and each potential
-phi_e(X/W) over its own common denominator Dp.  A player's cost is then
-an integer K standing for K/(W*D), and a potential an integer P standing
-for P/Dp.  Every test the solver makes (cost >= b_i, cost > t * cost',
-drop >= floor) is homogeneous in the cost scale, so one uniform positive
-rescaling leaves its answer unchanged: a boundary b becomes the integer
-ceil(b*W*D), and a rational factor t = a/c is compared by
+solver, the auditor, the verification oracles and group/social costs run
+on an integer form of the same game, made by compile_game and kept on the
+Game object (Game.compiled).  Weights are scaled by W, the lcm of their
+denominators, so loads are integers X = W*x.  Each c_e(X/W) is scaled to
+integer coefficients over D = lcm(coefficient denominators) * W^d, and
+each potential phi_e(X/W), compiled on first use, over Dp = lcm(potential
+coefficient denominators) * W^(d+1).  A cost K stands for K/(W*D) and a
+potential P for P/Dp.  Every test made on them (cost >= b_i, cost > t *
+cost', drop >= floor) is homogeneous in the cost scale, so one uniform
+positive rescaling leaves its answer unchanged: a boundary b becomes the
+integer ceil(b*W*D), and a rational factor t = a/c is compared by
 cross-multiplying, K*c > a*K'.  Values become Fractions again only where
 they are reported.
 
@@ -42,6 +43,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -193,6 +195,12 @@ class Game:
         """True when every weight is >= 1 (the solver's preferred form)."""
         return min(p.weight for p in self.players) >= 1
 
+    @cached_property
+    def compiled(self) -> "IntGame":
+        """The integer form of the game (compile_game), made on first use
+        and kept on this object."""
+        return compile_game(self)
+
 
 @dataclass(frozen=True)
 class State:
@@ -309,15 +317,14 @@ def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
 
 def group_cost(game: Game, state: State, players: Iterable[int]) -> Fraction:
     """Summed cost of a player group, via the per-resource form
-    sum_e x_{R,e} * c_e(x_e); agrees exactly with summing player costs."""
-    group = set(players)
-    x = loads(game, state)
-    x_group = group_loads(game, state, group)
-    total = Fraction(0)
-    for e in range(game.num_resources):
-        if x_group[e] != 0:
-            total += x_group[e] * game.resources[e](x[e])
-    return total
+    sum_e x_{R,e} * c_e(x_e), evaluated on the integer game and only on
+    the resources the group uses; agrees exactly with summing player costs."""
+    ig = game.compiled
+    x = ig.loads(state.choices)
+    x_group = ig.loads(state.choices, set(players))
+    return ig.cost_value(
+        sum(xg * _horner(ig.costs[e], x[e]) for e, xg in enumerate(x_group) if xg)
+    )
 
 
 def social_cost(game: Game, state: State) -> Fraction:
@@ -343,17 +350,32 @@ class IntGame:
 
     A load X stands for X/W, a cost K for K/(W*D) and a potential P for
     P/Dp.  ``costs[e]`` and ``potentials[e]`` are the integer coefficients,
-    highest degree first, of D*c_e(X/W) and Dp*phi_e(X/W).  ``choices``
-    arguments are strategy indices per player, as in State.choices.
+    highest degree first, of D*c_e(X/W) and Dp*phi_e(X/W); Dp and the
+    potentials are compiled from ``polys``, the game's cost polynomials,
+    on first use.  ``choices`` arguments are strategy indices per player,
+    as in State.choices.
     """
 
     W: int
     D: int
-    Dp: int
     weights: tuple[int, ...]
     strategies: tuple[tuple[tuple[int, ...], ...], ...]
     costs: tuple[tuple[int, ...], ...]
-    potentials: tuple[tuple[int, ...], ...]
+    polys: tuple[CostPolynomial, ...]
+
+    @cached_property
+    def _potential_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        from .potential import potential_coefficients  # potential imports this module
+
+        return _scale([potential_coefficients(poly) for poly in self.polys], self.W)
+
+    @property
+    def Dp(self) -> int:
+        return self._potential_form[0]
+
+    @property
+    def potentials(self) -> tuple[tuple[int, ...], ...]:
+        return self._potential_form[1]
 
     def loads(self, choices: Sequence[int], players: Iterable[int] | None = None) -> list[int]:
         """Scaled loads of all players, or of a group."""
@@ -367,6 +389,15 @@ class IntGame:
     def resource_costs(self, x: Sequence[int]) -> list[int]:
         """D * c_e(X_e/W) for every resource."""
         return [_horner(poly, x[e]) for e, poly in enumerate(self.costs)]
+
+    def own_costs(self, choices: Sequence[int], x: Sequence[int], u: int) -> dict[int, int]:
+        """D * c_e(X_e/W) for the resources of player u's strategy only:
+        all that player_cost and best_response read of ``rcosts`` for u."""
+        return {e: _horner(self.costs[e], x[e]) for e in self.strategies[u][choices[u]]}
+
+    def player_cost(self, choices: Sequence[int], rcosts: Sequence[int], u: int) -> int:
+        """Scaled cost of player u, from the resource_costs of the loads."""
+        return self.weights[u] * sum(rcosts[e] for e in self.strategies[u][choices[u]])
 
     def player_costs(self, choices: Sequence[int], rcosts: Sequence[int]) -> list[int]:
         """Scaled cost of every player, from the resource_costs of the loads."""
@@ -391,6 +422,14 @@ class IntGame:
                 best_idx, best = k, total
         return best_idx, w * best
 
+    def alone_cost(self, u: int) -> int:
+        """Scaled cost of player u's cheapest strategy when she is alone on
+        its resources."""
+        w = self.weights[u]
+        return w * min(
+            sum(_horner(self.costs[e], w) for e in strat) for strat in self.strategies[u]
+        )
+
     def potential(self, x: Sequence[int]) -> int:
         """Scaled global potential at the loads."""
         return sum(_horner(poly, x[e]) for e, poly in enumerate(self.potentials))
@@ -407,11 +446,12 @@ class IntGame:
         """Switch player u to strategy k, updating choices and loads in
         place; returns the change of the scaled potential."""
         w = self.weights[u]
+        potentials = self.potentials
         old, new = set(self.strategies[u][choices[u]]), set(self.strategies[u][k])
         delta = 0
         for e in old ^ new:
             x_new = x[e] + w if e in new else x[e] - w
-            delta += _horner(self.potentials[e], x_new) - _horner(self.potentials[e], x[e])
+            delta += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
             x[e] = x_new
         choices[u] = k
         return delta
@@ -424,36 +464,42 @@ class IntGame:
 
     def cost_ceil(self, c: Fraction) -> int:
         """Smallest scaled cost K with K/(W*D) >= c."""
-        return math.ceil(c * self.W * self.D)
+        return -(-c.numerator * self.W * self.D // c.denominator)
+
+
+def _scale(
+    polys: Sequence[Sequence[Fraction]], W: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A common denominator L * W^t of every coefficient of every p(X/W),
+    with each polynomial's integer coefficients over it, highest first: L
+    is the lcm of the coefficient denominators (taken in ascending order,
+    cheap when each divides the next) and t the top exponent, so a_v/W^v
+    becomes a_v.numerator * (L // a_v.denominator) * W^(t-v), with no gcd."""
+    top = max(len(coeffs) for coeffs in polys) - 1
+    L = math.lcm(*sorted({a.denominator for coeffs in polys for a in coeffs}))
+    powers = [W ** (top - v) for v in range(top + 1)]
+    return L * powers[0], tuple(
+        tuple(
+            a.numerator * (L // a.denominator) * powers[v] if a else 0
+            for v, a in reversed(tuple(enumerate(coeffs)))
+        )
+        for coeffs in polys
+    )
 
 
 def compile_game(game: Game) -> IntGame:
-    """Compile a game to the integer form of IntGame.
-
-    W is the lcm of the weight denominators, D the common denominator of
-    every c_e(X/W) coefficient and Dp that of every phi_e(X/W) coefficient.
-    """
-    from .potential import potential_coefficients  # potential imports this module
-
+    """Compile a game to the integer form of IntGame: W is the lcm of the
+    weight denominators, D and Dp the denominators made by _scale.  Use
+    Game.compiled, which compiles each Game once."""
     W = math.lcm(*(p.weight.denominator for p in game.players))
-
-    def scale(polys: list[tuple[Fraction, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The common denominator of every coefficient of every p(X/W),
-        with each polynomial's integer coefficients over it, highest first."""
-        terms = [[c / W**v for v, c in enumerate(coeffs)] for coeffs in polys]
-        den = math.lcm(*(t.denominator for row in terms for t in row))
-        return den, tuple(tuple(int(t * den) for t in reversed(row)) for row in terms)
-
-    D, costs = scale([poly.coeffs for poly in game.resources])
-    Dp, potentials = scale([potential_coefficients(poly) for poly in game.resources])
+    D, costs = _scale([poly.coeffs for poly in game.resources], W)
     return IntGame(
         W=W,
         D=D,
-        Dp=Dp,
-        weights=tuple(int(p.weight * W) for p in game.players),
+        weights=tuple(p.weight.numerator * (W // p.weight.denominator) for p in game.players),
         strategies=tuple(p.strategies for p in game.players),
         costs=costs,
-        potentials=potentials,
+        polys=game.resources,
     )
 
 

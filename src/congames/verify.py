@@ -1,13 +1,14 @@
 """Verification oracles: equilibrium factors, brute-force PoA, trace audits.
 
 Everything here recomputes from first principles in exact arithmetic.  The
-PoA oracles and the trace auditor run on the integer game (game.IntGame):
-each test is homogeneous in the cost scale, so answers and ratios are those
-on Fractions.  The group oracles' complement loads and potential are
-constant per bucket.  The enumerations are deliberately capped and fail
-loudly rather than truncating, since their whole value is oracle status.
-A player who has positive cost but a zero-cost deviation gets the explicit
-infinite factor (math.inf), never a large stand-in number.
+equilibrium factor, the PoA oracles and the trace auditor run on the
+integer game (Game.compiled, a game.IntGame): each test is homogeneous in
+the cost scale, so answers and ratios are those on Fractions.  The group
+oracles' complement loads and potential are constant per bucket.  The
+enumerations are deliberately capped and fail loudly rather than
+truncating, since their whole value is oracle status.  A player who has
+positive cost but a zero-cost deviation gets the explicit infinite factor
+(math.inf), never a large stand-in number.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .dynamics import (
     Schedule,
     Trace,
-    best_response,
     compute_schedule,
     game_fingerprint,
     improves,
@@ -31,14 +31,8 @@ from .errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from .game import (
-    Game,
-    IntGame,
-    State,
-    compile_game,
-    loads,
-    player_costs,
-)
+from .game import Game, IntGame, State, social_cost
+from .potential import alpha
 
 Factor = Fraction | float  # exact rational, or math.inf as explicit sentinel
 
@@ -56,13 +50,26 @@ def min_equilibrium_factor(
     the worst ratio of current cost to best-response cost over the group.
 
     0/0 counts as factor 1; positive cost against a zero-cost deviation is
-    the explicit infinite factor.
+    the explicit infinite factor.  Streams over the players on the integer
+    game: each evaluates the costs of its own resources once, for its cost
+    and its best response, and the running maximum K/K_br (from 1/1) is
+    kept by cross-multiplying.  The maximum is kept in lowest terms, so
+    each test multiplies a cost by a small number; the reduction is cheap
+    when a cost and its best response share a large factor, as in the
+    lower-bound family, where the unreduced products cost 4 ms each at
+    n = 150.
     """
-    x = loads(game, state)
-    costs = player_costs(game, state)
-    group = range(game.n) if players is None else players
-    factors = [_ratio(costs[u], best_response(game, state, u, loads=x)[1]) for u in group]
-    return max([Fraction(1), *factors])
+    ig = game.compiled
+    x = ig.loads(state.choices)
+    worst, worst_br = 1, 1
+    for u in range(game.n) if players is None else players:
+        rcosts = ig.own_costs(state.choices, x, u)
+        cost = ig.player_cost(state.choices, rcosts, u)
+        br = ig.best_response(state.choices, x, rcosts, u)[1]
+        if cost * worst_br > worst * br:
+            g = math.gcd(cost, br)
+            worst, worst_br = cost // g, br // g
+    return _ratio(worst, worst_br)
 
 
 def _all_choices(game: Game, state_cap: int) -> Iterator[tuple[int, ...]]:
@@ -112,7 +119,7 @@ def brute_force_poa(
     NoEquilibriumError when no state qualifies (possible in weighted games,
     and always for rho < 1)."""
     opt_cost, worst_cost = math.inf, -1
-    for row in _rows(compile_game(game), game, rho, state_cap):
+    for row in _rows(game.compiled, game, rho, state_cap):
         cost = sum(load * rc for load, rc in zip(row.x, row.rcosts))
         if cost < opt_cost:
             opt_cost, optimum = cost, row.choices
@@ -134,7 +141,7 @@ def _max_group_ratio(
     one choice of C; the metric of its rows is given C's loads X_C and
     potential Phi(X_C), and its worst ratio is the largest value of its
     equilibria over its smallest value."""
-    ig = compile_game(game)
+    ig = game.compiled
     rows = list(_rows(ig, game, rho, state_cap))
     worst: Factor = Fraction(0)
     for group_size in range(1, game.n + 1):
@@ -310,7 +317,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     failures: list[str] = []
 
     if trace.schedule is None:
-        if max(player_costs(game, trace.initial_state)) != 0:
+        if social_cost(game, trace.initial_state) != 0:  # costs are nonnegative
             raise TraceMismatchError("scheduleless trace but initial costs not all zero")
         _check_same("final state", trace.final_state, trace.initial_state)
         _check_same("move count", len(trace.moves), 0)
@@ -325,6 +332,8 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         )
 
     schedule = trace.schedule
+    if schedule.p < alpha(game.degree) + 1:  # no run has it; compute_schedule rejects it
+        raise TraceMismatchError(f"schedule: p = {schedule.p} is below {alpha(game.degree) + 1}")
     recomputed = compute_schedule(
         game,
         trace.initial_state,
@@ -332,7 +341,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     )
     _check_same("schedule", schedule, recomputed)
 
-    ig = compile_game(game)
+    ig = game.compiled
     n = game.n
     b = schedule.boundaries
     bounds = [ig.cost_ceil(x) for x in b]

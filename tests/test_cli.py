@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from congames.cli import main
+from congames.cli import build_parser, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -216,6 +216,44 @@ class TestInputErrors:
         bad.write_text('{"degree": 1}')
         code, _, err = run(capsys, "brute-poa", "--game", str(bad), "--rho", "1")
         assert code == 3
+
+    def test_state_not_json(self, tmp_path, capsys):
+        game, state, _ = solved(tmp_path, capsys)
+        state.write_text('{"choices": [0, ')
+        code, _, err = run(capsys, "verify", "--game", str(game), "--state", str(state))
+        assert code == 3
+        assert "input error" in err
+
+    def test_state_space_over_cap(self, tmp_path, capsys):
+        game, _, _ = solved(tmp_path, capsys)
+        code, _, err = run(capsys, "brute-poa", "--game", str(game), "--rho", "1",
+                           "--state-cap", "1")
+        assert code == 3
+        assert "input error" in err and "cap" in err
+
+    def test_solver_error_outside_the_input_classes(self, tmp_path, capsys):
+        # ZeroMinCostError is a CongamesError, but neither an InstanceError
+        # nor a StateSpaceTooLargeError: the player can reach cost zero
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "degree": 1,
+            "resources": [{"coeffs": ["1"]}, {"coeffs": ["0"]}],
+            "players": [{"weight": "1", "strategies": [[0], [1]]}],
+        }))
+        code, _, err = run(capsys, "solve", "--input", str(game),
+                           "--output", str(tmp_path / "state.json"))
+        assert code == 3
+        assert "input error" in err and "cost zero" in err
+
+
+class TestParser:
+    def test_built_once_and_reused(self):
+        assert build_parser() is build_parser()
+        solve = build_parser().parse_args(["solve", "--input", "a", "--output", "b"])
+        poa = build_parser().parse_args(["poa", "--d", "3"])
+        assert solve.input == "a" and solve.p_override is None
+        assert poa.d == 3 and not hasattr(poa, "input")
+        assert build_parser().parse_args(["poa"]).d == 1
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Golden digests: fixed instances must keep producing byte-identical
-trace JSONL, state files, `audit` and `brute-poa` output, and the same
-exact values from the group PoA oracles.
+trace JSONL, state files, `audit`, `brute-poa` and `verify --group`
+output, and the same exact values from the group PoA oracles and from
+social_cost and min_equilibrium_factor on lower-bound games.
 
 The pins were computed with the all-Fraction solver, auditor and
 oracles; any change to how costs, potentials or thresholds are computed
@@ -8,7 +9,8 @@ must leave every digest and value unchanged.  The solver cases cover
 degrees 1-3, a run whose moves happen after phase 0, a p-move run, a
 game whose weights normalize to non-integers, and the trivial
 all-zero-cost run.  The oracle cases are 4-player games of degree 1-3
-with zero coefficients and weights that normalize to non-integers.
+with zero coefficients and weights that normalize to non-integers.  The
+lower-bound cases (n = 40) have coefficients of thousands of digits.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from congames import (
     CostPolynomial,
     Game,
     State,
+    gen_lower_bound,
     gen_random,
     make_player,
     max_group_poa_ratio,
     max_rho_stretch_ratio,
+    min_equilibrium_factor,
     serialize_instance,
+    social_cost,
 )
 from congames.cli import main
 
@@ -195,3 +200,63 @@ def test_group_oracle_values(seed, d):
                       seed=seed)
     for rho, expected in GROUP_PINS[seed, d].items():
         assert (max_group_poa_ratio(game, rho), max_rho_stretch_ratio(game, rho)) == expected
+
+
+# (degree, rho) of gen_lower_bound(d, rho, n=40, 40 digits) -> sha256 of the
+# hex "numerator/denominator" of the social cost at the equilibrium and at
+# the optimal state (too long for a decimal string); the equilibrium factor
+# at the equilibrium state is exactly rho in every case.
+LOWER_BOUND_PINS = {
+    (1, "9/8"): ("be77a6ca9dfe420f5c2712472db63f5cb8e17df2a6234530199334428447513a",
+                 "99b1ae4f566dad026e1e4c7e5ab9bb6bc980a0c4e6c4430ae34b6daac1bb9a22"),
+    (1, "3/2"): ("81da3e2fcccf175148f72b322c6c32587d55e7f356d688d8b58a7234367bc434",
+                 "dc5aa84c632baff6a9349d7927e1d9b3e74cee1ae800b489ace14a0378628738"),
+    (1, "2"): ("f3fb20451dd679516c74fc3b0b2c10edbd00838f9ef1f5e07298c6fcc7db8355",
+               "27ac0e52c7e44e2a2cc74ba73b29beed3e6489aca83506155e74cb23d82b2fb1"),
+    (2, "9/8"): ("3a1f62cd86eb5111ee08ae40073246b3c7e5deb68a5c04e99f11125db3ece8dd",
+                 "1c0967d5fbd67421e21333b6b00c54d59f8e045804c202087b7b26cabe063c5b"),
+    (2, "3/2"): ("831b71ae221b03787456a874288bf3624027e1b02f83879b7e2ee562f9321424",
+                 "443390ca57078539e3abf5c69e9c8072f1e6f9a23eb1fd5bb915ad6fe2cb86c2"),
+    (2, "2"): ("7b5e90f242b87eeaff66f5da314832bdf623d28e1e8a8cc99b73c1c41a6fbd4b",
+               "596012ffc93e7b0c1d563ad6ce4dd5223d320d6830238d24762c5502f6997ae4"),
+    (3, "9/8"): ("6787521dfa3c517ef3670ec9112fefff2397b42c20cb6bfd60dbb822c616f51a",
+                 "dcce903f1fdf147a6c35b624f0573a587d0b391b7d7b9ea868c6a93cde75ead9"),
+    (3, "3/2"): ("ff1ca174d0b40d2b3467a3973528bd1f940d1c05415991f21b7b0b6531512809",
+                 "fa64cf0caf6e7447b2a1f5d86bbb0b7993003bc68c45550f8864dc399b0d730e"),
+    (3, "2"): ("f6e63449afc43dd0eb7bb314a249f71bbc68f2de8d8ee1ffec55dc1ee920c29f",
+               "afbb93da11ec42e3bc1e457ab236187c92cb668d178eccd95b4664612881b876"),
+}
+
+
+def _rational_digest(value: Fraction) -> str:
+    return hashlib.sha256(f"{value.numerator:x}/{value.denominator:x}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d, rho", sorted(LOWER_BOUND_PINS))
+def test_lower_bound_values(d, rho):
+    bundle = gen_lower_bound(d, Fraction(rho), 40, 40)
+    eq = social_cost(bundle.game, bundle.equilibrium_state)
+    opt = social_cost(bundle.game, bundle.optimal_state)
+    assert (_rational_digest(eq), _rational_digest(opt)) == LOWER_BOUND_PINS[d, rho]
+    assert repr(min_equilibrium_factor(bundle.game, bundle.equilibrium_state)) == repr(
+        Fraction(rho)
+    )
+
+
+# `verify` of an 8-player degree-2 gen-random game (weights normalized) at a
+# fixed state, with and without --group -> sha256 of stdout
+VERIFY_PINS = {
+    "0,2,5": "9dbf1ebd9f3cf5181284d39ff970b7c441dbdd1c24dfc3f5b32fb85cc1a067c7",
+    "": "6c6b30f7d28e64f306b04f7428941aa808b9ec54d8e852ae5ad5ba46cfedfa83",
+}
+
+
+@pytest.mark.parametrize("group", sorted(VERIFY_PINS))
+def test_verify_group_digest(group, tmp_path):
+    game, state = tmp_path / "game.json", tmp_path / "state.json"
+    _cli([*_gen_random(61, 8, 2, 6, 3, 2, weight_range="1/2:5/2", coeff_range="0:2"),
+          "--out", str(game)])
+    state.write_text('{"choices": [0, 1, 2, 0, 1, 2, 0, 1]}')
+    flags = ["--group", group] if group else []
+    out = _cli(["verify", "--game", str(game), "--state", str(state), *flags, "--rho", "3"])
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PINS[group]

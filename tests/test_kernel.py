@@ -5,8 +5,10 @@ denominators reach 8: every loads, cost, best response, potential and
 partial potential the kernel computes, scaled back to a Fraction, must
 equal game.py and potential.py exactly, run_algorithm must produce the
 very trace of a from-scratch Fraction replay of the phased dynamics, and
-the exhaustive PoA oracles of verify.py must return the values, states
-and errors of their from-scratch Fraction versions kept here.
+the exhaustive PoA oracles, min_equilibrium_factor, group_cost,
+social_cost, compute_schedule and has_rho_move must return the values,
+states and errors of their from-scratch Fraction versions kept here,
+also on lower-bound games.
 """
 
 from __future__ import annotations
@@ -19,25 +21,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames import CostPolynomial, Game, State, make_player, normalize
+from congames import CostPolynomial, Game, State, gen_lower_bound, make_player, normalize
 from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
     MoveRecord,
+    Schedule,
     Trace,
     best_response,
     compute_schedule,
     game_fingerprint,
+    has_rho_move,
     run_algorithm,
+    target_p,
 )
 from congames.errors import (
     AlreadyZeroError,
+    CongamesError,
+    MalformedInstanceError,
     NoEquilibriumError,
     StateSpaceTooLargeError,
     ZeroMinCostError,
 )
-from congames.game import compile_game, group_cost, loads, player_costs, social_cost
-from congames.potential import partial_potential, potential
+from congames.game import (
+    compile_game,
+    group_cost,
+    group_loads,
+    loads,
+    player_costs,
+    social_cost,
+    validate_state,
+)
+from congames.potential import alpha, partial_potential, potential
 from congames.verify import (
     audit_trace,
     brute_force_poa,
@@ -55,14 +70,19 @@ weights = st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
 
 
 @st.composite
-def games(draw, anchored: bool = False) -> tuple[Game, State, list[int]]:
+def games(draw, anchored: bool = False, zero_cost: bool = False) -> tuple[Game, State, list[int]]:
     """A game, a state of it and a player group.  An anchored game adds a
     player alone on a resource of constant cost 2^k, which stretches the
-    solver's schedule so that the others move in later phases."""
+    solver's schedule so that the others move in later phases.  With
+    zero_cost, a quarter of the resources cost nothing at any load."""
     degree = draw(st.integers(1, 4))
     num_resources = draw(st.integers(1, 5))
     resources = [
-        CostPolynomial(tuple(draw(st.lists(rationals, min_size=1, max_size=degree + 1))))
+        CostPolynomial(
+            (Fraction(0),)
+            if zero_cost and draw(st.integers(0, 3)) == 3
+            else tuple(draw(st.lists(rationals, min_size=1, max_size=degree + 1)))
+        )
         for _ in range(num_resources)
     ]
     subsets = st.lists(st.integers(0, num_resources - 1), min_size=1, max_size=3, unique=True)
@@ -89,11 +109,9 @@ def test_kernel_matches_fraction_oracle(case, bound):
     rcosts = ig.resource_costs(x)
     costs = ig.player_costs(state.choices, rcosts)
     assert [ig.cost_value(k) for k in costs] == list(player_costs(game, state))
-    oracle_x = loads(game, state)
     for u in range(game.n):
         k, cost = ig.best_response(state.choices, x, rcosts, u)
         assert (k, ig.cost_value(cost)) == best_response(game, state, u)
-        assert (k, ig.cost_value(cost)) == best_response(game, state, u, loads=oracle_x)
     assert ig.potential_value(ig.potential(x)) == potential(game, state)
     assert ig.potential_value(ig.partial_potential(state.choices, group)) == partial_potential(
         game, state, group
@@ -119,9 +137,156 @@ def test_move_keeps_loads_and_potential(case, data):
         assert ig.potential_value(pot) == potential(game, State(tuple(choices)))
 
 
+def _ratio(numer: Fraction, denom: Fraction):
+    if denom == 0:
+        return Fraction(1) if numer == 0 else math.inf
+    return numer / denom
+
+
+# --------------------------------------------------------------------------
+# From-scratch Fraction versions of the layers that run on the integer game
+# --------------------------------------------------------------------------
+
+
+def reference_group_cost(game: Game, state: State, players) -> Fraction:
+    group = set(players)
+    x = loads(game, state)
+    x_group = group_loads(game, state, group)
+    total = Fraction(0)
+    for e in range(game.num_resources):
+        if x_group[e] != 0:
+            total += x_group[e] * game.resources[e](x[e])
+    return total
+
+
+def reference_social_cost(game: Game, state: State) -> Fraction:
+    return reference_group_cost(game, state, range(game.n))
+
+
+def reference_min_equilibrium_factor(game: Game, state: State, players=None):
+    costs = player_costs(game, state)
+    group = range(game.n) if players is None else players
+    factors = [_ratio(costs[u], best_response(game, state, u)[1]) for u in group]
+    return max([Fraction(1), *factors])
+
+
+def reference_has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
+    if rho < 1:
+        raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
+    x = loads(game, state)
+    br, br_cost = best_response(game, state, u)
+    player = game.players[u]
+    current = player.weight * sum(
+        (game.resources[e](x[e]) for e in player.strategies[state.choices[u]]), Fraction(0)
+    )
+    return br if current > rho * br_cost else None
+
+
+def reference_empty_profile_best_cost(game: Game, u: int) -> Fraction:
+    player = game.players[u]
+    return min(
+        player.weight * sum((game.resources[e](player.weight) for e in strat), Fraction(0))
+        for strat in player.strategies
+    )
+
+
+def reference_compute_schedule(
+    game: Game, s_init: State, p_override: int | None = None
+) -> Schedule:
+    validate_state(game, s_init)
+    if not game.is_normalized:
+        raise MalformedInstanceError("player weights must be >= 1 for the solver")
+    c_max = max(player_costs(game, s_init))
+    if c_max == 0:
+        raise AlreadyZeroError("all player costs are zero at the initial state")
+    c_min = min(reference_empty_profile_best_cost(game, u) for u in range(game.n))
+    if c_min == 0:
+        raise ZeroMinCostError("a player can reach cost zero; phase count undefined")
+    d = game.degree
+    p = target_p(d) if p_override is None else p_override
+    if p < alpha(d) + 1:
+        raise MalformedInstanceError(f"p must be >= {alpha(d) + 1} for degree {d}, got {p}")
+    m = 0
+    while 2**m < c_max / c_min:
+        m += 1
+    m = max(1, m)
+    g = game.n * p**3 * (1 + m * (1 + p)) ** d * d**d + 1
+    return Schedule(
+        p=p,
+        alpha=alpha(d),
+        c_max=c_max,
+        c_min=c_min,
+        m=m,
+        g=g,
+        boundaries=tuple(c_max * Fraction(1, g**i) for i in range(m + 1)),
+        n_players=game.n,
+        exact_constants=p == target_p(d),
+    )
+
+
+def assert_layers_match(game: Game, state: State, group, rhos) -> None:
+    """The integer layers against their Fraction versions at one state,
+    compared by repr (a Fraction never passes for an int or a float)."""
+    for players in (None, group):
+        assert repr(min_equilibrium_factor(game, state, players)) == repr(
+            reference_min_equilibrium_factor(game, state, players)
+        )
+    assert repr(group_cost(game, state, group)) == repr(reference_group_cost(game, state, group))
+    assert repr(social_cost(game, state)) == repr(reference_social_cost(game, state))
+    for rho in rhos:
+        for u in range(game.n):
+            assert repr(_outcome(has_rho_move, game, state, u, rho)) == repr(
+                _outcome(reference_has_rho_move, game, state, u, rho)
+            )
+
+
+P_OVERRIDES = [None, "target", 0, 2, -1]  # offsets from d + 2; -1 is below the minimum
+
+
+def assert_schedules_match(game: Game, state: State) -> None:
+    for extra in P_OVERRIDES:
+        p_override = (
+            None if extra is None
+            else target_p(game.degree) if extra == "target"
+            else game.degree + 2 + extra
+        )
+        assert repr(_outcome(compute_schedule, game, state, p_override)) == repr(
+            _outcome(reference_compute_schedule, game, state, p_override)
+        )
+
+
+RHOS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5)]
+
+
+@SETTINGS
+@given(games(zero_cost=True))
+def test_layers_match_fraction_reference(case):
+    game, state, group = case
+    assert_layers_match(game, state, group, RHOS)
+
+
+@SETTINGS
+@given(st.one_of(games(zero_cost=True), games(anchored=True)))
+def test_schedule_matches_fraction_reference(case):
+    game, state, _ = case
+    assert_schedules_match(game, state)  # unnormalized weights raise in both
+    assert_schedules_match(normalize(game), state)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_layers_match_on_lower_bound_games(d):
+    for n, rho in ((1, Fraction(1)), (6, Fraction(9, 8)), (30, Fraction(3, 2))):
+        bundle = gen_lower_bound(d, rho, n, 20)
+        mixed = State(tuple(u % 2 for u in range(n)))
+        for state in (bundle.equilibrium_state, bundle.optimal_state, mixed):
+            group = list(range(0, n, 3))
+            assert_layers_match(bundle.game, state, group, [rho, rho - Fraction(1, 100)])
+            assert_schedules_match(normalize(bundle.game), state)
+
+
 def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
     """The phased dynamics on Fractions alone, every value from scratch."""
-    schedule = compute_schedule(game, s_init, p_override)
+    schedule = reference_compute_schedule(game, s_init, p_override)
     b = schedule.boundaries
     state, fixed, moves = s_init, set(), []
     phase_end_states, movers_per_phase, fixed_sets = [], [], []
@@ -206,7 +371,7 @@ def test_trace_matches_fraction_replay(case, p_extra):
     assert final == expected.final_state
     report = audit_trace(game, trace)
     assert report.passed, report.failures
-    assert report.final_factor == min_equilibrium_factor(game, final)
+    assert report.final_factor == reference_min_equilibrium_factor(game, final)
 
 
 def test_p_move_trace_matches_fraction_replay():
@@ -219,12 +384,6 @@ def test_p_move_trace_matches_fraction_replay():
 # --------------------------------------------------------------------------
 # The exhaustive PoA oracles against their from-scratch Fraction versions
 # --------------------------------------------------------------------------
-
-
-def _ratio(numer: Fraction, denom: Fraction):
-    if denom == 0:
-        return Fraction(1) if numer == 0 else math.inf
-    return numer / denom
 
 
 def reference_states(game: Game, state_cap: int) -> list[State]:
@@ -241,7 +400,7 @@ def reference_factors(game: Game, s: State) -> list:
 
 def reference_brute_force_poa(game: Game, rho: Fraction, state_cap: int):
     states = reference_states(game, state_cap)
-    costs = [social_cost(game, s) for s in states]
+    costs = [reference_social_cost(game, s) for s in states]
     opt_index = min(range(len(states)), key=lambda i: costs[i])
     poa = worst_state = None
     for s, c in zip(states, costs):
@@ -302,11 +461,11 @@ def oracle_games(draw) -> Game:
 
 
 def _outcome(fn, *args):
-    """A call's result, or the type of the oracle error it raised; compared
-    by repr, so a Fraction never passes for an int or a float."""
+    """A call's result, or the type of the congames error it raised;
+    compared by repr, so a Fraction never passes for an int or a float."""
     try:
         return fn(*args)
-    except (NoEquilibriumError, StateSpaceTooLargeError) as exc:
+    except CongamesError as exc:
         return type(exc)
 
 
@@ -321,7 +480,7 @@ def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
     expected = _outcome(reference_brute_force_poa, game, rho, state_cap)
     assert repr(got) == repr(expected)  # same values, same types (Fraction or inf), same states
     for oracle, metric in (
-        (max_group_poa_ratio, group_cost),
+        (max_group_poa_ratio, reference_group_cost),
         (max_rho_stretch_ratio, partial_potential),
     ):
         got = _outcome(oracle, game, rho, state_cap)

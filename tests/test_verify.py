@@ -347,3 +347,62 @@ class TestAuditMutations:
                         tried += 1
         assert tried > 100
 
+
+
+class TestAuditHeaderMutations:
+    """Every single perturbation of the trace header must make the audit
+    raise TraceMismatchError or report a failure: each schedule constant
+    and boundary, each fixed set, each movers set and each phase end state."""
+
+    @staticmethod
+    def header_mutations(game: Game, trace: Trace):
+        """(label, tampered trace) for every perturbation."""
+        schedule = trace.schedule
+        for name in ("p", "alpha", "m", "g", "n_players"):
+            v = getattr(schedule, name)
+            for value in (v + 1, v - 1):
+                yield name, replace(trace, schedule=replace(schedule, **{name: value}))
+        for name in ("c_max", "c_min"):
+            for value in _value_mutations(getattr(schedule, name)):
+                yield name, replace(trace, schedule=replace(schedule, **{name: value}))
+        yield "exact_constants", replace(
+            trace, schedule=replace(schedule, exact_constants=not schedule.exact_constants)
+        )
+        for i, b in enumerate(schedule.boundaries):
+            for value in _value_mutations(b):
+                boundaries = schedule.boundaries[:i] + (value,) + schedule.boundaries[i + 1:]
+                yield f"boundary {i}", replace(
+                    trace, schedule=replace(schedule, boundaries=boundaries)
+                )
+        for field_name in ("fixed_sets", "movers_per_phase"):
+            sets = getattr(trace, field_name)
+            for i, players in enumerate(sets):
+                for u in range(game.n):  # add or remove each player in turn
+                    tampered = sets[:i] + (players ^ {u},) + sets[i + 1:]
+                    yield f"{field_name}[{i}] ^ {u}", replace(trace, **{field_name: tampered})
+        for i, state in enumerate(trace.phase_end_states):
+            for u, k in enumerate(state.choices):
+                for other in range(len(game.players[u].strategies)):
+                    if other != k:
+                        states = list(trace.phase_end_states)
+                        states[i] = state.with_choice(u, other)
+                        yield f"phase_end_states[{i}] player {u}", replace(
+                            trace, phase_end_states=tuple(states)
+                        )
+
+    def test_every_header_field(self):
+        labels = set()
+        for game, trace in TestAuditMutations.traces():
+            assert audit_trace(game, trace).passed
+            for label, tampered in self.header_mutations(game, trace):
+                try:
+                    report = audit_trace(game, tampered)
+                except TraceMismatchError:
+                    pass
+                else:
+                    assert not report.passed, label
+                labels.add(label.split("[")[0].split(" ")[0])
+        assert labels == {
+            "p", "alpha", "m", "g", "n_players", "c_max", "c_min", "exact_constants",
+            "boundary", "fixed_sets", "movers_per_phase", "phase_end_states",
+        }
