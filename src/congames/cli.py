@@ -137,35 +137,20 @@ def _cmd_brute_poa(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis_rows(d_values: list[int], rho: float) -> list[dict]:
-    rows = []
-    for d in d_values:
-        r = analysis.poa_bounds(d, rho)
-        rows.append(
-            {
-                "d": d,
-                "rho": rho,
-                "phi": r.phi,
-                "poa_bound": r.poa_bound,
-                "lambert_bound": r.lambert_bound,
-                "mu_hat": r.mu_hat,
-                "B_at_mu_hat": r.B_at_mu_hat,
-            }
-        )
-    return rows
+_POA_COLUMNS = ("d", "rho", "phi", "poa_bound", "lambert_bound", "mu_hat", "B_at_mu_hat")
 
 
 def _cmd_poa(args: argparse.Namespace) -> int:
     rho = float(parse_rational(args.rho))
     d_values = list(range(1, args.table + 1)) if args.table else [args.d]
-    rows = _analysis_rows(d_values, rho)
-    cols = ["d", "rho", "phi", "poa_bound", "lambert_bound", "mu_hat", "B_at_mu_hat"]
+    results = [analysis.poa_bounds(d, rho) for d in d_values]
+    rows = [{c: getattr(r, c) for c in _POA_COLUMNS} for r in results]
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     elif args.format == "csv":
-        print(",".join(cols))
+        print(",".join(_POA_COLUMNS))
         for row in rows:
-            print(",".join(f"{row[c]:.12g}" if c != "d" else str(row[c]) for c in cols))
+            print(",".join(f"{row[c]:.12g}" if c != "d" else str(row[c]) for c in _POA_COLUMNS))
     else:
         for row in rows:
             print(

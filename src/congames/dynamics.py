@@ -27,6 +27,7 @@ from typing import IO, Sequence
 
 from .errors import (
     AlreadyZeroError,
+    DigitLimitError,
     MalformedInstanceError,
     MalformedTraceError,
     MoveBudgetExceededError,
@@ -477,7 +478,7 @@ def read_trace(fp: IO[str]) -> Trace:
 
     An empty file, invalid JSON, missing keys and wrongly typed fields
     raise MalformedTraceError (MalformedInstanceError for a malformed
-    rational).
+    rational, DigitLimitError for a number past the int/str digit limit).
     """
     lines = [line for line in fp.read().splitlines() if line.strip()]
     if not lines:
@@ -487,6 +488,8 @@ def read_trace(fp: IO[str]) -> Trace:
         move_docs = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
         raise MalformedTraceError(f"invalid trace JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int/str digit limit
+        raise DigitLimitError(f"integer too long in trace: {exc}") from exc
     moves = tuple(
         _move_from_doc(doc, f"trace line {i}") for i, doc in enumerate(move_docs, start=2)
     )

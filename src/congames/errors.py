@@ -33,6 +33,11 @@ class DegreeMismatchError(InstanceError):
     """A cost polynomial has more coefficients than the game degree allows."""
 
 
+class DigitLimitError(CongamesError):
+    """An integer has more digits than the interpreter converts to or from
+    a string (4,300 by default)."""
+
+
 class AlreadyZeroError(CongamesError):
     """Every player has cost zero at the initial state; nothing to improve."""
 

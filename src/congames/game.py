@@ -35,12 +35,18 @@ Instance file format (JSON, UTF-8, strict — unknown keys are rejected)::
     }
 
 Rationals are written as "p/q" or integer strings, always in lowest terms.
+The canonical bytes of an instance, which game_fingerprint hashes, are
+those of json.dumps(doc, indent=2, sort_keys=True) + "\n";
+serialize_instance writes them directly, without the json encoder.  An
+integer past the interpreter's int/str digit limit (4,300 digits by
+default) raises DigitLimitError when read or written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,13 +55,14 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DegreeMismatchError,
+    DigitLimitError,
     EmptyStrategyError,
     MalformedInstanceError,
     NegativeCoefficientError,
     ResourceIndexError,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -64,19 +71,26 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is deliberately rejected: exact quantities never pass
     through floating point.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    match = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise MalformedInstanceError(f"not a rational 'p/q' string: {text!r}")
+    numerator, denominator = match.groups("1")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError as exc:
         raise MalformedInstanceError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise DigitLimitError(f"rational string too long: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise DigitLimitError(f"rational too long to write: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -93,7 +107,7 @@ class CostPolynomial:
         if not self.coeffs:
             raise MalformedInstanceError("cost polynomial needs >= 1 coefficient")
         for c in self.coeffs:
-            if c < 0:
+            if c.numerator < 0:  # a rational's sign is its numerator's
                 raise NegativeCoefficientError(f"negative coefficient {c}")
 
     @property
@@ -111,7 +125,10 @@ class CostPolynomial:
         return acc
 
     def padded(self, degree: int) -> "CostPolynomial":
-        """Return the same polynomial with exactly degree+1 coefficients."""
+        """Return the same polynomial with exactly degree+1 coefficients
+        (this one when it has them already)."""
+        if len(self.coeffs) == degree + 1:
+            return self
         if len(self.coeffs) > degree + 1:
             raise DegreeMismatchError(
                 f"{len(self.coeffs)} coefficients exceed degree {degree}"
@@ -132,16 +149,16 @@ class PlayerSpec:
     strategies: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
+        if self.weight.numerator <= 0:
             raise MalformedInstanceError(f"weight must be positive, got {self.weight}")
         if not self.strategies:
             raise EmptyStrategyError("player has no strategies")
         for strat in self.strategies:
             if not strat:
                 raise EmptyStrategyError("empty strategy")
-            if len(set(strat)) != len(strat):
-                raise MalformedInstanceError(f"duplicate resource in strategy {strat}")
-            if tuple(sorted(strat)) != strat:
+            if not all(map(operator.lt, strat, strat[1:])):  # strictly increasing
+                if len(set(strat)) != len(strat):
+                    raise MalformedInstanceError(f"duplicate resource in strategy {strat}")
                 raise MalformedInstanceError("strategy not in canonical sorted order")
 
 
@@ -176,11 +193,12 @@ class Game:
         object.__setattr__(
             self, "resources", tuple(p.padded(self.degree) for p in self.resources)
         )
+        m = len(self.resources)
         for player in self.players:
             for strat in player.strategies:
-                for e in strat:
-                    if not 0 <= e < len(self.resources):
-                        raise ResourceIndexError(f"resource index {e} out of range")
+                if strat[0] < 0 or strat[-1] >= m:  # a strategy is sorted
+                    e = next(e for e in strat if not 0 <= e < m)
+                    raise ResourceIndexError(f"resource index {e} out of range")
 
     @property
     def n(self) -> int:
@@ -193,7 +211,7 @@ class Game:
     @property
     def is_normalized(self) -> bool:
         """True when every weight is >= 1 (the solver's preferred form)."""
-        return min(p.weight for p in self.players) >= 1
+        return all(p.weight.numerator >= p.weight.denominator for p in self.players)
 
     @cached_property
     def compiled(self) -> "IntGame":
@@ -232,9 +250,9 @@ def normalize(game: Game) -> Game:
     every state is then scaled by the uniform factor 1/w_min, so all cost
     ratios between states are preserved exactly.  Identity when w_min >= 1.
     """
-    w_min = min(p.weight for p in game.players)
-    if w_min >= 1:
+    if game.is_normalized:
         return game
+    w_min = min(p.weight for p in game.players)
     resources = tuple(
         CostPolynomial(tuple(c * w_min**v for v, c in enumerate(poly.coeffs)))
         for poly in game.resources
@@ -248,23 +266,12 @@ def normalize(game: Game) -> Game:
 
 def loads(game: Game, state: State) -> tuple[Fraction, ...]:
     """Total weight on each resource under the given state."""
-    totals = [Fraction(0)] * game.num_resources
-    for u, player in enumerate(game.players):
-        w = player.weight
-        for e in player.strategies[state.choices[u]]:
-            totals[e] += w
-    return tuple(totals)
+    return group_loads(game, state, range(game.n))
 
 
 def load(game: Game, state: State, resource: int) -> Fraction:
     """Total weight of players whose chosen strategy uses the resource."""
-    if not 0 <= resource < game.num_resources:
-        raise ResourceIndexError(f"resource index {resource} out of range")
-    total = Fraction(0)
-    for u, player in enumerate(game.players):
-        if resource in player.strategies[state.choices[u]]:
-            total += player.weight
-    return total
+    return group_load(game, state, range(game.n), resource)
 
 
 def group_load(
@@ -273,12 +280,7 @@ def group_load(
     """Total weight contributed to the resource by the given player group."""
     if not 0 <= resource < game.num_resources:
         raise ResourceIndexError(f"resource index {resource} out of range")
-    total = Fraction(0)
-    for u in players:
-        player = game.players[u]
-        if resource in player.strategies[state.choices[u]]:
-            total += player.weight
-    return total
+    return group_loads(game, state, players)[resource]
 
 
 def group_loads(game: Game, state: State, players: Iterable[int]) -> tuple[Fraction, ...]:
@@ -295,12 +297,7 @@ def player_cost(game: Game, state: State, u: int) -> Fraction:
     """Exact cost of player u: weight times the summed resource costs."""
     if not 0 <= u < game.n:
         raise ResourceIndexError(f"player index {u} out of range")
-    x = loads(game, state)
-    player = game.players[u]
-    total = Fraction(0)
-    for e in player.strategies[state.choices[u]]:
-        total += game.resources[e](x[e])
-    return player.weight * total
+    return player_costs(game, state)[u]
 
 
 def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
@@ -437,6 +434,8 @@ class IntGame:
     def partial_potential(self, choices: Sequence[int], players: Iterable[int]) -> int:
         """Scaled partial potential of a group (see potential.partial_potential)."""
         group = set(players)
+        if not group:
+            return 0  # Phi(X) - Phi(X)
         complement = [u for u in range(len(choices)) if u not in group]
         return self.potential(self.loads(choices)) - self.potential(
             self.loads(choices, complement)
@@ -476,11 +475,17 @@ def _scale(
     cheap when each divides the next) and t the top exponent, so a_v/W^v
     becomes a_v.numerator * (L // a_v.denominator) * W^(t-v), with no gcd."""
     top = max(len(coeffs) for coeffs in polys) - 1
-    L = math.lcm(*sorted({a.denominator for coeffs in polys for a in coeffs}))
+    descending = sorted({a.denominator for coeffs in polys for a in coeffs}, reverse=True)
+    L = math.lcm(*reversed(descending))
+    # L // d for each denominator d, largest first: when d divides the next
+    # larger e, L // d = (L // e) * (e // d), a short division, not a long one
+    quotient: dict[int, int] = {}
+    for d, e in zip(descending, [0, *descending]):
+        quotient[d] = quotient[e] * (e // d) if e and e % d == 0 else L // d
     powers = [W ** (top - v) for v in range(top + 1)]
     return L * powers[0], tuple(
         tuple(
-            a.numerator * (L // a.denominator) * powers[v] if a else 0
+            a.numerator * quotient[a.denominator] * powers[v] if a else 0
             for v, a in reversed(tuple(enumerate(coeffs)))
         )
         for coeffs in polys
@@ -509,7 +514,7 @@ def compile_game(game: Game) -> IntGame:
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+    unknown = obj.keys() - allowed
     if unknown:
         raise MalformedInstanceError(f"unknown keys {sorted(unknown)} in {where}")
 
@@ -521,7 +526,8 @@ def parse_instance(
 
     Parsing is strict: unknown keys, non-string rationals and malformed
     structure are rejected.  Weights below 1 are normalized away unless
-    ``normalize_weights`` is False.
+    ``normalize_weights`` is False.  Coefficients are padded and strategies
+    sorted here, so that Game and PlayerSpec have nothing left to redo.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -529,12 +535,15 @@ def parse_instance(
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedInstanceError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int/str digit limit
+        raise DigitLimitError(f"integer too long in instance: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedInstanceError("top level must be an object")
     _require_keys(raw, {"degree", "resources", "players", "initial_state"}, "instance")
 
+    # json.loads makes every integer an exact int, so type() rejects bools
     degree = raw.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
 
     if not isinstance(raw.get("resources"), list):
@@ -551,7 +560,8 @@ def parse_instance(
             raise DegreeMismatchError(
                 f"resource {i}: {len(coeffs)} coefficients exceed degree {degree}"
             )
-        resources.append(CostPolynomial(tuple(parse_rational(c) for c in coeffs)))
+        padding = (Fraction(0),) * (degree + 1 - len(coeffs))
+        resources.append(CostPolynomial(tuple(map(parse_rational, coeffs)) + padding))
 
     if not isinstance(raw.get("players"), list):
         raise MalformedInstanceError("'players' must be a list")
@@ -564,28 +574,24 @@ def parse_instance(
         strategies = entry.get("strategies")
         if not isinstance(strategies, list) or not strategies:
             raise EmptyStrategyError(f"player {i}: 'strategies' must be a nonempty list")
-        parsed_strategies = []
         for strat in strategies:
             if not isinstance(strat, list):
                 raise MalformedInstanceError(f"player {i}: strategy must be a list")
             for e in strat:
-                if not isinstance(e, int) or isinstance(e, bool):
+                if type(e) is not int:
                     raise MalformedInstanceError(
                         f"player {i}: resource index {e!r} must be an integer"
                     )
             if len(set(strat)) != len(strat):
                 raise MalformedInstanceError(f"player {i}: duplicate resource in {strat}")
-            parsed_strategies.append(strat)
-        players.append(make_player(weight, parsed_strategies))
+        players.append(PlayerSpec(weight, tuple(tuple(sorted(s)) for s in strategies)))
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
 
     initial_state = None
     if "initial_state" in raw:
         entries = raw["initial_state"]
-        if not isinstance(entries, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in entries
-        ):
+        if not isinstance(entries, list) or not all(type(k) is int for k in entries):
             raise MalformedInstanceError("'initial_state' must be a list of integers")
         initial_state = State(tuple(entries))
         validate_state(game, initial_state)
@@ -600,22 +606,38 @@ def parse_game(data: bytes | str, *, normalize_weights: bool = True) -> Game:
     return parse_instance(data, normalize_weights=normalize_weights)[0]
 
 
+def _json_block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
+    """Encoded items as a list, or as an object with brackets="{}" and
+    '"key": value' items, laid out as json.dumps(indent=2) lays out one
+    that opens on a line indented by ``indent`` spaces."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return f"{brackets[0]}{pad}  " + f",{pad}  ".join(items) + f"{pad}{brackets[1]}"
+
+
 def serialize_instance(game: Game, initial_state: State | None = None) -> str:
-    """Serialize to the canonical instance format (deterministic bytes)."""
-    doc: dict = {
-        "degree": game.degree,
-        "resources": [
-            {"coeffs": [format_rational(c) for c in poly.coeffs]}
-            for poly in game.resources
-        ],
-        "players": [
-            {
-                "weight": format_rational(p.weight),
-                "strategies": [list(s) for s in p.strategies],
-            }
-            for p in game.players
-        ],
-    }
+    """Serialize to the canonical instance format (deterministic bytes):
+    exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", written
+    directly, keys in sorted order.  The values need no escaping: ints,
+    and rationals made of digits, "-" and "/"."""
+    players = [
+        _json_block([
+            '"strategies": '
+            + _json_block([_json_block([str(e) for e in s], 8) for s in p.strategies], 6),
+            f'"weight": "{format_rational(p.weight)}"',
+        ], 4, "{}")
+        for p in game.players
+    ]
+    resources = [
+        _json_block(
+            ['"coeffs": ' + _json_block([f'"{format_rational(c)}"' for c in poly.coeffs], 6)],
+            4, "{}",
+        )
+        for poly in game.resources
+    ]
+    fields = [f'"degree": {game.degree}']
     if initial_state is not None:
-        doc["initial_state"] = list(initial_state.choices)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        fields.append('"initial_state": ' + _json_block([str(k) for k in initial_state.choices], 2))
+    fields += ['"players": ' + _json_block(players, 2), '"resources": ' + _json_block(resources, 2)]
+    return _json_block(fields, 0, "{}") + "\n"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import MalformedInstanceError
-from .game import CostPolynomial, Game, State, group_loads, loads
+from .game import CostPolynomial, Game, State, group_loads
 
 
 def alpha(degree: int) -> int:
@@ -62,11 +62,7 @@ def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
 
 def potential(game: Game, state: State) -> Fraction:
     """Global potential: sum of resource potentials at the state's loads."""
-    x = loads(game, state)
-    return sum(
-        (resource_potential(poly, x[e]) for e, poly in enumerate(game.resources)),
-        Fraction(0),
-    )
+    return subgame_potential(game, state, range(game.n))
 
 
 def subgame_potential(game: Game, state: State, players: Iterable[int]) -> Fraction:

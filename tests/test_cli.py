@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,62 @@ class TestInputErrors:
                            "--output", str(tmp_path / "state.json"))
         assert code == 3
         assert "input error" in err and "cost zero" in err
+
+
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter at the default int/str digit limit,
+    so that an uncaught exception would show as a traceback on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "congames.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+TOO_LONG = "7" * 5000  # past the default limit of 4,300 digits
+
+
+class TestDigitLimit:
+    """An integer past the interpreter's int/str digit limit is an input
+    error (exit 3) naming the limit, wherever it is read or written."""
+
+    @staticmethod
+    def assert_input_error(proc: subprocess.CompletedProcess) -> None:
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "input error" in proc.stderr and "4300 digits" in proc.stderr
+
+    def test_instance_weight(self, tmp_path):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "degree": 1,
+            "resources": [{"coeffs": ["0", "1"]}],
+            "players": [{"weight": TOO_LONG, "strategies": [[0]]}],
+        }))
+        self.assert_input_error(run_process(
+            "solve", "--input", str(game), "--output", str(tmp_path / "state.json")
+        ))
+
+    def test_trace_rational(self, tmp_path, capsys):
+        game, _, trace = solved(tmp_path, capsys)
+        edit_trace_line(trace, 1, lambda doc: doc.update({"cost_after": f"1/{TOO_LONG}"}))
+        self.assert_input_error(run_process("audit", "--game", str(game), "--trace", str(trace)))
+
+    def test_cli_rational(self, tmp_path, capsys):
+        game, state, _ = solved(tmp_path, capsys)
+        self.assert_input_error(run_process(
+            "verify", "--game", str(game), "--state", str(state), "--rho", TOO_LONG
+        ))
+
+    def test_gen_lb_output(self, tmp_path):
+        # n = 30 writes coefficients of up to 3,765 digits; n = 40 goes past the limit
+        out = tmp_path / "lb.json"
+        self.assert_input_error(run_process(
+            "gen-lb", "--d", "2", "--rho", "3/2", "--n", "40", "--out", str(out)
+        ))
+        assert not out.exists()
 
 
 class TestParser:

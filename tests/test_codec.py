@@ -1,0 +1,349 @@
+"""The instance codec against its from-scratch reference.
+
+serialize_instance writes the canonical bytes directly; the reference
+below builds the document and hands it to json.dumps, as the writer did
+before.  parse_instance checks each value once, as it reads it; the
+reference below is the earlier two-pass parser, which built every object
+through make_player and Game and validated it again there.  On
+hypothesis games the writer must give the reference's bytes, and the
+parser must give the reference's game and state, or raise the same
+exception class with the same message, on valid documents, on every
+malformed case of tests/test_game.py and on random mutations of valid
+documents.  The one deliberate difference is an integer past the
+interpreter's int/str digit limit: the reference lets the ValueError out,
+the codec raises DigitLimitError.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congames import CostPolynomial, Game, State, make_player, normalize
+from congames.errors import (
+    DegreeMismatchError,
+    DigitLimitError,
+    EmptyStrategyError,
+    MalformedInstanceError,
+)
+from congames.game import (
+    format_rational,
+    parse_instance,
+    parse_rational,
+    serialize_instance,
+    validate_state,
+)
+
+from test_game import MINIMAL
+
+SETTINGS = settings(max_examples=80, deadline=None, database=None)
+
+
+# --------------------------------------------------------------------------
+# From-scratch reference codec
+# --------------------------------------------------------------------------
+
+
+def reference_serialize_instance(game: Game, initial_state: State | None = None) -> str:
+    doc: dict = {
+        "degree": game.degree,
+        "resources": [
+            {"coeffs": [format_rational(c) for c in poly.coeffs]} for poly in game.resources
+        ],
+        "players": [
+            {"weight": format_rational(p.weight), "strategies": [list(s) for s in p.strategies]}
+            for p in game.players
+        ],
+    }
+    if initial_state is not None:
+        doc["initial_state"] = list(initial_state.choices)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str) or not re.match(r"^[+-]?\d+(/\d+)?$", text.strip()):
+        raise MalformedInstanceError(f"not a rational 'p/q' string: {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise MalformedInstanceError(f"zero denominator in {text!r}") from exc
+
+
+def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+    unknown = set(obj) - allowed
+    if unknown:
+        raise MalformedInstanceError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def reference_parse_instance(data, *, normalize_weights: bool = True):
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        raw = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedInstanceError(f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise MalformedInstanceError("top level must be an object")
+    _require_keys(raw, {"degree", "resources", "players", "initial_state"}, "instance")
+
+    degree = raw.get("degree")
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
+
+    if not isinstance(raw.get("resources"), list):
+        raise MalformedInstanceError("'resources' must be a list")
+    resources = []
+    for i, entry in enumerate(raw["resources"]):
+        if not isinstance(entry, dict):
+            raise MalformedInstanceError(f"resource {i} must be an object")
+        _require_keys(entry, {"coeffs"}, f"resource {i}")
+        coeffs = entry.get("coeffs")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a nonempty list")
+        if len(coeffs) > degree + 1:
+            raise DegreeMismatchError(
+                f"resource {i}: {len(coeffs)} coefficients exceed degree {degree}"
+            )
+        resources.append(CostPolynomial(tuple(reference_parse_rational(c) for c in coeffs)))
+
+    if not isinstance(raw.get("players"), list):
+        raise MalformedInstanceError("'players' must be a list")
+    players = []
+    for i, entry in enumerate(raw["players"]):
+        if not isinstance(entry, dict):
+            raise MalformedInstanceError(f"player {i} must be an object")
+        _require_keys(entry, {"weight", "strategies"}, f"player {i}")
+        weight = reference_parse_rational(entry.get("weight"))
+        strategies = entry.get("strategies")
+        if not isinstance(strategies, list) or not strategies:
+            raise EmptyStrategyError(f"player {i}: 'strategies' must be a nonempty list")
+        parsed_strategies = []
+        for strat in strategies:
+            if not isinstance(strat, list):
+                raise MalformedInstanceError(f"player {i}: strategy must be a list")
+            for e in strat:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise MalformedInstanceError(
+                        f"player {i}: resource index {e!r} must be an integer"
+                    )
+            if len(set(strat)) != len(strat):
+                raise MalformedInstanceError(f"player {i}: duplicate resource in {strat}")
+            parsed_strategies.append(strat)
+        players.append(make_player(weight, parsed_strategies))
+
+    game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
+
+    initial_state = None
+    if "initial_state" in raw:
+        entries = raw["initial_state"]
+        if not isinstance(entries, list) or not all(
+            isinstance(k, int) and not isinstance(k, bool) for k in entries
+        ):
+            raise MalformedInstanceError("'initial_state' must be a list of integers")
+        initial_state = State(tuple(entries))
+        validate_state(game, initial_state)
+
+    if normalize_weights:
+        game = normalize(game)
+    return game, initial_state
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives: its result's repr (so a Fraction never passes for
+    an int), or its exception's type and message; an int/str conversion
+    past the digit limit reads the same from the codec and the reference."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (ValueError, DigitLimitError) as exc:
+        if "limit" in str(exc) and "digits" in str(exc):
+            return "past the int/str digit limit"
+        return type(exc), str(exc)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the reference's
+        return type(exc), str(exc)
+
+
+# --------------------------------------------------------------------------
+# Hypothesis instances
+# --------------------------------------------------------------------------
+
+LIMIT = 10**4300  # the largest integer the interpreter writes by default has 4,300 digits
+small = st.integers(0, 12)
+huge = st.integers(LIMIT // 10**40, LIMIT - 1) | st.just(LIMIT - 1)
+denominators = st.integers(1, 8)
+
+
+@st.composite
+def instances(draw, big: bool = True) -> tuple[Game, State | None]:
+    """A game of 1-5 players over 1-5 resources with degree 1-4, zero and
+    padded coefficients, strategies of up to 3 resources, weights below
+    and above 1, and, when big, coefficients of up to 4,300 digits."""
+    degree = draw(st.integers(1, 4))
+    num_resources = draw(st.integers(1, 5))
+    parts = (small | huge, denominators | huge) if big else (small, denominators)
+    coefficient = st.builds(Fraction, *parts)
+    resources = tuple(
+        CostPolynomial(tuple(draw(st.lists(coefficient, min_size=1, max_size=degree + 1))))
+        for _ in range(num_resources)
+    )
+    subsets = st.lists(st.integers(0, num_resources - 1), min_size=1, max_size=3, unique=True)
+    weights = st.builds(Fraction, st.integers(1, 24), denominators)
+    players = tuple(
+        make_player(draw(weights), draw(st.lists(subsets, min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    game = Game(degree=degree, resources=resources, players=players)
+    state = draw(st.none() | st.just(
+        State(tuple(draw(st.integers(0, len(p.strategies) - 1)) for p in players))
+    ))
+    return game, state
+
+
+@SETTINGS
+@given(instances(), st.booleans())
+def test_writer_matches_json_dumps(case, normalized):
+    game, state = case
+    if normalized:
+        game = normalize(game)  # weights >= 1; coefficients scaled by powers of w_min
+    text = outcome(serialize_instance, game, state)
+    assert text == outcome(reference_serialize_instance, game, state)
+    if text != "past the int/str digit limit":
+        written = serialize_instance(game, state)
+        assert parse_instance(written, normalize_weights=False) == (game, state)
+        assert serialize_instance(*parse_instance(written, normalize_weights=False)) == written
+
+
+def test_writer_matches_json_dumps_on_empty_lists():
+    game = Game(1, (CostPolynomial((Fraction(1),)),), (make_player(1, [[0]]),))
+    assert serialize_instance(game, State(())) == reference_serialize_instance(game, State(()))
+
+
+# --------------------------------------------------------------------------
+# The parser on valid, malformed and mutated documents
+# --------------------------------------------------------------------------
+
+
+def assert_parsers_agree(text: str) -> None:
+    for data in (text, text.encode()):
+        for normalize_weights in (True, False):
+            assert outcome(parse_instance, data, normalize_weights=normalize_weights) == outcome(
+                reference_parse_instance, data, normalize_weights=normalize_weights
+            )
+
+
+def _with_initial_state(state: str) -> str:
+    return MINIMAL.replace('"players"', f'"initial_state": {state}, "players"')
+
+
+# every malformed input of tests/test_game.py::TestParsing, plus the valid MINIMAL
+CORPUS = [
+    MINIMAL,
+    MINIMAL.replace('"0", "1"', '"-1/2", "1"'),
+    MINIMAL.replace('"degree": 1,', '"degree": 1, "comment": "hi",'),
+    MINIMAL.replace('"weight": "1"', '"weight": "1.5"'),
+    MINIMAL.replace('"weight": "1"', '"weight": "3/0"'),
+    MINIMAL.replace("[[0]]", "[[]]"),
+    MINIMAL.replace("[[0]]", "[[3]]"),
+    MINIMAL.replace('["0", "1"]', '["0", "1", "0"]'),
+    MINIMAL.replace("[[0]]", "[[0, 0]]"),
+    "{not json",
+    _with_initial_state("[0]"),
+    _with_initial_state("[2]"),
+]
+# the same document with one value of the wrong type, sign or range
+CORPUS += [
+    MINIMAL.replace('"degree": 1', f'"degree": {degree}') for degree in ("true", "1.0", "0", "3")
+] + [
+    MINIMAL.replace('"weight": "1"', f'"weight": {weight}')
+    for weight in ('"0"', '"-3"', "1", '"2/4"', '" 5/4 "', '"\\t-0/7\\n"')
+] + [
+    MINIMAL.replace("[[0]]", strategies)
+    for strategies in (
+        "[[-1]]", "[[1]]", "[[true]]", "[[0.0]]", "[[1, 0]]", "[[0], [0]]", "[0]", "[]"
+    )
+] + [_with_initial_state(state) for state in ("[true]", "[-1]", "[0, 0]", "0")] + [
+    MINIMAL.replace('{"coeffs"', '{"weight": "1", "coeffs"'),
+    MINIMAL.replace('{"weight"', '{"coeffs": [], "weight"'),
+    MINIMAL.replace('["0", "1"]', '["0", "-1"]'),
+    MINIMAL.replace('["0", "1"]', '["0", 1]'),
+    MINIMAL.replace('["0", "1"]', "[]"),
+]
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_parser_matches_reference_on_corpus(text):
+    assert_parsers_agree(text)
+
+
+# replacement values: wrong types, bools and floats where ints belong,
+# negative and zero values, out-of-range indices, odd rational strings
+BAD_VALUES = [
+    None, True, False, 0, 1, -1, 2, 5, 99, 1.0, 1.5, "0", "1", "-1/2", "3/0", "1.5", "x",
+    " 5/4 ", "+2", "1/-2", "2/4", "0/3", [], [0], [0, 0], [1, 0], [-1], [99], [True], {},
+    {"coeffs": ["1"]}, {"weight": "1", "strategies": [[0]]},
+]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _mutate(doc, draw):
+    """One random edit: replace a node, add an unknown key, drop a node,
+    or append to a list (a duplicate index, a coefficient too many, ...)."""
+    paths = list(_paths(doc))
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else doc
+    kind = draw(st.sampled_from(["replace", "add key", "drop", "append"]))
+    if kind == "replace" and path:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    elif kind == "add key" and isinstance(node, dict):
+        node[draw(st.sampled_from(["comment", "weight", "coeffs", "initial_state"]))] = 0
+    elif kind == "drop" and path:
+        del parent[path[-1]]
+    elif kind == "append" and isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node else draw(st.sampled_from(BAD_VALUES)))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(instances(big=False), st.data())
+def test_parser_matches_reference_on_mutations(case, data):
+    doc = json.loads(reference_serialize_instance(*case))
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(doc, data.draw)
+    assert_parsers_agree(json.dumps(doc))
+
+
+# --------------------------------------------------------------------------
+# The int/str digit limit
+# --------------------------------------------------------------------------
+
+
+def test_digit_limit_raises_digit_limit_error():
+    too_long = "7" * 4301
+    with pytest.raises(DigitLimitError, match="4300"):
+        parse_rational(too_long)
+    with pytest.raises(DigitLimitError, match="4300"):
+        parse_rational(f"1/{too_long}")
+    with pytest.raises(DigitLimitError, match="4300"):
+        format_rational(Fraction(1, 10**4301))
+    with pytest.raises(DigitLimitError, match="4300"):
+        parse_instance(MINIMAL.replace('"degree": 1', f'"degree": {too_long}'))
+    assert parse_rational("7" * 4300) == int("7" * 4300)

@@ -10,6 +10,7 @@ import pytest
 from congames import (
     CostPolynomial,
     Game,
+    PlayerSpec,
     State,
     gen_lower_bound,
     group_cost,
@@ -117,6 +118,64 @@ class TestParsing:
         for _ in range(25):
             game = random_game(rng, rng.randint(1, 4), rng.randint(1, 3), 5)
             assert parse_game(serialize_instance(game), normalize_weights=False) == game
+
+
+class TestConstructionChecks:
+    """The checks CostPolynomial, PlayerSpec and Game make when built,
+    whatever builds them, with their exact messages."""
+
+    @pytest.mark.parametrize("weight", [Fraction(0), Fraction(-1, 2)])
+    def test_weight_must_be_positive(self, weight):
+        with pytest.raises(MalformedInstanceError, match=f"^weight must be positive, got {weight}$"):
+            PlayerSpec(weight, ((0,),))
+
+    @pytest.mark.parametrize("strategy, error, message", [
+        ((), EmptyStrategyError, "empty strategy"),
+        ((0, 0), MalformedInstanceError, r"duplicate resource in strategy \(0, 0\)"),
+        ((2, 1, 2), MalformedInstanceError, r"duplicate resource in strategy \(2, 1, 2\)"),
+        ((1, 0), MalformedInstanceError, "strategy not in canonical sorted order"),
+    ])
+    def test_strategy_checks(self, strategy, error, message):
+        PlayerSpec(Fraction(1), ((0, 1, 2),))
+        with pytest.raises(error, match=f"^{message}$"):
+            PlayerSpec(Fraction(1), ((0,), strategy))
+
+    def test_negative_coefficient(self):
+        assert CostPolynomial((Fraction(0), Fraction(1, 2))).coeffs[0] == 0
+        with pytest.raises(NegativeCoefficientError, match="^negative coefficient -1/2$"):
+            CostPolynomial((Fraction(1), Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("strategy, bad", [((-1,), -1), ((0, 2), 2), ((-2, 0, 5), -2), ((3,), 3)])
+    def test_resource_index_range(self, strategy, bad):
+        resources = (CostPolynomial((Fraction(1),)),) * 2
+        Game(1, resources, (make_player(Fraction(1), [[0, 1]]),))
+        with pytest.raises(ResourceIndexError, match=f"^resource index {bad} out of range$"):
+            Game(1, resources, (PlayerSpec(Fraction(1), ((0,), strategy)),))
+
+    @pytest.mark.parametrize("strategies, error", [
+        ("[[-1]]", ResourceIndexError),
+        ("[[1]]", ResourceIndexError),
+        ("[[0], [1, 0, 1]]", MalformedInstanceError),
+    ])
+    def test_parse_index_checks(self, strategies, error):
+        with pytest.raises(error):
+            parse_game(MINIMAL.replace("[[0]]", strategies))
+
+    def test_weights_at_one_are_normalized(self):
+        resources = (CostPolynomial((Fraction(1),)),)
+        at_one = Game(1, resources, (make_player(Fraction(1), [[0]]),) * 2)
+        assert at_one.is_normalized and normalize(at_one) is at_one
+        players = (make_player(Fraction(1), [[0]]), make_player(Fraction(7, 8), [[0]]))
+        below = Game(1, resources, players)
+        assert not below.is_normalized
+        assert [p.weight for p in normalize(below).players] == [Fraction(8, 7), Fraction(1)]
+
+    def test_padding_keeps_a_full_polynomial(self):
+        poly = CostPolynomial((Fraction(1), Fraction(2)))
+        assert poly.padded(1) is poly
+        assert poly.padded(3).coeffs == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+        with pytest.raises(DegreeMismatchError):
+            poly.padded(0)
 
 
 class TestNormalize:

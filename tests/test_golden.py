@@ -1,7 +1,8 @@
 """Golden digests: fixed instances must keep producing byte-identical
 trace JSONL, state files, `audit`, `brute-poa` and `verify --group`
-output, and the same exact values from the group PoA oracles and from
-social_cost and min_equilibrium_factor on lower-bound games.
+output, the same instance files from gen-random, gen-lb and
+serialize_instance, and the same exact values from the group PoA oracles
+and from social_cost and min_equilibrium_factor on lower-bound games.
 
 The pins were computed with the all-Fraction solver, auditor and
 oracles; any change to how costs, potentials or thresholds are computed
@@ -160,6 +161,43 @@ PINS: dict[str, dict[str, str]] = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == PINS[name]
+
+
+# name -> sha256 of the instance file each CASES entry writes (gen-random's
+# output, or serialize_instance of the game and its initial state)
+INSTANCE_PINS = {
+    "d1": "2e977a91e54a8d172f5ca5022d07175a80346960a272829e9d6163702429a6db",
+    "d2": "1b422902d5852b87b0357e137408d9d741be7c583c1be8bbcea1bab9bdccfc2f",
+    "d2-n40": "dc7fd05a6731e7501119add503922fab95ca9a9b01c3eb8f3f11b7c3a2c21e80",
+    "d3": "1706364f6a25ea49ca7b62a943de19538cb3d5482e4d9218f9df6e8f67e89644",
+    "late-phase": "6579a17db7e92a06441bbf894cb47f5c95fe71bc0b8550c90f89fc3a1d5ec77c",
+    "p-move": "1997cef48777206ab153c1d581710f923ec1edc7fd420e0f8e20838d9f0b9a63",
+    "weights-normalized": "ab39275754287da0c80ab42213fe5bc4c58230ede687e64b04bb162d41c9aeba",
+    "zero-cost": "9fae67c0d8cb63d9360a809fc986b8d612225d411317f5ecae7ce1e3e5e5c48f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_instance_digests(name, tmp_path):
+    source, _ = CASES[name]
+    game = tmp_path / "game.json"
+    if isinstance(source, list):
+        _cli([*source, "--out", str(game)])
+    else:
+        game.write_text(serialize_instance(*source()))
+    assert hashlib.sha256(game.read_bytes()).hexdigest() == INSTANCE_PINS[name]
+
+
+def test_lower_bound_instance_digest(tmp_path):
+    """The n = 30 lower-bound instance gen-lb writes (d = 2, rho = 3/2,
+    40 digits), whose coefficients have up to 3,800 digits above and below."""
+    game = tmp_path / "lb.json"
+    _cli(["gen-lb", "--d", "2", "--rho", "3/2", "--n", "30", "--out", str(game)])
+    bundle = gen_lower_bound(2, Fraction(3, 2), 30, 40)
+    assert game.read_text() == serialize_instance(bundle.game, bundle.equilibrium_state)
+    assert hashlib.sha256(game.read_bytes()).hexdigest() == (
+        "673d15ebbbe3611c3d60584934a001de555f6b9fc1f9e65123368b39108f2d4b"
+    )
 
 
 # brute-poa: (seed, degree, rho) of a 4-player, 3-resource, 3^4-state gen-random game

@@ -8,7 +8,9 @@ very trace of a from-scratch Fraction replay of the phased dynamics, and
 the exhaustive PoA oracles, min_equilibrium_factor, group_cost,
 social_cost, compute_schedule and has_rho_move must return the values,
 states and errors of their from-scratch Fraction versions kept here,
-also on lower-bound games.
+also on lower-bound games.  game._scale, which takes each quotient of
+the common denominator from the next larger one's, must give the integers
+of dividing directly.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from congames.errors import (
     ZeroMinCostError,
 )
 from congames.game import (
+    _scale,
     compile_game,
     group_cost,
     group_loads,
@@ -52,7 +55,7 @@ from congames.game import (
     social_cost,
     validate_state,
 )
-from congames.potential import alpha, partial_potential, potential
+from congames.potential import alpha, partial_potential, potential, potential_coefficients
 from congames.verify import (
     audit_trace,
     brute_force_poa,
@@ -135,6 +138,42 @@ def test_move_keeps_loads_and_potential(case, data):
         pot += ig.move(choices, x, u, k)
         assert x == ig.loads(choices)
         assert ig.potential_value(pot) == potential(game, State(tuple(choices)))
+
+
+def reference_scale(polys, W: int):
+    """game._scale with every quotient L // a.denominator divided directly."""
+    top = max(len(coeffs) for coeffs in polys) - 1
+    L = math.lcm(*sorted({a.denominator for coeffs in polys for a in coeffs}))
+    powers = [W ** (top - v) for v in range(top + 1)]
+    return L * powers[0], tuple(
+        tuple(
+            a.numerator * (L // a.denominator) * powers[v] if a else 0
+            for v, a in reversed(tuple(enumerate(coeffs)))
+        )
+        for coeffs in polys
+    )
+
+
+def assert_scale_matches(game: Game) -> None:
+    W = compile_game(game).W
+    for polys in (
+        [poly.coeffs for poly in game.resources],
+        [potential_coefficients(poly) for poly in game.resources],
+    ):
+        assert _scale(polys, W) == reference_scale(polys, W)
+
+
+@SETTINGS
+@given(games(zero_cost=True))
+def test_scale_matches_direct_division(case):
+    game, state, _ = case
+    assert_scale_matches(game)
+    assert compile_game(game).partial_potential(state.choices, []) == 0
+
+
+@pytest.mark.parametrize("d, n", [(1, 30), (2, 150), (3, 30)])
+def test_scale_matches_direct_division_on_lower_bound_games(d, n):
+    assert_scale_matches(gen_lower_bound(d, Fraction(3, 2), n, 40).game)
 
 
 def _ratio(numer: Fraction, denom: Fraction):
