@@ -35,13 +35,13 @@ from .game import (
     PlayerSpec,
     State,
     group_cost,
-    group_load,
-    load,
+    group_loads,
+    loads,
     make_player,
     normalize,
     parse_game,
     parse_instance,
-    player_cost,
+    player_costs,
     serialize_instance,
     social_cost,
 )

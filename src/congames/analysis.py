@@ -31,21 +31,17 @@ class GridSpec:
 
     The polynomial inequalities are scale-sensitive; a log grid over
     [low, high] covers the extremes where the slack minima live.  A zero
-    point is appended to each axis so boundary rows are exercised too.
+    point leads each axis so boundary rows are exercised too.
     """
 
     low: float = 1e-3
     high: float = 1e3
     points_per_axis: int = 60
-    include_zero: bool = True
 
     def axis(self) -> list[float]:
         lo, hi = math.log(self.low), math.log(self.high)
         n = self.points_per_axis
-        pts = [math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(n)]
-        if self.include_zero:
-            pts.insert(0, 0.0)
-        return pts
+        return [0.0] + [math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,37 @@ def poa_bounds(d: int, rho: float) -> AnalysisResult:
     )
 
 
-def _relative_slack(lhs: float, rhs: float) -> float:
-    return (rhs - lhs) / max(abs(lhs), abs(rhs), 1e-300)
+def _check_monomials(d: int, a: float, b: float, grid: GridSpec, tolerance: float) -> CheckResult:
+    """Grid-check y*(x+y)^v <= a*y*y^v + b*x*x^v for v = 0..d and x, y on
+    the grid axis: the worst signed relative slack and the first point
+    (v, x, y) attaining it."""
+    axis = grid.axis()
+    worst = math.inf
+    worst_point: tuple = ()
+    for v in range(d + 1):
+        for x in axis:
+            bx = b * x * x**v
+            for y in axis:
+                lhs = y * (x + y) ** v
+                rhs = a * y * y**v + bx
+                slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
+                if slack < worst:
+                    worst = slack
+                    worst_point = (v, x, y)
+    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+
+
+def _worst_slack(cases, tolerance: float) -> CheckResult:
+    """The worst signed relative slack (rhs - lhs) / max(|lhs|, |rhs|) over
+    (point, lhs, rhs) cases, and the first point attaining it."""
+    worst = math.inf
+    worst_point: tuple = ()
+    for point, lhs, rhs in cases:
+        slack = (rhs - lhs) / max(abs(lhs), abs(rhs), 1e-300)
+        if slack < worst:
+            worst = slack
+            worst_point = point
+    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
 
 
 def check_smoothness_constraint(
@@ -247,19 +272,7 @@ def check_smoothness_constraint(
     the shift z folds into f, so the grid runs over (x, y) pairs with z = 0.
     Returns the worst signed relative slack over all points.
     """
-    axis = grid.axis()
-    worst = math.inf
-    worst_point: tuple = ()
-    for v in range(d + 1):
-        for x in axis:
-            for y in axis:
-                lhs = y * (x + y) ** v
-                rhs = lam * y * y**v + mu * x * x**v
-                slack = _relative_slack(lhs, rhs)
-                if slack < worst:
-                    worst = slack
-                    worst_point = (v, x, y)
-    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+    return _check_monomials(d, lam, mu, grid, tolerance)
 
 
 def combination_constant(d: int, epsilon: float) -> float:
@@ -281,40 +294,22 @@ def check_combination_inequality(
     Monotonicity lets x' = y' = 0 and the z shift folds into f, leaving
     y*f(x+y) <= (1+eps)*y*f(y) + xi_eps*x*f(x) over monomials f(t) = t^v.
     """
-    xi = combination_constant(d, epsilon)
-    axis = grid.axis()
-    worst = math.inf
-    worst_point: tuple = ()
-    for v in range(d + 1):
-        for x in axis:
-            for y in axis:
-                lhs = y * (x + y) ** v
-                rhs = (1.0 + epsilon) * y * y**v + xi * x * x**v
-                slack = _relative_slack(lhs, rhs)
-                if slack < worst:
-                    worst = slack
-                    worst_point = (v, x, y)
-    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+    return _check_monomials(d, 1.0 + epsilon, combination_constant(d, epsilon), grid, tolerance)
 
 
 def check_concavity_inequality(
     psi_points: int = 25, grid: GridSpec = GridSpec(), tolerance: float = 1e-9
 ) -> CheckResult:
     """Grid-check (1+x)^psi - 1 >= psi*x*(1+x)^(psi-1) for psi in (0,1], x > 0."""
-    worst = math.inf
-    worst_point: tuple = ()
-    for i in range(1, psi_points + 1):
-        psi = i / psi_points
-        for x in grid.axis():
-            if x == 0.0:
-                continue
-            lhs = psi * x * (1.0 + x) ** (psi - 1.0)   # the smaller side
-            rhs = (1.0 + x) ** psi - 1.0
-            slack = _relative_slack(lhs, rhs)
-            if slack < worst:
-                worst = slack
-                worst_point = (psi, x)
-    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+    axis = [x for x in grid.axis() if x != 0.0]
+    return _worst_slack(
+        (
+            ((psi, x), psi * x * (1.0 + x) ** (psi - 1.0), (1.0 + x) ** psi - 1.0)
+            for psi in (i / psi_points for i in range(1, psi_points + 1))
+            for x in axis
+        ),
+        tolerance,
+    )
 
 
 def check_epsilon_inverse_bound(
@@ -330,15 +325,10 @@ def check_epsilon_inverse_bound(
     tolerance: float = 1e-9,
 ) -> CheckResult:
     """For (1+eps)^m = 1 + 1/p, check 1/eps <= m*(1+p) on sampled (m, p)."""
-    worst = math.inf
-    worst_point: tuple = ()
-    for m, p in samples:
-        eps = math.expm1(math.log1p(1.0 / p) / m)
-        slack = _relative_slack(1.0 / eps, m * (1.0 + p))
-        if slack < worst:
-            worst = slack
-            worst_point = (m, p)
-    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+    return _worst_slack(
+        (((m, p), 1.0 / math.expm1(math.log1p(1.0 / p) / m), m * (1.0 + p)) for m, p in samples),
+        tolerance,
+    )
 
 
 def check_p_property(d: int) -> bool:

@@ -19,7 +19,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, dynamics, instances, verify
-from .errors import CongamesError, InstanceError, NoEquilibriumError, TraceMismatchError
+from .errors import (
+    CongamesError,
+    DigitLimitError,
+    InstanceError,
+    MalformedInstanceError,
+    NoEquilibriumError,
+    TraceMismatchError,
+)
 from .game import (
     State,
     format_rational,
@@ -49,7 +56,12 @@ def _read_instance(path: str, keep_weights: bool):
 
 
 def _read_state(path: str) -> State:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
+        raise MalformedInstanceError(f"{path}: invalid state JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int/str digit limit
+        raise DigitLimitError(f"integer too long in state file: {exc}") from exc
     choices = doc.get("choices") if isinstance(doc, dict) else None
     if not isinstance(choices, list) or not all(type(k) is int for k in choices):
         raise InstanceError(f"{path}: state file must be {{\"choices\": [<integer>, ...]}}")
@@ -109,7 +121,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     game, _ = _read_instance(args.game, args.keep_weights)
-    with open(args.trace) as fp:
+    with open(args.trace, encoding="utf-8") as fp:
         trace = dynamics.read_trace(fp)
     report = verify.audit_trace(game, trace)
     for ph in report.phases:
@@ -289,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceMismatchError, NoEquilibriumError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (CongamesError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CongamesError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

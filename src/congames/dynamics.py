@@ -151,15 +151,18 @@ def improves(cost, br_cost, threshold: Fraction) -> bool:
     return cost * threshold.denominator > threshold.numerator * br_cost
 
 
+Index = int  # an index in a move record, read as written (see _CODEC)
+
+
 @dataclass(frozen=True)
 class MoveRecord:
     """One executed best-response move, with exact before/after bookkeeping."""
 
-    phase: int
-    step: int
-    player: int
-    from_strategy: int
-    to_strategy: int
+    phase: Index
+    step: Index
+    player: Index
+    from_strategy: Index
+    to_strategy: Index
     cost_before: Fraction
     cost_after: Fraction
     move_class: str
@@ -380,22 +383,6 @@ def run_algorithm(
 # --------------------------------------------------------------------------
 
 
-def _schedule_to_doc(schedule: Schedule | None) -> dict | None:
-    if schedule is None:
-        return None
-    return {
-        "p": schedule.p,
-        "alpha": schedule.alpha,
-        "c_max": format_rational(schedule.c_max),
-        "c_min": format_rational(schedule.c_min),
-        "m": schedule.m,
-        "g": schedule.g,
-        "boundaries": [format_rational(x) for x in schedule.boundaries],
-        "exact_constants": schedule.exact_constants,
-        "n_players": schedule.n_players,
-    }
-
-
 def _get(doc, key: str, where: str):
     """doc[key]; MalformedTraceError when doc is no object or lacks the key."""
     if not isinstance(doc, dict) or key not in doc:
@@ -415,6 +402,12 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise MalformedTraceError(f"{what} must be a boolean, got {value!r}")
+    return value
+
+
 def _ints(value, what: str) -> tuple[int, ...]:
     return tuple(_int(k, what) for k in _list(value, what))
 
@@ -423,91 +416,80 @@ def _int_lists(value, what: str) -> list[tuple[int, ...]]:
     return [_ints(r, what) for r in _list(value, what)]
 
 
-def _schedule_from_doc(doc: dict | None) -> Schedule | None:
-    if doc is None:
-        return None
-
-    def field(key: str):
-        return _get(doc, key, "trace schedule")
-
-    exact_constants = field("exact_constants")
-    if not isinstance(exact_constants, bool):
-        raise MalformedTraceError(f"exact_constants must be a boolean, got {exact_constants!r}")
-    return Schedule(
-        **{key: _int(field(key), key) for key in ("p", "alpha", "m", "g", "n_players")},
-        c_max=parse_rational(field("c_max")),
-        c_min=parse_rational(field("c_min")),
-        boundaries=tuple(parse_rational(x) for x in _list(field("boundaries"), "boundaries")),
-        exact_constants=exact_constants,
-    )
+def _same(value, what: str = ""):
+    return value
 
 
-# MoveRecord fields written as "p/q" strings; the others are written as they are
-_RATIONAL_MOVE_FIELDS = frozenset(f.name for f in fields(MoveRecord) if f.type == "Fraction")
+# (write, strict read) for each field annotation of Schedule, MoveRecord
+# and Trace; a read takes the written value and the field's name.  Index
+# and str fields are read as written: audit_trace checks them against the
+# game and the replay, so that a bad one reads as a trace mismatch.
+_CODEC = {
+    "int": (_same, _int),
+    "bool": (_same, _bool),
+    "str": (_same, _same),
+    "Index": (_same, _same),
+    "Fraction": (format_rational, lambda v, what: parse_rational(v)),
+    "tuple[Fraction, ...]": (
+        lambda v: [format_rational(x) for x in v],
+        lambda v, what: tuple(parse_rational(x) for x in _list(v, what)),
+    ),
+    "State": (lambda s: list(s.choices), lambda v, what: State(_ints(v, what))),
+    "tuple[State, ...]": (
+        lambda v: [list(s.choices) for s in v],
+        lambda v, what: tuple(State(r) for r in _int_lists(v, what)),
+    ),
+    "tuple[frozenset[int], ...]": (
+        lambda v: [sorted(r) for r in v],
+        lambda v, what: tuple(frozenset(r) for r in _int_lists(v, what)),
+    ),
+    "Schedule | None": (
+        lambda s: None if s is None else _to_doc(s),
+        lambda v, what: None if v is None else _from_doc(Schedule, v, "trace schedule"),
+    ),
+}
+# (name, write, read) per field; a trace's moves are not a header field
+# but the lines after it
+_FIELDS = {
+    cls: tuple((f.name, *_CODEC[f.type]) for f in fields(cls) if f.name != "moves")
+    for cls in (Schedule, MoveRecord, Trace)
+}
 
 
-def _move_from_doc(doc, where: str) -> MoveRecord:
-    """Index fields are kept as written: audit_trace checks them against
-    the game, so that a bad index reads as a trace mismatch."""
-    values = {f.name: _get(doc, f.name, where) for f in fields(MoveRecord)}
-    return MoveRecord(
-        **{k: parse_rational(v) if k in _RATIONAL_MOVE_FIELDS else v for k, v in values.items()}
-    )
+def _to_doc(obj) -> dict:
+    return {name: write(getattr(obj, name)) for name, write, _ in _FIELDS[type(obj)]}
+
+
+def _from_doc(cls, doc, where: str, **given):
+    """An instance of cls read from its document; ``given`` fields are not read."""
+    read_fields = {name: read(_get(doc, name, where), name) for name, _, read in _FIELDS[cls]}
+    return cls(**given, **read_fields)
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
     """Write a trace as JSON Lines: one header line, then one move per line."""
-    header = {
-        "game_sha256": trace.game_sha256,
-        "schedule": _schedule_to_doc(trace.schedule),
-        "initial_state": list(trace.initial_state.choices),
-        "final_state": list(trace.final_state.choices),
-        "phase_end_states": [list(s.choices) for s in trace.phase_end_states],
-        "movers_per_phase": [sorted(r) for r in trace.movers_per_phase],
-        "fixed_sets": [sorted(r) for r in trace.fixed_sets],
-    }
-    fp.write(json.dumps(header, sort_keys=True) + "\n")
+    fp.write(json.dumps(_to_doc(trace), sort_keys=True) + "\n")
     for mv in trace.moves:
-        doc = {f.name: getattr(mv, f.name) for f in fields(MoveRecord)}
-        doc.update({k: format_rational(doc[k]) for k in _RATIONAL_MOVE_FIELDS})
-        fp.write(json.dumps(doc, sort_keys=True) + "\n")
+        fp.write(json.dumps(_to_doc(mv), sort_keys=True) + "\n")
 
 
 def read_trace(fp: IO[str]) -> Trace:
     """Read a trace written by write_trace.
 
-    An empty file, invalid JSON, missing keys and wrongly typed fields
-    raise MalformedTraceError (MalformedInstanceError for a malformed
-    rational, DigitLimitError for a number past the int/str digit limit).
+    An empty file, text that is not UTF-8 or not JSON, missing keys and
+    wrongly typed fields raise MalformedTraceError (MalformedInstanceError
+    for a malformed rational, DigitLimitError for a number past the
+    int/str digit limit).
     """
-    lines = [line for line in fp.read().splitlines() if line.strip()]
-    if not lines:
-        raise MalformedTraceError("empty trace file")
     try:
-        header = json.loads(lines[0])
-        move_docs = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
+        docs = [json.loads(line) for line in fp.read().splitlines() if line.strip()]
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise MalformedTraceError(f"invalid trace JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal past the int/str digit limit
         raise DigitLimitError(f"integer too long in trace: {exc}") from exc
+    if not docs:
+        raise MalformedTraceError("empty trace file")
     moves = tuple(
-        _move_from_doc(doc, f"trace line {i}") for i, doc in enumerate(move_docs, start=2)
+        _from_doc(MoveRecord, doc, f"trace line {i}") for i, doc in enumerate(docs[1:], start=2)
     )
-
-    def field(key: str):
-        return _get(header, key, "trace header")
-
-    return Trace(
-        schedule=_schedule_from_doc(field("schedule")),
-        initial_state=State(_ints(field("initial_state"), "initial_state")),
-        final_state=State(_ints(field("final_state"), "final_state")),
-        moves=moves,
-        phase_end_states=tuple(
-            State(r) for r in _int_lists(field("phase_end_states"), "phase_end_states")
-        ),
-        movers_per_phase=tuple(
-            frozenset(r) for r in _int_lists(field("movers_per_phase"), "movers_per_phase")
-        ),
-        fixed_sets=tuple(frozenset(r) for r in _int_lists(field("fixed_sets"), "fixed_sets")),
-        game_sha256=field("game_sha256"),
-    )
+    return _from_doc(Trace, docs[0], "trace header", moves=moves)

@@ -10,10 +10,12 @@ and potentials are exact, so every threshold comparison made by the solver
 is bit-exact and reproducible.  All types are immutable after construction
 and safe to share between threads; the operations below are pure functions.
 
-The Fraction functions (loads, player_costs, ...) are the reference.  The
-solver, the auditor, the verification oracles and group/social costs run
-on an integer form of the same game, made by compile_game and kept on the
-Game object (Game.compiled).  Weights are scaled by W, the lcm of their
+The Fraction functions here (loads, group_loads, player_costs and
+CostPolynomial's Horner), dynamics.best_response and the potentials of
+potential.py are the reference.  The solver, the auditor, the
+verification oracles and group/social costs run on an integer form of
+the same game, made by compile_game and kept on the Game object
+(Game.compiled).  Weights are scaled by W, the lcm of their
 denominators, so loads are integers X = W*x.  Each c_e(X/W) is scaled to
 integer coefficients over D = lcm(coefficient denominators) * W^d, and
 each potential phi_e(X/W), compiled on first use, over Dp = lcm(potential
@@ -269,20 +271,6 @@ def loads(game: Game, state: State) -> tuple[Fraction, ...]:
     return group_loads(game, state, range(game.n))
 
 
-def load(game: Game, state: State, resource: int) -> Fraction:
-    """Total weight of players whose chosen strategy uses the resource."""
-    return group_load(game, state, range(game.n), resource)
-
-
-def group_load(
-    game: Game, state: State, players: Iterable[int], resource: int
-) -> Fraction:
-    """Total weight contributed to the resource by the given player group."""
-    if not 0 <= resource < game.num_resources:
-        raise ResourceIndexError(f"resource index {resource} out of range")
-    return group_loads(game, state, players)[resource]
-
-
 def group_loads(game: Game, state: State, players: Iterable[int]) -> tuple[Fraction, ...]:
     """Per-resource loads restricted to a player group."""
     totals = [Fraction(0)] * game.num_resources
@@ -291,13 +279,6 @@ def group_loads(game: Game, state: State, players: Iterable[int]) -> tuple[Fract
         for e in player.strategies[state.choices[u]]:
             totals[e] += player.weight
     return tuple(totals)
-
-
-def player_cost(game: Game, state: State, u: int) -> Fraction:
-    """Exact cost of player u: weight times the summed resource costs."""
-    if not 0 <= u < game.n:
-        raise ResourceIndexError(f"player index {u} out of range")
-    return player_costs(game, state)[u]
 
 
 def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
@@ -362,8 +343,6 @@ class IntGame:
 
     @cached_property
     def _potential_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        from .potential import potential_coefficients  # potential imports this module
-
         return _scale([potential_coefficients(poly) for poly in self.polys], self.W)
 
     @property
@@ -492,6 +471,23 @@ def _scale(
     )
 
 
+def potential_coefficients(poly: CostPolynomial) -> tuple[Fraction, ...]:
+    """Coefficients, lowest first, of the potential phi of a cost
+    polynomial (see potential.py) as an ordinary polynomial in x.
+
+    The x^k coefficient collects a_{k-1} (for k >= 2), a_k * (k+1)/2 and,
+    for k = 1, the constant-cost term a_0.
+    """
+    a = poly.coeffs
+    d = len(a) - 1
+    b = [Fraction(0)] * (d + 2)
+    b[1] += a[0]
+    for v in range(1, d + 1):
+        b[v + 1] += a[v]
+        b[v] += a[v] * Fraction(v + 1, 2)
+    return tuple(b)
+
+
 def compile_game(game: Game) -> IntGame:
     """Compile a game to the integer form of IntGame: W is the lcm of the
     weight denominators, D and Dp the denominators made by _scale.  Use
@@ -529,11 +525,9 @@ def parse_instance(
     ``normalize_weights`` is False.  Coefficients are padded and strategies
     sorted here, so that Game and PlayerSpec have nothing left to redo.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise MalformedInstanceError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal past the int/str digit limit
         raise DigitLimitError(f"integer too long in instance: {exc}") from exc

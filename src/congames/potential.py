@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import MalformedInstanceError
-from .game import CostPolynomial, Game, State, group_loads
+from .game import CostPolynomial, Game, State, group_loads, potential_coefficients
 
 
 def alpha(degree: int) -> int:
@@ -33,31 +33,12 @@ def alpha(degree: int) -> int:
     return degree + 1
 
 
-def potential_coefficients(poly: CostPolynomial) -> tuple[Fraction, ...]:
-    """Coefficients of phi as an ordinary polynomial in x, lowest first.
-
-    The x^k coefficient collects a_{k-1} (for k >= 2), a_k * (k+1)/2 and,
-    for k = 1, the constant-cost term a_0.
-    """
-    a = poly.coeffs
-    d = len(a) - 1
-    b = [Fraction(0)] * (d + 2)
-    b[1] += a[0]
-    for v in range(1, d + 1):
-        b[v + 1] += a[v]
-        b[v] += a[v] * Fraction(v + 1, 2)
-    return tuple(b)
-
-
 def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
-    """Evaluate the per-resource potential phi at load x (exact), by
-    Horner's rule on its potential_coefficients."""
+    """Evaluate the per-resource potential phi at load x (exact): its
+    potential_coefficients as a CostPolynomial, evaluated by Horner's rule."""
     if x < 0:
         raise MalformedInstanceError(f"potential undefined for negative load {x}")
-    acc = Fraction(0)
-    for coeff in reversed(potential_coefficients(poly)):
-        acc = acc * x + coeff
-    return acc
+    return CostPolynomial(potential_coefficients(poly))(x)
 
 
 def potential(game: Game, state: State) -> Fraction:

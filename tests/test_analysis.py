@@ -222,3 +222,48 @@ class TestConstraintChecks:
     def test_p_property(self):
         for d in (1, 2, 3, 4):
             assert check_p_property(d)
+
+
+def pinned(res) -> tuple:
+    return res.passed, res.worst_slack, res.worst_point
+
+
+ORIGIN = (True, 0.0, (0, 0.0, 0.0))  # zero slack at x = y = 0, met first
+Y_LOW = 0.0010000000000000002  # the grid's smallest positive point
+
+
+class TestPinnedResults:
+    """The exact CheckResults of the four checkers, recorded when the
+    smoothness and combination checks each had a loop of their own and
+    every check had its own slack formula."""
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5])
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_smoothness_at_poa_pair(self, d, rho):
+        r = poa_bounds(d, rho)
+        assert pinned(check_smoothness_constraint(d, rho, r.lambda_hat, r.mu_hat)) == ORIGIN
+
+    @pytest.mark.parametrize(
+        "d, lam, mu, expected",
+        [(d, 0.0, 0.0, (False, -1.0, (0, 0.0, Y_LOW))) for d in range(1, 6)]
+        + [(d, 0.5, 1e13, (False, -0.5, (0, 0.0, Y_LOW))) for d in (1, 2)]
+        + [
+            (d, 0.5, 1e13, (False, slack, (d, x, y)))
+            for d, slack, x, y in [
+                (3, -0.5000376532789589, 0.005150678076168126, 153.6174946671829),
+                (4, -0.5007144815236411, 0.03352924149249558, 76.09496685459882),
+                (5, -0.5042843023778167, 0.0012638482029342978, 0.5568813990945272),
+            ]
+        ],
+    )
+    def test_smoothness_violated(self, d, lam, mu, expected):
+        assert pinned(check_smoothness_constraint(d, 1.0, lam, mu)) == expected
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_combination(self, d, epsilon):
+        assert pinned(check_combination_inequality(d, epsilon)) == ORIGIN
+
+    def test_concavity_and_epsilon_inverse(self):
+        assert pinned(check_concavity_inequality()) == (True, -1.1037178115902433e-13, (1.0, Y_LOW))
+        assert pinned(check_epsilon_inverse_bound()) == (True, 5.049995782979128e-07, (100, 1e6))

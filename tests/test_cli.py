@@ -297,6 +297,11 @@ class TestDigitLimit:
             "verify", "--game", str(game), "--state", str(state), "--rho", TOO_LONG
         ))
 
+    def test_state_integer(self, tmp_path, capsys):
+        game, state, _ = solved(tmp_path, capsys)
+        state.write_text('{"choices": [' + "1" * 5000 + ", 0]}")
+        self.assert_input_error(run_process("verify", "--game", str(game), "--state", str(state)))
+
     def test_gen_lb_output(self, tmp_path):
         # n = 30 writes coefficients of up to 3,765 digits; n = 40 goes past the limit
         out = tmp_path / "lb.json"
@@ -304,6 +309,39 @@ class TestDigitLimit:
             "gen-lb", "--d", "2", "--rho", "3/2", "--n", "40", "--out", str(out)
         ))
         assert not out.exists()
+
+
+# each command and option that reads a file, with the bytes in that file
+# before which the byte 0xff goes: a string of the instance, a key otherwise
+READERS = {
+    "solve --input": b'"weight": "',
+    "verify --game": b'"weight": "',
+    "verify --state": b'{"',
+    "audit --trace": b'{"',
+}
+
+
+@pytest.mark.parametrize("defect", ["byte 0xff", "a directory"])
+@pytest.mark.parametrize("reader", READERS)
+def test_unreadable_input_file(tmp_path, capsys, reader, defect):
+    """A file that is not UTF-8, or a path that names a directory, is an
+    input error (exit 3), not a traceback."""
+    game, state, trace = solved(tmp_path, capsys)
+    command, option = reader.split()
+    path = {"--input": game, "--game": game, "--state": state, "--trace": trace}[option]
+    if defect == "byte 0xff":
+        marker = READERS[reader]
+        path.write_bytes(path.read_bytes().replace(marker, marker + b"\xff", 1))
+    else:
+        path.unlink()
+        path.mkdir()
+    proc = run_process(*{
+        "solve": ["solve", "--input", str(game), "--output", str(tmp_path / "out.json")],
+        "verify": ["verify", "--game", str(game), "--state", str(state)],
+        "audit": ["audit", "--game", str(game), "--trace", str(trace)],
+    }[command])
+    assert proc.returncode == 3, proc.stderr
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestParser:

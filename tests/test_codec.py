@@ -1,4 +1,4 @@
-"""The instance codec against its from-scratch reference.
+"""The instance and trace codecs against their from-scratch references.
 
 serialize_instance writes the canonical bytes directly; the reference
 below builds the document and hands it to json.dumps, as the writer did
@@ -12,25 +12,50 @@ malformed case of tests/test_game.py and on random mutations of valid
 documents.  The one deliberate difference is an integer past the
 interpreter's int/str digit limit: the reference lets the ValueError out,
 the codec raises DigitLimitError.
+
+The trace codec walks the dataclass fields of Schedule, MoveRecord and
+Trace through one table of (write, read) pairs; the reference below is the
+earlier codec, which listed the header and the schedule by hand.  On
+solver runs the writer must give the reference's bytes, and on every
+single-field mutation of the header, the schedule and a move line the
+reader must give the reference's trace or raise the same exception class
+with the same message.  The one difference is a schedule that is not an
+object: the reference names exact_constants, the first key it read, as
+missing; the codec names p, the first field of Schedule.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames import CostPolynomial, Game, State, make_player, normalize
+from congames import (
+    CostPolynomial,
+    Game,
+    MoveRecord,
+    Schedule,
+    State,
+    Trace,
+    gen_random,
+    make_player,
+    normalize,
+    run_algorithm,
+)
+from congames.dynamics import read_trace, write_trace
 from congames.errors import (
     DegreeMismatchError,
     DigitLimitError,
     EmptyStrategyError,
     MalformedInstanceError,
+    MalformedTraceError,
 )
 from congames.game import (
     format_rational,
@@ -40,6 +65,7 @@ from congames.game import (
     validate_state,
 )
 
+from conftest import crafted_p_move_game
 from test_game import MINIMAL
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None)
@@ -347,3 +373,224 @@ def test_digit_limit_raises_digit_limit_error():
     with pytest.raises(DigitLimitError, match="4300"):
         parse_instance(MINIMAL.replace('"degree": 1', f'"degree": {too_long}'))
     assert parse_rational("7" * 4300) == int("7" * 4300)
+
+
+# --------------------------------------------------------------------------
+# From-scratch reference trace codec
+# --------------------------------------------------------------------------
+
+
+def _reference_schedule_to_doc(schedule: Schedule | None) -> dict | None:
+    if schedule is None:
+        return None
+    return {
+        "p": schedule.p,
+        "alpha": schedule.alpha,
+        "c_max": format_rational(schedule.c_max),
+        "c_min": format_rational(schedule.c_min),
+        "m": schedule.m,
+        "g": schedule.g,
+        "boundaries": [format_rational(x) for x in schedule.boundaries],
+        "exact_constants": schedule.exact_constants,
+        "n_players": schedule.n_players,
+    }
+
+
+def _get(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise MalformedTraceError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedTraceError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise MalformedTraceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_int(k, what) for k in _list(value, what))
+
+
+def _int_lists(value, what: str) -> list[tuple[int, ...]]:
+    return [_ints(r, what) for r in _list(value, what)]
+
+
+def _reference_schedule_from_doc(doc: dict | None) -> Schedule | None:
+    if doc is None:
+        return None
+
+    def field(key: str):
+        return _get(doc, key, "trace schedule")
+
+    exact_constants = field("exact_constants")
+    if not isinstance(exact_constants, bool):
+        raise MalformedTraceError(f"exact_constants must be a boolean, got {exact_constants!r}")
+    return Schedule(
+        **{key: _int(field(key), key) for key in ("p", "alpha", "m", "g", "n_players")},
+        c_max=parse_rational(field("c_max")),
+        c_min=parse_rational(field("c_min")),
+        boundaries=tuple(parse_rational(x) for x in _list(field("boundaries"), "boundaries")),
+        exact_constants=exact_constants,
+    )
+
+
+_RATIONAL_MOVE_FIELDS = ("cost_before", "cost_after", "potential_before", "potential_after")
+
+
+def _reference_move_from_doc(doc, where: str) -> MoveRecord:
+    values = {f.name: _get(doc, f.name, where) for f in fields(MoveRecord)}
+    return MoveRecord(
+        **{k: parse_rational(v) if k in _RATIONAL_MOVE_FIELDS else v for k, v in values.items()}
+    )
+
+
+def reference_write_trace(trace: Trace, fp) -> None:
+    header = {
+        "game_sha256": trace.game_sha256,
+        "schedule": _reference_schedule_to_doc(trace.schedule),
+        "initial_state": list(trace.initial_state.choices),
+        "final_state": list(trace.final_state.choices),
+        "phase_end_states": [list(s.choices) for s in trace.phase_end_states],
+        "movers_per_phase": [sorted(r) for r in trace.movers_per_phase],
+        "fixed_sets": [sorted(r) for r in trace.fixed_sets],
+    }
+    fp.write(json.dumps(header, sort_keys=True) + "\n")
+    for mv in trace.moves:
+        doc = {f.name: getattr(mv, f.name) for f in fields(MoveRecord)}
+        doc.update({k: format_rational(doc[k]) for k in _RATIONAL_MOVE_FIELDS})
+        fp.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def reference_read_trace(fp) -> Trace:
+    lines = [line for line in fp.read().splitlines() if line.strip()]
+    if not lines:
+        raise MalformedTraceError("empty trace file")
+    try:
+        header = json.loads(lines[0])
+        move_docs = [json.loads(line) for line in lines[1:]]
+    except json.JSONDecodeError as exc:
+        raise MalformedTraceError(f"invalid trace JSON: {exc}") from exc
+    except ValueError as exc:
+        raise DigitLimitError(f"integer too long in trace: {exc}") from exc
+    moves = tuple(
+        _reference_move_from_doc(doc, f"trace line {i}")
+        for i, doc in enumerate(move_docs, start=2)
+    )
+
+    def field(key: str):
+        return _get(header, key, "trace header")
+
+    return Trace(
+        schedule=_reference_schedule_from_doc(field("schedule")),
+        initial_state=State(_ints(field("initial_state"), "initial_state")),
+        final_state=State(_ints(field("final_state"), "final_state")),
+        moves=moves,
+        phase_end_states=tuple(
+            State(r) for r in _int_lists(field("phase_end_states"), "phase_end_states")
+        ),
+        movers_per_phase=tuple(
+            frozenset(r) for r in _int_lists(field("movers_per_phase"), "movers_per_phase")
+        ),
+        fixed_sets=tuple(frozenset(r) for r in _int_lists(field("fixed_sets"), "fixed_sets")),
+        game_sha256=field("game_sha256"),
+    )
+
+
+# --------------------------------------------------------------------------
+# The trace codec on solver runs and on single-field mutations
+# --------------------------------------------------------------------------
+
+
+def written(write, trace: Trace) -> str:
+    buf = io.StringIO()
+    write(trace, buf)
+    return buf.getvalue()
+
+
+def solver_traces():
+    """Traces of gen-random games with and without p overridden, the
+    crafted run with both move classes, and the schedule-less trivial run."""
+    for seed, (n, d) in enumerate([(6, 1), (8, 2), (5, 3), (10, 2)]):
+        game = gen_random(n, d, 5, 3, 2, (Fraction(1, 4), Fraction(2)), seed=seed)
+        for p_override in (None, 4 * d + 8):
+            yield run_algorithm(game, State((0,) * n), p_override)[1]
+    game, s0 = crafted_p_move_game()
+    yield run_algorithm(game, s0, p_override=4)[1]
+    zero = Game(1, (CostPolynomial((Fraction(0),)),), (make_player(1, [[0]]),))
+    yield run_algorithm(zero, State((0,)))[1]
+
+
+TRACES = list(solver_traces())
+
+
+def test_solver_traces_cover_every_shape():
+    assert any(t.schedule is None for t in TRACES)
+    assert any(t.schedule and not t.schedule.exact_constants for t in TRACES)
+    assert any(t.schedule and t.schedule.exact_constants and t.moves for t in TRACES)
+    assert {mv.move_class for t in TRACES for mv in t.moves} == {"alpha_move", "p_move"}
+
+
+@pytest.mark.parametrize("trace", TRACES)
+def test_writer_matches_reference(trace):
+    text = written(write_trace, trace)
+    assert text == written(reference_write_trace, trace)
+    assert read_trace(io.StringIO(text)) == reference_read_trace(io.StringIO(text)) == trace
+
+
+MUTATION_VALUES = [None, "x", 1.5, True, [], {}, [["a"]]]
+DELETE = object()
+
+
+def single_field_mutations(text: str):
+    """(label, mutated text) for each key of the header, the schedule and
+    the first move line, deleted or set to each of MUTATION_VALUES."""
+    lines = text.splitlines()
+
+    def variants(doc: dict, where: str):
+        for key in doc:
+            for value in [DELETE, *MUTATION_VALUES]:
+                mutated = copy.deepcopy(doc)
+                if value is DELETE:
+                    del mutated[key]
+                else:
+                    mutated[key] = value
+                yield f"{where}.{key} = {'deleted' if value is DELETE else repr(value)}", mutated
+
+    header = json.loads(lines[0])
+    for label, doc in variants(header, "header"):
+        yield label, "\n".join([json.dumps(doc, sort_keys=True), *lines[1:]])
+    for label, schedule in variants(header["schedule"], "schedule"):
+        doc = dict(header, schedule=schedule)
+        yield label, "\n".join([json.dumps(doc, sort_keys=True), *lines[1:]])
+    for label, move in variants(json.loads(lines[1]), "move"):
+        yield label, "\n".join([lines[0], json.dumps(move, sort_keys=True), *lines[2:]])
+
+
+# a schedule that is not an object (None is the schedule of the trivial run)
+SCHEDULE_NOT_AN_OBJECT = {f"header.schedule = {v!r}" for v in MUTATION_VALUES if v is not None}
+
+
+@pytest.mark.parametrize("trace", [TRACES[1], TRACES[-2]])  # p overridden; crafted run
+def test_reader_matches_reference_on_mutations(trace):
+    rejected = 0
+    mutations = list(single_field_mutations(written(write_trace, trace)))
+    for label, text in mutations:
+        got = outcome(read_trace, io.StringIO(text))
+        expected = outcome(reference_read_trace, io.StringIO(text))
+        if label in SCHEDULE_NOT_AN_OBJECT:  # the message names the first key read
+            assert expected == (
+                MalformedTraceError, "trace schedule: missing key 'exact_constants'"
+            )
+            assert got == (MalformedTraceError, "trace schedule: missing key 'p'"), label
+        else:
+            assert got == expected, label
+        rejected += isinstance(got, tuple)
+    assert len(mutations) == 8 * (7 + 9 + 10)
+    assert rejected > len(mutations) // 2

@@ -18,7 +18,7 @@ from congames import (
     has_rho_move,
     make_player,
     min_equilibrium_factor,
-    player_cost,
+    player_costs,
     run_algorithm,
     target_p,
 )
@@ -58,11 +58,11 @@ class TestBestResponse:
             for u in range(3):
                 idx, cost = best_response(game, s, u)
                 brute = min(
-                    player_cost(game, s.with_choice(u, k), u)
+                    player_costs(game, s.with_choice(u, k))[u]
                     for k in range(len(game.players[u].strategies))
                 )
                 assert cost == brute
-                assert player_cost(game, s.with_choice(u, idx), u) == cost
+                assert player_costs(game, s.with_choice(u, idx))[u] == cost
 
 
 class TestHasRhoMove:

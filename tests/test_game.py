@@ -14,13 +14,13 @@ from congames import (
     State,
     gen_lower_bound,
     group_cost,
-    group_load,
-    load,
+    group_loads,
+    loads,
     make_player,
     normalize,
     parse_game,
     parse_instance,
-    player_cost,
+    player_costs,
     serialize_instance,
     social_cost,
 )
@@ -31,7 +31,7 @@ from congames.errors import (
     NegativeCoefficientError,
     ResourceIndexError,
 )
-from congames.game import parse_rational, player_costs
+from congames.game import parse_rational
 
 from conftest import random_game, random_state
 
@@ -198,7 +198,7 @@ class TestNormalize:
         # every cost is scaled by the same 1/w_min, so ratios are intact
         s = State((0, 0))
         for u in range(2):
-            assert player_cost(scaled, s, u) == 2 * player_cost(game, s, u)
+            assert player_costs(scaled, s)[u] == 2 * player_costs(game, s)[u]
 
     def test_move_indicators_unchanged(self, rng):
         for trial in range(10):
@@ -216,8 +216,8 @@ class TestNormalize:
                     for u in range(game.n):
                         for k in range(len(game.players[u].strategies)):
                             dev = s.with_choice(u, k)
-                            before = player_cost(game, s, u) > rho * player_cost(game, dev, u)
-                            after = player_cost(scaled, s, u) > rho * player_cost(scaled, dev, u)
+                            before = player_costs(game, s)[u] > rho * player_costs(game, dev)[u]
+                            after = player_costs(scaled, s)[u] > rho * player_costs(scaled, dev)[u]
                             assert before == after
 
 
@@ -235,10 +235,10 @@ class TestLoadsAndCosts:
             ),
         )
         both_on_0 = State((0, 0))
-        assert load(game, both_on_0, 0) == Fraction(5, 2)
-        assert load(game, both_on_0, 1) == 0
-        assert group_load(game, both_on_0, [], 0) == 0
-        assert group_load(game, both_on_0, [0, 1], 0) == load(game, both_on_0, 0)
+        assert loads(game, both_on_0)[0] == Fraction(5, 2)
+        assert loads(game, both_on_0)[1] == 0
+        assert group_loads(game, both_on_0, [])[0] == 0
+        assert group_loads(game, both_on_0, [0, 1])[0] == loads(game, both_on_0)[0]
 
     def test_complement_additivity(self, rng):
         for _ in range(20):
@@ -247,7 +247,8 @@ class TestLoadsAndCosts:
             group = [u for u in range(4) if rng.random() < 0.5]
             rest = [u for u in range(4) if u not in group]
             for e in range(game.num_resources):
-                assert group_load(game, s, group, e) + group_load(game, s, rest, e) == load(game, s, e)
+                total = group_loads(game, s, group)[e] + group_loads(game, s, rest)[e]
+                assert total == loads(game, s)[e]
 
     def test_single_player_square_cost(self):
         game = Game(
@@ -255,7 +256,7 @@ class TestLoadsAndCosts:
             resources=(CostPolynomial((Fraction(0), Fraction(0), Fraction(1))),),
             players=(make_player(Fraction(1), [[0]]),),
         )
-        assert player_cost(game, State((0,)), 0) == 1
+        assert player_costs(game, State((0,)))[0] == 1
 
     def test_cost_aggregation(self, rng):
         for _ in range(20):
@@ -263,7 +264,7 @@ class TestLoadsAndCosts:
             s = random_state(rng, game)
             group = sorted(rng.sample(range(4), rng.randint(0, 4)))
             assert group_cost(game, s, group) == sum(
-                (player_cost(game, s, u) for u in group), Fraction(0)
+                (player_costs(game, s)[u] for u in group), Fraction(0)
             )
             assert social_cost(game, s) == sum(player_costs(game, s), Fraction(0))
 
@@ -277,7 +278,7 @@ class TestLoadsAndCosts:
         s = bundle.equilibrium_state
         # every player pays exactly r^(d+1) at the congested profile
         for u in range(3):
-            assert player_cost(bundle.game, s, u) == r**2
+            assert player_costs(bundle.game, s)[u] == r**2
         assert group_cost(bundle.game, s, range(3)) == 3 * r**2
         golden = (1 + 5**0.5) / 2
         assert abs(float(r**2) - golden**2) < 1e-12

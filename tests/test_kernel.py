@@ -52,10 +52,11 @@ from congames.game import (
     group_loads,
     loads,
     player_costs,
+    potential_coefficients,
     social_cost,
     validate_state,
 )
-from congames.potential import alpha, partial_potential, potential, potential_coefficients
+from congames.potential import alpha, partial_potential, potential
 from congames.verify import (
     audit_trace,
     brute_force_poa,

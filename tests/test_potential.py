@@ -13,7 +13,7 @@ from congames import (
     alpha,
     make_player,
     partial_potential,
-    player_cost,
+    player_costs,
     potential,
     resource_potential,
     subgame_potential,
@@ -139,7 +139,7 @@ class TestSandwichProperties:
             s2 = s.with_choice(u, k)
             group = set(rng.sample(range(4), rng.randint(1, 4))) | {u}
             drop = partial_potential(game, s, group) - partial_potential(game, s2, group)
-            assert drop >= player_cost(game, s, u) - alpha(d) * player_cost(game, s2, u)
+            assert drop >= player_costs(game, s)[u] - alpha(d) * player_costs(game, s2)[u]
 
     def test_alpha_improvement_decreases_potential(self, rng):
         # any move improving u by a factor > d+1 strictly lowers the potential
@@ -151,7 +151,7 @@ class TestSandwichProperties:
             u = rng.randrange(3)
             for k in range(len(game.players[u].strategies)):
                 s2 = s.with_choice(u, k)
-                if player_cost(game, s, u) > alpha(d) * player_cost(game, s2, u):
+                if player_costs(game, s)[u] > alpha(d) * player_costs(game, s2)[u]:
                     assert potential(game, s2) < potential(game, s)
                     found += 1
         assert found > 20  # the sample actually exercised the property
