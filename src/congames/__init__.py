@@ -39,7 +39,6 @@ from .game import (
     loads,
     make_player,
     normalize,
-    parse_game,
     parse_instance,
     player_costs,
     serialize_instance,

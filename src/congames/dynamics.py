@@ -14,7 +14,9 @@ final state is a p*(1+3/p)/(1-2/p)-approximate equilibrium.
 All thresholds are exact rationals; the run is fully deterministic: the
 scan always picks the lowest-index eligible player and ties between equal
 best responses resolve to the lowest strategy index.  A complete Trace of
-the run is emitted for independent auditing.
+the run is emitted for independent auditing.  The scan
+(first_eligible_move) and the fixing rule (newly_fixed) are written once,
+like the eligibility rule Schedule.classify, and the auditor calls them too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Container, Sequence
 
 from .errors import (
     AlreadyZeroError,
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .game import (
     Game,
+    IntGame,
     State,
     format_rational,
     loads,
@@ -82,9 +85,8 @@ def has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
         raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
     ig = game.compiled
     x = ig.loads(state.choices)
-    rcosts = ig.own_costs(state.choices, x, u)
-    br, br_cost = ig.best_response(state.choices, x, rcosts, u)
-    return br if improves(ig.player_cost(state.choices, rcosts, u), br_cost, rho) else None
+    br, br_cost, cost = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
+    return br if improves(cost, br_cost, rho) else None
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,38 @@ def improves(cost, br_cost, threshold: Fraction) -> bool:
     """cost > threshold * br_cost, cross-multiplied so that integer costs
     stay integers."""
     return cost * threshold.denominator > threshold.numerator * br_cost
+
+
+def first_eligible_move(
+    ig: IntGame,
+    schedule: Schedule,
+    bounds: Sequence[int],
+    phase: int,
+    choices: Sequence[int],
+    x: Sequence[int],
+    fixed: Container[int],
+) -> tuple[int, int, int, int, str] | None:
+    """The phase's scan: the lowest-index non-fixed player whose best
+    response beats the improvement factor Schedule.classify sets for her
+    cost, as (player, best response, cost, best-response cost, move
+    class), costs scaled; None when no player may move.  ``x`` are the
+    scaled loads of ``choices`` and ``bounds`` the scaled boundaries."""
+    rcosts = ig.resource_costs(x)
+    for u, cost in enumerate(ig.player_costs(choices, rcosts)):
+        rule = None if u in fixed else schedule.classify(phase, cost, bounds)
+        if rule is None:
+            continue
+        threshold, move_class = rule
+        br, br_cost, _ = ig.best_response(choices, x, rcosts, u)
+        if improves(cost, br_cost, threshold):
+            return u, br, cost, br_cost, move_class
+    return None
+
+
+def newly_fixed(costs: Sequence[int], fixed: Container[int], boundary: int) -> frozenset[int]:
+    """The fixing rule: the players not yet fixed whose cost is at least
+    the boundary."""
+    return frozenset(u for u, cost in enumerate(costs) if u not in fixed and cost >= boundary)
 
 
 Index = int  # an index in a move record, read as written (see _CODEC)
@@ -286,7 +320,6 @@ def run_algorithm(
     # homogeneous in the cost scale, so it gives the same answer as on the
     # Fraction values, which are formed only for the MoveRecords.
     ig = game.compiled
-    n = game.n
     m = schedule.m
     bounds = tuple(ig.cost_ceil(b) for b in schedule.boundaries)
 
@@ -299,38 +332,16 @@ def run_algorithm(
     movers_per_phase: list[frozenset[int]] = []
     fixed_sets: list[frozenset[int]] = []
 
-    def find_move(phase: int) -> tuple[int, int, int, int, str] | None:
-        """First eligible (player, br, cost_before, cost_after, class),
-        costs scaled."""
-        rcosts = ig.resource_costs(x)
-        costs = ig.player_costs(choices, rcosts)
-        for u in range(n):
-            if u in fixed:
-                continue
-            rule = schedule.classify(phase, costs[u], bounds)
-            if rule is None:
-                continue
-            threshold, move_class = rule
-            br, br_cost = ig.best_response(choices, x, rcosts, u)
-            if improves(costs[u], br_cost, threshold):
-                return u, br, costs[u], br_cost, move_class
-        return None
-
-    def run_phase(phase: int) -> None:
-        nonlocal pot
+    for phase in range(m):
         budget = schedule.move_budget(phase)
-        count = 0
+        first_step = len(moves)
         movers: set[int] = set()
-        while True:
-            found = find_move(phase)
-            if found is None:
-                break
+        while (
+            found := first_eligible_move(ig, schedule, bounds, phase, choices, x, fixed)
+        ) is not None:
             u, br, cost_before, cost_after, move_class = found
-            count += 1
-            if count > budget:
-                raise MoveBudgetExceededError(
-                    f"phase {phase} exceeded its move budget {budget}"
-                )
+            if len(moves) - first_step == budget:
+                raise MoveBudgetExceededError(f"phase {phase} exceeded its move budget {budget}")
             from_strategy = choices[u]
             pot_before = pot
             pot += ig.move(choices, x, u, br)
@@ -351,19 +362,11 @@ def run_algorithm(
             movers.add(u)
         movers_per_phase.append(frozenset(movers))
         phase_end_states.append(State(tuple(choices)))
-
-    def fix_players(boundary: int) -> None:
         costs = ig.player_costs(choices, ig.resource_costs(x))
-        newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= boundary)
-        fixed.update(newly)
-        fixed_sets.append(newly)
-
-    run_phase(0)
-    fixed_sets.append(frozenset())
-    for phase in range(1, m):
-        run_phase(phase)
-        fix_players(bounds[phase])
-    fix_players(bounds[m])
+        fixed_sets.append(newly_fixed(costs, fixed, bounds[phase]) if phase else frozenset())
+        fixed |= fixed_sets[-1]
+    # the state after the last phase is final: the sweep at b_m fixes the rest
+    fixed_sets.append(newly_fixed(costs, fixed, bounds[m]))
 
     trace = Trace(
         schedule=schedule,

@@ -112,14 +112,6 @@ class CostPolynomial:
             if c.numerator < 0:  # a rational's sign is its numerator's
                 raise NegativeCoefficientError(f"negative coefficient {c}")
 
-    @property
-    def degree(self) -> int:
-        """Largest exponent with a nonzero coefficient (0 for the zero polynomial)."""
-        for v in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[v] != 0:
-                return v
-        return 0
-
     def __call__(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -368,12 +360,8 @@ class IntGame:
 
     def own_costs(self, choices: Sequence[int], x: Sequence[int], u: int) -> dict[int, int]:
         """D * c_e(X_e/W) for the resources of player u's strategy only:
-        all that player_cost and best_response read of ``rcosts`` for u."""
+        all that best_response reads of ``rcosts`` for u."""
         return {e: _horner(self.costs[e], x[e]) for e in self.strategies[u][choices[u]]}
-
-    def player_cost(self, choices: Sequence[int], rcosts: Sequence[int], u: int) -> int:
-        """Scaled cost of player u, from the resource_costs of the loads."""
-        return self.weights[u] * sum(rcosts[e] for e in self.strategies[u][choices[u]])
 
     def player_costs(self, choices: Sequence[int], rcosts: Sequence[int]) -> list[int]:
         """Scaled cost of every player, from the resource_costs of the loads."""
@@ -384,19 +372,23 @@ class IntGame:
 
     def best_response(
         self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int
-    ) -> tuple[int, int]:
-        """Best strategy index of player u with its scaled cost; ties go to
-        the lowest index.  ``x`` and ``rcosts`` belong to ``choices``."""
+    ) -> tuple[int, int, int]:
+        """Best strategy index of player u with its scaled cost, and u's
+        current scaled cost, which the loop sums at her own strategy; ties
+        go to the lowest index.  ``x`` and ``rcosts`` belong to ``choices``."""
         w = self.weights[u]
-        current = self.strategies[u][choices[u]]
+        own = choices[u]
+        current = self.strategies[u][own]
         best_idx, best = 0, None
         for k, strat in enumerate(self.strategies[u]):
             total = 0
             for e in strat:
                 total += rcosts[e] if e in current else _horner(self.costs[e], x[e] + w)
+            if k == own:
+                now = total
             if best is None or total < best:
                 best_idx, best = k, total
-        return best_idx, w * best
+        return best_idx, w * best, w * now
 
     def alone_cost(self, u: int) -> int:
         """Scaled cost of player u's cheapest strategy when she is alone on
@@ -593,11 +585,6 @@ def parse_instance(
     if normalize_weights:
         game = normalize(game)
     return game, initial_state
-
-
-def parse_game(data: bytes | str, *, normalize_weights: bool = True) -> Game:
-    """Parse an instance file, discarding any initial state."""
-    return parse_instance(data, normalize_weights=normalize_weights)[0]
 
 
 def _json_block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:

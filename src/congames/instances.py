@@ -22,6 +22,8 @@ platforms and languages.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,14 +183,20 @@ def gen_random(
 
     Coefficients and weights are rationals on the grid Z/denominator
     clipped to the given ranges; every coefficient slot 0..d is sampled
-    independently.  Strategies are distinct-when-possible random resource
-    subsets of size 1..max_strategy_size.
+    independently.  Strategies are distinct random resource subsets of size
+    1..max_strategy_size; after 8 repeated draws, the first unused subset
+    in (size, lexicographic) order.
     """
     if n < 1 or d < 1 or num_resources < 1 or strategies_per_player < 1:
         raise MalformedInstanceError("all sizes must be positive")
     if not 1 <= max_strategy_size <= num_resources:
         raise MalformedInstanceError(
             f"max_strategy_size {max_strategy_size} not in [1, {num_resources}]"
+        )
+    subsets = sum(math.comb(num_resources, k) for k in range(1, max_strategy_size + 1))
+    if strategies_per_player > subsets:
+        raise MalformedInstanceError(
+            f"{strategies_per_player} strategies per player exceed the {subsets} distinct subsets"
         )
     lo_c, hi_c = Fraction(coeff_range[0]), Fraction(coeff_range[1])
     lo_w, hi_w = Fraction(weight_range[0]), Fraction(weight_range[1])
@@ -217,6 +225,13 @@ def gen_random(
                 strat = tuple(sorted(picked))
                 if strat not in strategies:
                     break
+            else:
+                strat = next(
+                    s
+                    for size in range(1, max_strategy_size + 1)
+                    for s in itertools.combinations(range(num_resources), size)
+                    if s not in strategies
+                )
             strategies.append(strat)
         players.append(PlayerSpec(weight=weight, strategies=tuple(strategies)))
     return Game(degree=d, resources=resources, players=tuple(players))

@@ -3,7 +3,9 @@
 Everything here recomputes from first principles in exact arithmetic.  The
 equilibrium factor, the PoA oracles and the trace auditor run on the
 integer game (Game.compiled, a game.IntGame): each test is homogeneous in
-the cost scale, so answers and ratios are those on Fractions.  The group
+the cost scale, so answers and ratios are those on Fractions.  The
+auditor applies the solver's own scan and fixing rule to the states it
+replays.  The group
 oracles' complement loads and potential are constant per bucket.  The
 enumerations are deliberately capped and fail loudly rather than
 truncating, since their whole value is oracle status.  A player who has
@@ -17,14 +19,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dynamics import (
-    Schedule,
     Trace,
     compute_schedule,
+    first_eligible_move,
     game_fingerprint,
     improves,
+    newly_fixed,
 )
 from .errors import (
     NoEquilibriumError,
@@ -63,9 +66,7 @@ def min_equilibrium_factor(
     x = ig.loads(state.choices)
     worst, worst_br = 1, 1
     for u in range(game.n) if players is None else players:
-        rcosts = ig.own_costs(state.choices, x, u)
-        cost = ig.player_cost(state.choices, rcosts, u)
-        br = ig.best_response(state.choices, x, rcosts, u)[1]
+        _, br, cost = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
         if cost * worst_br > worst * br:
             g = math.gcd(cost, br)
             worst, worst_br = cost // g, br // g
@@ -96,17 +97,16 @@ class _Row(NamedTuple):
 
 
 def _rows(ig: IntGame, game: Game, rho: Fraction, state_cap: int) -> Iterator[_Row]:
-    """Every state's row from scratch, in product order.  K/K_br <= rho = a/b
-    is K*b <= a*K_br, where 0/0 counts as 1 and K/0 for K > 0 as infinite."""
+    """Every state's row from scratch, in product order.  A player is within
+    rho >= 1 when her best response does not improve on her cost by more
+    than rho (0/0 is factor 1, K/0 for K > 0 infinite), and never for rho < 1."""
     for choices in _all_choices(game, state_cap):
         x = ig.loads(choices)
         rcosts = ig.resource_costs(x)
-        costs = ig.player_costs(choices, rcosts)
-        brs = [ig.best_response(choices, x, rcosts, u)[1] for u in range(game.n)]
-        within = [
-            k * rho.denominator <= rho.numerator * br if br else k == 0 and rho >= 1
-            for k, br in zip(costs, brs)
-        ]
+        within = []
+        for u in range(game.n):
+            _, br, cost = ig.best_response(choices, x, rcosts, u)
+            within.append(rho >= 1 and not improves(cost, br, rho))
         yield _Row(choices, x, rcosts, ig.potential(x), within)
 
 
@@ -273,28 +273,6 @@ def _check_indices(game: Game, trace: Trace) -> None:
         check(f"move {i}: to_strategy", mv.to_strategy, size)
 
 
-def _eligible_move_exists(
-    ig: IntGame,
-    schedule: Schedule,
-    bounds: Sequence[int],
-    phase: int,
-    state: State,
-    fixed: set[int],
-) -> bool:
-    """Whether some non-fixed player may still move, recomputed from scratch."""
-    x = ig.loads(state.choices)
-    rcosts = ig.resource_costs(x)
-    for u, cost in enumerate(ig.player_costs(state.choices, rcosts)):
-        if u in fixed:
-            continue
-        rule = schedule.classify(phase, cost, bounds)
-        if rule is not None and improves(
-            cost, ig.best_response(state.choices, x, rcosts, u)[1], rule[0]
-        ):
-            return True
-    return False
-
-
 def audit_trace(game: Game, trace: Trace) -> AuditReport:
     """Replay a trace from scratch and check every invariant the run claims.
 
@@ -309,7 +287,8 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
 
     The replay runs on the compiled integer game (see game.IntGame) and
     recomputes the loads of every recorded state from scratch, so it
-    shares none of the solver's incremental bookkeeping.
+    shares none of the solver's incremental bookkeeping, but it applies
+    the solver's own rules to them (see dynamics).
     """
     _check_same("game fingerprint", trace.game_sha256, game_fingerprint(game))
     _check_indices(game, trace)
@@ -354,19 +333,18 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     _check_same("phase count (movers)", len(trace.movers_per_phase), m)
     _check_same("fixed set count", len(trace.fixed_sets), m + 1)
 
-    def replay(state: State) -> tuple[list[int], int]:
-        """Scaled player costs and potential of a state, from scratch."""
+    def replay(state: State) -> tuple[list[int], list[int], int]:
+        """Scaled loads, player costs and potential of a state, from scratch."""
         x = ig.loads(state.choices)
-        return ig.player_costs(state.choices, ig.resource_costs(x)), ig.potential(x)
+        return x, ig.player_costs(state.choices, ig.resource_costs(x)), ig.potential(x)
 
     move_audits: list[MoveAudit] = []
     phase_audits: list[PhaseAudit] = []
     fix_audits: list[FixAudit] = []
 
     state = trace.initial_state
-    costs, pot = replay(state)
-    fixed: set[int] = set()
-    fixed_after: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
+    x, costs, pot = replay(state)
+    fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
     move_iter = iter(trace.moves)
     pending = next(move_iter, None)
     expected_step = 0
@@ -387,7 +365,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                 f"move {mv.step} potential_before", mv.potential_before, ig.potential_value(pot)
             )
             new_state = state.with_choice(u, mv.to_strategy)
-            new_costs, new_pot = replay(new_state)
+            new_x, new_costs, new_pot = replay(new_state)
             _check_same(
                 f"move {mv.step} cost_after", mv.cost_after, ig.cost_value(new_costs[u])
             )
@@ -426,7 +404,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
             movers.add(u)
             last_cost_after[u] = mv.cost_after
-            state, costs, pot = new_state, new_costs, new_pot
+            state, x, costs, pot = new_state, new_x, new_costs, new_pot
             move_count += 1
             expected_step += 1
             pending = next(move_iter, None)
@@ -464,7 +442,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         if not budget_ok:
             failures.append(f"phase {phase}: {move_count} moves exceed budget {budget}")
 
-        settled = not _eligible_move_exists(ig, schedule, bounds, phase, state, fixed)
+        settled = first_eligible_move(ig, schedule, bounds, phase, state.choices, x, fixed) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 
@@ -486,29 +464,21 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
         )
 
-        if phase >= 1:
-            newly = frozenset(
-                u for u in range(n) if u not in fixed and costs[u] >= bounds[phase]
-            )
-            _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
-            for u in sorted(newly):
-                fixed_after[u] = (phase, costs[u])
-            fixed |= newly
+        newly = newly_fixed(costs, fixed, bounds[phase]) if phase else frozenset()
+        _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
+        fixed.update((u, (phase, costs[u])) for u in newly)
 
     if pending is not None:
         raise TraceMismatchError(f"move {pending.step}: phase {pending.phase} >= m = {m}")
 
-    _check_same("fixed set for phase 0", trace.fixed_sets[0], frozenset())
-    newly = frozenset(u for u in range(n) if u not in fixed and costs[u] >= bounds[m])
+    newly = newly_fixed(costs, fixed, bounds[m])
     _check_same("final fixed set", trace.fixed_sets[m], newly)
-    for u in sorted(newly):
-        fixed_after[u] = (m, costs[u])
-    fixed |= newly
+    fixed.update((u, (m, costs[u])) for u in newly)
     _check_same("all players fixed", frozenset(range(n)), frozenset(fixed))
     _check_same("final state", trace.final_state, state)
 
     for u in range(n):
-        j, cost_then = fixed_after[u]
+        j, cost_then = fixed[u]
         ok = costs[u] * p <= (p + 3) * cost_then  # within the factor 1 + 3/p
         cost_at_fix, final_cost = ig.cost_value(cost_then), ig.cost_value(costs[u])
         if not ok:

@@ -360,3 +360,22 @@ class TestDeterminism:
         run(capsys, *GEN, "--out", str(a))
         run(capsys, *GEN, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestGenRandomStrategies:
+    ARGS = ["gen-random", "--n", "2", "--d", "1", "--resources", "3", "--max-size", "1"]
+
+    def test_more_strategies_than_distinct_subsets(self, tmp_path, capsys):
+        out = tmp_path / "game.json"
+        code, _, err = run(capsys, *self.ARGS, "--seed", "1", "--strategies", "4",
+                           "--out", str(out))
+        assert code == 3
+        assert "distinct subsets" in err and not out.exists()
+
+    def test_strategies_distinct_after_repeated_draws(self, tmp_path, capsys):
+        out = tmp_path / "game.json"
+        code, _, _ = run(capsys, *self.ARGS, "--seed", "10", "--strategies", "3",
+                         "--out", str(out))
+        assert code == 0
+        players = json.loads(out.read_text())["players"]
+        assert [p["strategies"] for p in players] == [[[1], [0], [2]]] * 2

@@ -18,7 +18,6 @@ from congames import (
     loads,
     make_player,
     normalize,
-    parse_game,
     parse_instance,
     player_costs,
     serialize_instance,
@@ -53,7 +52,7 @@ def enumerate_states(game: Game):
 
 class TestParsing:
     def test_minimal_instance(self):
-        game = parse_game(MINIMAL)
+        game = parse_instance(MINIMAL)[0]
         assert game.n == 1
         assert game.degree == 1
         assert game.players[0].strategies == ((0,),)
@@ -61,16 +60,16 @@ class TestParsing:
     def test_negative_coefficient(self):
         bad = MINIMAL.replace('"0", "1"', '"-1/2", "1"')
         with pytest.raises(NegativeCoefficientError):
-            parse_game(bad)
+            parse_instance(bad)
 
     def test_unknown_key_rejected(self):
         bad = MINIMAL.replace('"degree": 1,', '"degree": 1, "comment": "hi",')
         with pytest.raises(MalformedInstanceError):
-            parse_game(bad)
+            parse_instance(bad)
 
     def test_decimal_rational_rejected(self):
         with pytest.raises(MalformedInstanceError):
-            parse_game(MINIMAL.replace('"weight": "1"', '"weight": "1.5"'))
+            parse_instance(MINIMAL.replace('"weight": "1"', '"weight": "1.5"'))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(MalformedInstanceError):
@@ -78,24 +77,24 @@ class TestParsing:
 
     def test_empty_strategy(self):
         with pytest.raises(EmptyStrategyError):
-            parse_game(MINIMAL.replace("[[0]]", "[[]]"))
+            parse_instance(MINIMAL.replace("[[0]]", "[[]]"))
 
     def test_out_of_range_resource(self):
         with pytest.raises(ResourceIndexError):
-            parse_game(MINIMAL.replace("[[0]]", "[[3]]"))
+            parse_instance(MINIMAL.replace("[[0]]", "[[3]]"))
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            parse_game(MINIMAL.replace('["0", "1"]', '["0", "1", "0"]'))
+            parse_instance(MINIMAL.replace('["0", "1"]', '["0", "1", "0"]'))
 
     def test_duplicate_resource_in_strategy(self):
         two = MINIMAL.replace('[[0]]', '[[0, 0]]')
         with pytest.raises(MalformedInstanceError):
-            parse_game(two)
+            parse_instance(two)
 
     def test_malformed_json(self):
         with pytest.raises(MalformedInstanceError):
-            parse_game("{not json")
+            parse_instance("{not json")
 
     def test_initial_state_parsed_and_validated(self):
         good = MINIMAL.replace(
@@ -110,14 +109,14 @@ class TestParsing:
     def test_lower_bound_round_trip_is_identity(self):
         bundle = gen_lower_bound(1, Fraction(1), 2, 30)
         text = serialize_instance(bundle.game)
-        reparsed = parse_game(text, normalize_weights=False)
+        reparsed = parse_instance(text, normalize_weights=False)[0]
         assert reparsed == bundle.game
         assert serialize_instance(reparsed) == text
 
     def test_random_games_round_trip(self, rng):
         for _ in range(25):
             game = random_game(rng, rng.randint(1, 4), rng.randint(1, 3), 5)
-            assert parse_game(serialize_instance(game), normalize_weights=False) == game
+            assert parse_instance(serialize_instance(game), normalize_weights=False)[0] == game
 
 
 class TestConstructionChecks:
@@ -159,7 +158,7 @@ class TestConstructionChecks:
     ])
     def test_parse_index_checks(self, strategies, error):
         with pytest.raises(error):
-            parse_game(MINIMAL.replace("[[0]]", strategies))
+            parse_instance(MINIMAL.replace("[[0]]", strategies))
 
     def test_weights_at_one_are_normalized(self):
         resources = (CostPolynomial((Fraction(1),)),)

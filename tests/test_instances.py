@@ -10,7 +10,7 @@ from congames import (
     gen_lower_bound,
     gen_random,
     min_equilibrium_factor,
-    parse_game,
+    parse_instance,
     serialize_instance,
     social_cost,
 )
@@ -106,11 +106,28 @@ class TestRandomGames:
     def test_round_trip(self):
         for seed in range(10):
             game = gen_random(3, 1, 4, 2, 2, seed=seed)
-            assert parse_game(serialize_instance(game), normalize_weights=False) == game
+            assert parse_instance(serialize_instance(game), normalize_weights=False)[0] == game
 
     def test_infeasible_parameters(self):
         with pytest.raises(MalformedInstanceError):
             gen_random(2, 1, 3, 2, max_strategy_size=4, seed=0)
+
+    def test_more_strategies_than_distinct_subsets(self):
+        # 2 resources make 2 subsets of size 1
+        with pytest.raises(MalformedInstanceError, match="distinct subsets"):
+            gen_random(n=3, d=1, num_resources=2, strategies_per_player=4, max_strategy_size=1,
+                       seed=1)
+
+    def test_repeated_draws_take_first_unused_subset(self):
+        # at seed 10 all 8 draws for player 1's third strategy repeat one she
+        # has; (2,) is the only subset she lacks, and player 0 is drawn as before
+        game = gen_random(n=2, d=1, num_resources=3, strategies_per_player=3,
+                          max_strategy_size=1, seed=10)
+        assert [p.strategies for p in game.players] == [((1,), (0,), (2,))] * 2
+        for seed in range(40):
+            game = gen_random(n=4, d=1, num_resources=3, strategies_per_player=6,
+                              max_strategy_size=2, seed=seed)
+            assert all(len(set(p.strategies)) == 6 for p in game.players)
 
     def test_splitmix_reference_values(self):
         # first outputs for seed 0 of the standard splitmix64 stream

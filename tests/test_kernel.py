@@ -15,12 +15,13 @@ of dividing directly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congames import CostPolynomial, Game, State, gen_lower_bound, make_player, normalize
@@ -114,8 +115,9 @@ def test_kernel_matches_fraction_oracle(case, bound):
     costs = ig.player_costs(state.choices, rcosts)
     assert [ig.cost_value(k) for k in costs] == list(player_costs(game, state))
     for u in range(game.n):
-        k, cost = ig.best_response(state.choices, x, rcosts, u)
+        k, cost, current = ig.best_response(state.choices, x, rcosts, u)
         assert (k, ig.cost_value(cost)) == best_response(game, state, u)
+        assert ig.cost_value(current) == player_costs(game, state)[u]
     assert ig.potential_value(ig.potential(x)) == potential(game, state)
     assert ig.potential_value(ig.partial_potential(state.choices, group)) == partial_potential(
         game, state, group
@@ -235,7 +237,9 @@ def reference_compute_schedule(
 ) -> Schedule:
     validate_state(game, s_init)
     if not game.is_normalized:
-        raise MalformedInstanceError("player weights must be >= 1 for the solver")
+        raise MalformedInstanceError(
+            "player weights must be >= 1 for the solver; apply normalize() first"
+        )
     c_max = max(player_costs(game, s_init))
     if c_max == 0:
         raise AlreadyZeroError("all player costs are zero at the initial state")
@@ -266,17 +270,19 @@ def reference_compute_schedule(
 
 def assert_layers_match(game: Game, state: State, group, rhos) -> None:
     """The integer layers against their Fraction versions at one state,
-    compared by repr (a Fraction never passes for an int or a float)."""
+    compared exactly with their types (see _exact)."""
     for players in (None, group):
-        assert repr(min_equilibrium_factor(game, state, players)) == repr(
+        assert _exact(min_equilibrium_factor(game, state, players)) == _exact(
             reference_min_equilibrium_factor(game, state, players)
         )
-    assert repr(group_cost(game, state, group)) == repr(reference_group_cost(game, state, group))
-    assert repr(social_cost(game, state)) == repr(reference_social_cost(game, state))
+    assert _exact(group_cost(game, state, group)) == _exact(
+        reference_group_cost(game, state, group)
+    )
+    assert _exact(social_cost(game, state)) == _exact(reference_social_cost(game, state))
     for rho in rhos:
         for u in range(game.n):
-            assert repr(_outcome(has_rho_move, game, state, u, rho)) == repr(
-                _outcome(reference_has_rho_move, game, state, u, rho)
+            assert _outcome(has_rho_move, game, state, u, rho) == _outcome(
+                reference_has_rho_move, game, state, u, rho
             )
 
 
@@ -290,8 +296,8 @@ def assert_schedules_match(game: Game, state: State) -> None:
             else target_p(game.degree) if extra == "target"
             else game.degree + 2 + extra
         )
-        assert repr(_outcome(compute_schedule, game, state, p_override)) == repr(
-            _outcome(reference_compute_schedule, game, state, p_override)
+        assert _outcome(compute_schedule, game, state, p_override) == _outcome(
+            reference_compute_schedule, game, state, p_override
         )
 
 
@@ -307,6 +313,17 @@ def test_layers_match_fraction_reference(case):
 
 @SETTINGS
 @given(st.one_of(games(zero_cost=True), games(anchored=True)))
+@example(  # boundary denominators of 4,311 digits, past the int/str limit
+    (
+        Game(
+            4,
+            (CostPolynomial((Fraction(0), Fraction(1, 8))), CostPolynomial((Fraction(2**64),))),
+            (make_player(1, [[0]]), make_player(1, [[1]])),
+        ),
+        State((0, 0)),
+        [],
+    )
+)
 def test_schedule_matches_fraction_reference(case):
     game, state, _ = case
     assert_schedules_match(game, state)  # unnormalized weights raise in both
@@ -500,13 +517,25 @@ def oracle_games(draw) -> Game:
     return Game(degree=degree, resources=resources, players=players)
 
 
+def _exact(value):
+    """The value with the type of each of its parts, for an exact == that
+    never passes a Fraction for an int or a float and, unlike repr, writes
+    no number in decimal: a schedule's boundaries can exceed the int/str
+    digit limit."""
+    if isinstance(value, tuple):
+        return tuple(map(_exact, value))
+    if dataclasses.is_dataclass(value):
+        return type(value), _exact(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    return type(value), value
+
+
 def _outcome(fn, *args):
-    """A call's result, or the type of the congames error it raised;
-    compared by repr, so a Fraction never passes for an int or a float."""
+    """A call's result as _exact gives it, or the type and message of the
+    congames error it raised."""
     try:
-        return fn(*args)
+        return _exact(fn(*args))
     except CongamesError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @settings(SETTINGS, max_examples=50)
@@ -518,11 +547,11 @@ def _outcome(fn, *args):
 def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
     got = _outcome(brute_force_poa, game, rho, state_cap)
     expected = _outcome(reference_brute_force_poa, game, rho, state_cap)
-    assert repr(got) == repr(expected)  # same values, same types (Fraction or inf), same states
+    assert got == expected  # same values, same types (Fraction or inf), same states
     for oracle, metric in (
         (max_group_poa_ratio, reference_group_cost),
         (max_rho_stretch_ratio, partial_potential),
     ):
         got = _outcome(oracle, game, rho, state_cap)
         expected = _outcome(reference_group_ratio, game, rho, state_cap, metric)
-        assert repr(got) == repr(expected)
+        assert got == expected

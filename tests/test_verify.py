@@ -31,7 +31,8 @@ from congames.errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from congames.potential import alpha
+from congames.game import player_costs
+from congames.potential import alpha, potential
 from congames.verify import _max_group_ratio, enumerate_states
 
 from conftest import crafted_p_move_game, random_game, random_state, single_player_game
@@ -290,6 +291,85 @@ class TestAuditTrace:
         assert not report.passed
         assert any("ineligible" in f for f in report.failures)
         assert not report.moves[0].legal
+
+    @staticmethod
+    def solved() -> tuple[Game, Trace]:
+        game = gen_random(6, 1, 5, 3, 2, (Fraction(1, 4), Fraction(2)), seed=2)
+        _, trace = run_algorithm(game, State((0,) * 6))
+        assert len(trace.moves) == 3
+        return game, trace
+
+    @staticmethod
+    def with_moves(game: Game, trace: Trace, moves: tuple[MoveRecord, ...]) -> Trace:
+        """The trace with these moves, and its phase end states, movers,
+        fixed sets and final state re-derived from them on Fractions."""
+        b, m = trace.schedule.boundaries, trace.schedule.m
+        state, ends, movers = trace.initial_state, [], []
+        for phase in range(m):
+            for mv in moves:
+                if mv.phase == phase:
+                    state = state.with_choice(mv.player, mv.to_strategy)
+            ends.append(state)
+            movers.append(frozenset(mv.player for mv in moves if mv.phase == phase))
+        # phase 0 fixes no one, phase i >= 1 fixes at b_i and the sweep
+        # after the last phase at b_m
+        fixed, fixed_sets = set(), [frozenset()]
+        for i in range(1, m + 1):
+            costs = player_costs(game, ends[min(i, m - 1)])
+            fixed_sets.append(
+                frozenset(u for u in range(game.n) if u not in fixed and costs[u] >= b[i])
+            )
+            fixed |= fixed_sets[-1]
+        return replace(
+            trace,
+            moves=moves,
+            final_state=state,
+            phase_end_states=tuple(ends),
+            movers_per_phase=tuple(movers),
+            fixed_sets=tuple(fixed_sets),
+        )
+
+    def test_unsettled_phase_is_reported_not_raised(self):
+        game, trace = self.solved()
+        assert self.with_moves(game, trace, trace.moves) == trace
+        cut = self.with_moves(game, trace, trace.moves[:-1])
+        report = audit_trace(game, cut)
+        assert not report.passed
+        assert "phase 0: ended while an eligible move remained" in report.failures
+        assert not report.phases[0].settled
+        assert all(mv.legal and mv.drop_ok for mv in report.moves)
+
+    def test_drop_below_floor_is_reported_not_raised(self):
+        game, trace = self.solved()
+        last = trace.moves[-1]
+        before = trace.final_state
+        u = 0
+        k = max(
+            (k for k in range(len(game.players[u].strategies)) if k != before.choices[u]),
+            key=lambda k: player_costs(game, before.with_choice(u, k))[u],
+        )
+        after = before.with_choice(u, k)
+        assert player_costs(game, after)[u] >= player_costs(game, before)[u]
+        worse = MoveRecord(
+            phase=last.phase,
+            step=last.step + 1,
+            player=u,
+            from_strategy=before.choices[u],
+            to_strategy=k,
+            cost_before=player_costs(game, before)[u],
+            cost_after=player_costs(game, after)[u],
+            move_class=ALPHA_MOVE,
+            potential_before=potential(game, before),
+            potential_after=potential(game, after),
+        )
+        report = audit_trace(game, self.with_moves(game, trace, (*trace.moves, worse)))
+        assert not report.passed
+        assert any(
+            f.startswith(f"move {worse.step}: potential drop") and "below floor" in f
+            for f in report.failures
+        )
+        assert f"move {worse.step}: ineligible move recorded" in report.failures
+        assert not report.moves[-1].drop_ok and not report.moves[-1].legal
 
 
 def _index_mutations(v, size: int) -> list:
