@@ -270,7 +270,9 @@ def check_smoothness_constraint(
 
     By linearity it suffices to check monomials f(t) = t^v, v = 0..d, and
     the shift z folds into f, so the grid runs over (x, y) pairs with z = 0.
-    Returns the worst signed relative slack over all points.
+    Returns the worst signed relative slack over all points.  ``rho`` is
+    not read: the check depends on (lam, mu) only, which a caller derives
+    from rho (as poa_bounds does); it stays for positional callers.
     """
     return _check_monomials(d, lam, mu, grid, tolerance)
 

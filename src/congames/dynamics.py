@@ -14,16 +14,19 @@ final state is a p*(1+3/p)/(1-2/p)-approximate equilibrium.
 All thresholds are exact rationals; the run is fully deterministic: the
 scan always picks the lowest-index eligible player and ties between equal
 best responses resolve to the lowest strategy index.  A complete Trace of
-the run is emitted for independent auditing.  The scan
-(first_eligible_move) and the fixing rule (newly_fixed) are written once,
-like the eligibility rule Schedule.classify, and the auditor calls them too.
+the run is emitted for independent auditing.  The rules are written once:
+Schedule.classify with improves, and newly_fixed.  The auditor scans its
+replayed states from scratch (first_eligible_move); the solver keeps the
+same scan up to date across moves (IncrementalScan).
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from fractions import Fraction
 from typing import IO, Container, Sequence
 
@@ -39,6 +42,7 @@ from .game import (
     Game,
     IntGame,
     State,
+    _horner,
     format_rational,
     loads,
     parse_rational,
@@ -85,8 +89,8 @@ def has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
         raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
     ig = game.compiled
     x = ig.loads(state.choices)
-    br, br_cost, cost = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
-    return br if improves(cost, br_cost, rho) else None
+    br, best, now = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
+    return br if improves(now, best, rho) else None
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,15 @@ class Schedule:
     n_players: int
     exact_constants: bool = True
 
-    @property
+    @cached_property
     def alpha_threshold(self) -> Fraction:
         """The small improvement factor alpha + 1/p."""
         return Fraction(self.alpha * self.p + 1, self.p)
+
+    @cached_property
+    def _rules(self) -> tuple[tuple[Fraction, str], tuple[Fraction, str]]:
+        """classify's alpha-move and p-move answers, built once."""
+        return (self.alpha_threshold, ALPHA_MOVE), (Fraction(self.p), P_MOVE)
 
     @property
     def final_factor_ceiling(self) -> Fraction:
@@ -131,12 +140,13 @@ class Schedule:
         ``cost``: the integer kernel passes them rounded up to its integer
         costs, which keeps every comparison exact.
         """
+        alpha_rule, p_rule = self._rules
         if phase == 0:
-            return (self.alpha_threshold, ALPHA_MOVE) if cost >= boundaries[1] else None
+            return alpha_rule if cost >= boundaries[1] else None
         if cost >= boundaries[phase]:
-            return Fraction(self.p), P_MOVE
+            return p_rule
         if cost >= boundaries[phase + 1]:
-            return self.alpha_threshold, ALPHA_MOVE
+            return alpha_rule
         return None
 
     def move_budget(self, phase: int) -> int:
@@ -149,7 +159,7 @@ class Schedule:
 
 def improves(cost, br_cost, threshold: Fraction) -> bool:
     """cost > threshold * br_cost, cross-multiplied so that integer costs
-    stay integers."""
+    stay integers; a weight common to both costs cancels."""
     return cost * threshold.denominator > threshold.numerator * br_cost
 
 
@@ -170,13 +180,80 @@ def first_eligible_move(
     rcosts = ig.resource_costs(x)
     for u, cost in enumerate(ig.player_costs(choices, rcosts)):
         rule = None if u in fixed else schedule.classify(phase, cost, bounds)
-        if rule is None:
-            continue
-        threshold, move_class = rule
-        br, br_cost, _ = ig.best_response(choices, x, rcosts, u)
-        if improves(cost, br_cost, threshold):
-            return u, br, cost, br_cost, move_class
+        if rule is not None:
+            br, best, now = ig.best_response(choices, x, rcosts, u)
+            if improves(now, best, rule[0]):
+                return u, br, cost, ig.weights[u] * best, rule[1]
     return None
+
+
+class IncrementalScan:
+    """The solver's scan: first_eligible_move kept up to date across moves.
+
+    It owns the run's choices, loads x, resource costs and player costs,
+    and caches each player's best response (None when stale) and classify
+    rule (None when fixed).  A move re-derives only the players with a
+    strategy on a resource whose load it changed and queues the classified
+    ones in a heap, lowest index on top.  next_move computes a stale best
+    response only at the top, and pops a player who does not beat her rule
+    (or a copy queued earlier) until a move or start queues her again."""
+
+    def __init__(
+        self, ig: IntGame, schedule: Schedule, bounds: Sequence[int], choices: Sequence[int]
+    ) -> None:
+        self.ig, self.schedule, self.bounds = ig, schedule, bounds
+        self.choices = list(choices)
+        self.x = ig.loads(self.choices)
+        self.rcosts = ig.resource_costs(self.x)
+        self.costs = ig.player_costs(self.choices, self.rcosts)
+        self.users: list[set[int]] = [set() for _ in self.x]  # a best response reads them all
+        for u, strategies in enumerate(ig.strategies):
+            for e in set().union(*strategies):
+                self.users[e].add(u)
+        self.responses: list[tuple[int, int, int] | None] = [None] * len(self.choices)
+
+    def start(self, phase: int, fixed: Container[int]) -> None:
+        """Re-classify every player for the phase and the fixed set."""
+        self.phase, self.fixed = phase, fixed
+        self.rules = [self._rule(u) for u in range(len(self.choices))]
+        self.heap = [u for u, rule in enumerate(self.rules) if rule]
+
+    def _rule(self, u: int) -> tuple[Fraction, str] | None:
+        rule = self.schedule.classify(self.phase, self.costs[u], self.bounds)
+        return None if u in self.fixed else rule
+
+    def next_move(self) -> tuple[int, int, int, int, str] | None:
+        """What first_eligible_move returns at the current state."""
+        heap = self.heap
+        while heap:
+            u = heap[0]
+            if (rule := self.rules[u]) is not None:
+                if self.responses[u] is None:
+                    self.responses[u] = self.ig.best_response(self.choices, self.x, self.rcosts, u)
+                br, best, now = self.responses[u]
+                if improves(now, best, rule[0]):
+                    return u, br, self.costs[u], self.ig.weights[u] * best, rule[1]
+            heapq.heappop(heap)
+        return None
+
+    def move(self, u: int, k: int) -> int:
+        """Switch player u to strategy k and re-derive every player the
+        move concerns; returns the change of the scaled potential."""
+        ig, choices, rcosts = self.ig, self.choices, self.rcosts
+        strategies = ig.strategies[u]
+        changed = set(strategies[choices[u]]).symmetric_difference(strategies[k])
+        delta = ig.move(choices, self.x, u, k)
+        concerned: set[int] = set()
+        for e in changed:
+            rcosts[e] = _horner(ig.costs[e], self.x[e])
+            concerned |= self.users[e]
+        for v in concerned:
+            self.costs[v] = ig.weights[v] * sum(rcosts[e] for e in ig.strategies[v][choices[v]])
+            self.responses[v] = None
+            self.rules[v] = self._rule(v)
+            if self.rules[v] is not None:
+                heapq.heappush(self.heap, v)
+        return delta
 
 
 def newly_fixed(costs: Sequence[int], fixed: Container[int], boundary: int) -> frozenset[int]:
@@ -305,11 +382,12 @@ def run_algorithm(
 ) -> tuple[State, Trace]:
     """Run the phased best-response dynamics from s_init.
 
-    Inside each phase the lowest-index eligible player moves first
-    (re-scanned after every move), so runs are deterministic.  Every
-    comparison against a boundary or an improvement threshold is exact.
-    Returns the final state and the full Trace.  If all initial costs are
-    zero the state is returned unchanged with an empty trace.
+    Inside each phase the lowest-index eligible player moves first, as
+    first_eligible_move finds her; an IncrementalScan keeps that answer up
+    to date across moves, and the fixing reads its costs.  Every comparison
+    against a boundary or an improvement threshold is exact.  Returns the
+    final state and the full Trace.  If all initial costs are zero the
+    state is returned unchanged with an empty trace.
     """
     try:
         schedule = compute_schedule(game, s_init, p_override)
@@ -323,9 +401,9 @@ def run_algorithm(
     m = schedule.m
     bounds = tuple(ig.cost_ceil(b) for b in schedule.boundaries)
 
-    choices = list(s_init.choices)
-    x = ig.loads(choices)
-    pot = ig.potential(x)
+    scan = IncrementalScan(ig, schedule, bounds, s_init.choices)
+    choices = scan.choices
+    pot = ig.potential(scan.x)
     fixed: set[int] = set()
     moves: list[MoveRecord] = []
     phase_end_states: list[State] = []
@@ -336,15 +414,14 @@ def run_algorithm(
         budget = schedule.move_budget(phase)
         first_step = len(moves)
         movers: set[int] = set()
-        while (
-            found := first_eligible_move(ig, schedule, bounds, phase, choices, x, fixed)
-        ) is not None:
+        scan.start(phase, fixed)
+        while (found := scan.next_move()) is not None:
             u, br, cost_before, cost_after, move_class = found
             if len(moves) - first_step == budget:
                 raise MoveBudgetExceededError(f"phase {phase} exceeded its move budget {budget}")
             from_strategy = choices[u]
             pot_before = pot
-            pot += ig.move(choices, x, u, br)
+            pot += scan.move(u, br)
             moves.append(
                 MoveRecord(
                     phase=phase,
@@ -362,11 +439,10 @@ def run_algorithm(
             movers.add(u)
         movers_per_phase.append(frozenset(movers))
         phase_end_states.append(State(tuple(choices)))
-        costs = ig.player_costs(choices, ig.resource_costs(x))
-        fixed_sets.append(newly_fixed(costs, fixed, bounds[phase]) if phase else frozenset())
+        fixed_sets.append(newly_fixed(scan.costs, fixed, bounds[phase]) if phase else frozenset())
         fixed |= fixed_sets[-1]
     # the state after the last phase is final: the sweep at b_m fixes the rest
-    fixed_sets.append(newly_fixed(costs, fixed, bounds[m]))
+    fixed_sets.append(newly_fixed(scan.costs, fixed, bounds[m]))
 
     trace = Trace(
         schedule=schedule,

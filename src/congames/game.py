@@ -18,10 +18,10 @@ the same game, made by compile_game and kept on the Game object
 (Game.compiled).  Weights are scaled by W, the lcm of their
 denominators, so loads are integers X = W*x.  Each c_e(X/W) is scaled to
 integer coefficients over D = lcm(coefficient denominators) * W^d, and
-each potential phi_e(X/W), compiled on first use, over Dp = lcm(potential
-coefficient denominators) * W^(d+1).  A cost K stands for K/(W*D) and a
-potential P for P/Dp.  Every test made on them (cost >= b_i, cost > t *
-cost', drop >= floor) is homogeneous in the cost scale, so one uniform
+each potential phi_e(X/W), derived from those integer cost rows on
+first use, over Dp = 2*W*D.  A cost K stands for K/(W*D) and a potential
+P for P/Dp.  Every test made on them (cost >= b_i, cost > t * cost',
+drop >= floor) is homogeneous in the cost scale, so one uniform
 positive rescaling leaves its answer unchanged: a boundary b becomes the
 integer ceil(b*W*D), and a rational factor t = a/c is compared by
 cross-multiplying, K*c > a*K'.  Values become Fractions again only where
@@ -321,9 +321,8 @@ class IntGame:
     A load X stands for X/W, a cost K for K/(W*D) and a potential P for
     P/Dp.  ``costs[e]`` and ``potentials[e]`` are the integer coefficients,
     highest degree first, of D*c_e(X/W) and Dp*phi_e(X/W); Dp and the
-    potentials are compiled from ``polys``, the game's cost polynomials,
-    on first use.  ``choices`` arguments are strategy indices per player,
-    as in State.choices.
+    potentials are derived from the cost rows on first use.  ``choices``
+    arguments are strategy indices per player, as in State.choices.
     """
 
     W: int
@@ -331,19 +330,21 @@ class IntGame:
     weights: tuple[int, ...]
     strategies: tuple[tuple[tuple[int, ...], ...], ...]
     costs: tuple[tuple[int, ...], ...]
-    polys: tuple[CostPolynomial, ...]
-
-    @cached_property
-    def _potential_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _scale([potential_coefficients(poly) for poly in self.polys], self.W)
 
     @property
     def Dp(self) -> int:
-        return self._potential_form[0]
+        return 2 * self.W * self.D
 
-    @property
+    @cached_property
     def potentials(self) -> tuple[tuple[int, ...], ...]:
-        return self._potential_form[1]
+        """With k_v the X^v coefficient of D*c_e(X/W), the X^j coefficient
+        of Dp*phi_e(X/W) is 2*k_{j-1} + (j+1)*W*k_j for 1 <= j <= d, 2*k_d
+        for j = d+1 and 0 for j = 0 (see potential_coefficients)."""
+        rows = []
+        for row in self.costs:  # k_d, ..., k_0
+            terms = zip(range(len(row), 0, -1), (0, *row), row)  # (j, k_j, k_{j-1}), j = d+1..1
+            rows.append((*(2 * lower + (j + 1) * self.W * k for j, k, lower in terms), 0))
+        return tuple(rows)
 
     def loads(self, choices: Sequence[int], players: Iterable[int] | None = None) -> list[int]:
         """Scaled loads of all players, or of a group."""
@@ -373,9 +374,11 @@ class IntGame:
     def best_response(
         self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int
     ) -> tuple[int, int, int]:
-        """Best strategy index of player u with its scaled cost, and u's
-        current scaled cost, which the loop sums at her own strategy; ties
-        go to the lowest index.  ``x`` and ``rcosts`` belong to ``choices``."""
+        """Best strategy index of player u with its cost, and u's current
+        cost, which the loop sums at her own strategy; ties go to the lowest
+        index.  Costs are scaled but unweighted: weights[u] times each is
+        the scaled cost, and their ratio does not depend on the weight.
+        ``x`` and ``rcosts`` belong to ``choices``."""
         w = self.weights[u]
         own = choices[u]
         current = self.strategies[u][own]
@@ -388,7 +391,7 @@ class IntGame:
                 now = total
             if best is None or total < best:
                 best_idx, best = k, total
-        return best_idx, w * best, w * now
+        return best_idx, best, now
 
     def alone_cost(self, u: int) -> int:
         """Scaled cost of player u's cheapest strategy when she is alone on
@@ -482,7 +485,7 @@ def potential_coefficients(poly: CostPolynomial) -> tuple[Fraction, ...]:
 
 def compile_game(game: Game) -> IntGame:
     """Compile a game to the integer form of IntGame: W is the lcm of the
-    weight denominators, D and Dp the denominators made by _scale.  Use
+    weight denominators, D the denominator made by _scale.  Use
     Game.compiled, which compiles each Game once."""
     W = math.lcm(*(p.weight.denominator for p in game.players))
     D, costs = _scale([poly.coeffs for poly in game.resources], W)
@@ -492,7 +495,6 @@ def compile_game(game: Game) -> IntGame:
         weights=tuple(p.weight.numerator * (W // p.weight.denominator) for p in game.players),
         strategies=tuple(p.strategies for p in game.players),
         costs=costs,
-        polys=game.resources,
     )
 
 

@@ -4,11 +4,11 @@ Everything here recomputes from first principles in exact arithmetic.  The
 equilibrium factor, the PoA oracles and the trace auditor run on the
 integer game (Game.compiled, a game.IntGame): each test is homogeneous in
 the cost scale, so answers and ratios are those on Fractions.  The
-auditor applies the solver's own scan and fixing rule to the states it
-replays.  The group
-oracles' complement loads and potential are constant per bucket.  The
-enumerations are deliberately capped and fail loudly rather than
-truncating, since their whole value is oracle status.  A player who has
+auditor applies the solver's rules to the states it replays, with the
+scan from scratch, first_eligible_move.  The group oracles' complement
+loads and potential are constant per bucket.  The enumerations are
+deliberately capped and fail loudly rather than truncating, since their
+whole value is oracle status.  A player who has
 positive cost but a zero-cost deviation gets the explicit infinite factor
 (math.inf), never a large stand-in number.
 """
@@ -56,20 +56,18 @@ def min_equilibrium_factor(
     the explicit infinite factor.  Streams over the players on the integer
     game: each evaluates the costs of its own resources once, for its cost
     and its best response, and the running maximum K/K_br (from 1/1) is
-    kept by cross-multiplying.  The maximum is kept in lowest terms, so
-    each test multiplies a cost by a small number; the reduction is cheap
-    when a cost and its best response share a large factor, as in the
-    lower-bound family, where the unreduced products cost 4 ms each at
-    n = 150.
+    kept by cross-multiplying, in lowest terms: in the lower-bound family
+    a cost and its best response share a large factor.  The player's
+    weight cancels in K/K_br, so it is never multiplied in.
     """
     ig = game.compiled
     x = ig.loads(state.choices)
     worst, worst_br = 1, 1
     for u in range(game.n) if players is None else players:
-        _, br, cost = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
-        if cost * worst_br > worst * br:
-            g = math.gcd(cost, br)
-            worst, worst_br = cost // g, br // g
+        _, best, now = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
+        if now * worst_br > worst * best:
+            g = math.gcd(now, best)
+            worst, worst_br = now // g, best // g
     return _ratio(worst, worst_br)
 
 
@@ -105,8 +103,8 @@ def _rows(ig: IntGame, game: Game, rho: Fraction, state_cap: int) -> Iterator[_R
         rcosts = ig.resource_costs(x)
         within = []
         for u in range(game.n):
-            _, br, cost = ig.best_response(choices, x, rcosts, u)
-            within.append(rho >= 1 and not improves(cost, br, rho))
+            _, best, now = ig.best_response(choices, x, rcosts, u)
+            within.append(rho >= 1 and not improves(now, best, rho))
         yield _Row(choices, x, rcosts, ig.potential(x), within)
 
 

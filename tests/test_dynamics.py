@@ -15,21 +15,32 @@ from congames import (
     best_response,
     compute_schedule,
     gen_lower_bound,
+    gen_random,
     has_rho_move,
     make_player,
     min_equilibrium_factor,
+    normalize,
     player_costs,
     run_algorithm,
     target_p,
 )
-from congames.dynamics import ALPHA_MOVE, P_MOVE, read_trace, write_trace
+from congames.dynamics import (
+    ALPHA_MOVE,
+    P_MOVE,
+    IncrementalScan,
+    first_eligible_move,
+    read_trace,
+    write_trace,
+)
 from congames.errors import (
     AlreadyZeroError,
     MalformedInstanceError,
     MalformedTraceError,
     ZeroMinCostError,
 )
+from congames.game import IntGame
 from congames.potential import alpha
+from congames.verify import audit_trace
 
 from conftest import crafted_p_move_game, random_game, random_state, single_player_game
 
@@ -168,6 +179,43 @@ class TestComputeSchedule:
         assert sched.classify(1, b[2] - below * b[2], b) is None
 
 
+def _two_escapees() -> tuple[Game, State]:
+    """Players 0 and 1 each sit on a resource of constant cost 100 and can
+    escape to an empty linear one of cost 1: a factor of 100, past the
+    alpha-move factor 2 + 1/p and the p-move factor p = 3."""
+    res = tuple(
+        CostPolynomial(coeffs)
+        for coeffs in [(Fraction(100),), (Fraction(0), Fraction(1))] * 2
+    )
+    players = (make_player(Fraction(1), [[0], [1]]), make_player(Fraction(1), [[2], [3]]))
+    return Game(degree=1, resources=res, players=players), State((0, 0))
+
+
+class TestScan:
+    @pytest.mark.parametrize("phase, move_class", [(0, ALPHA_MOVE), (1, P_MOVE)])
+    def test_fixed_players_are_skipped(self, phase, move_class):
+        """Both scans pass over a fixed player who could move, to the next
+        eligible one or to None."""
+        game, s0 = _two_escapees()
+        schedule = compute_schedule(game, s0, p_override=3)
+        ig = game.compiled
+        bounds = [ig.cost_ceil(b) for b in schedule.boundaries]
+        x = ig.loads(s0.choices)
+        scan = IncrementalScan(ig, schedule, bounds, s0.choices)
+        for fixed, mover in ((set(), 0), ({0}, 1), ({1}, 0), ({0, 1}, None)):
+            scan.start(phase, fixed)  # the same scan, re-classified from its cache
+            for found in (
+                first_eligible_move(ig, schedule, bounds, phase, s0.choices, x, fixed),
+                scan.next_move(),
+            ):
+                if mover is None:
+                    assert found is None
+                else:
+                    assert found is not None
+                    assert (found[0], found[1], found[4]) == (mover, 1, move_class)
+                    assert ig.cost_value(found[2]) == 100 and ig.cost_value(found[3]) == 1
+
+
 class TestRunAlgorithm:
     def test_zero_cost_initial_state_returns_immediately(self):
         game = Game(
@@ -263,6 +311,31 @@ class TestRunAlgorithm:
         assert all(mv.cost_before > 4 * mv.cost_after for mv in p_moves)
         # the heavy player escapes during a main phase, not phase 0
         assert all(mv.phase >= 1 for mv in p_moves)
+
+    def test_best_response_count_at_n2000(self, monkeypatch):
+        """The solver re-derives only the players a move concerns: on this
+        n = 2000 game it makes 23,640 best-response calls, where a scan
+        from scratch after every move makes 481,504."""
+        game = normalize(gen_random(
+            n=2000, d=2, num_resources=500, strategies_per_player=3, max_strategy_size=3,
+            coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
+            seed=5,
+        ))
+        calls = 0
+        kernel = IntGame.best_response
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IntGame, "best_response", counted)
+            _, trace = run_algorithm(game, State((0,) * game.n))
+        assert len(trace.moves) == 540
+        assert calls <= 100_000
+        report = audit_trace(game, trace)
+        assert report.passed, report.failures
 
     def test_trace_round_trip(self):
         game, s0 = crafted_p_move_game()

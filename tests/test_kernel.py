@@ -5,6 +5,8 @@ denominators reach 8: every loads, cost, best response, potential and
 partial potential the kernel computes, scaled back to a Fraction, must
 equal game.py and potential.py exactly, run_algorithm must produce the
 very trace of a from-scratch Fraction replay of the phased dynamics, and
+at every step of every phase the solver's IncrementalScan must answer
+what first_eligible_move answers on loads recomputed from scratch, and
 the exhaustive PoA oracles, min_equilibrium_factor, group_cost,
 social_cost, compute_schedule and has_rho_move must return the values,
 states and errors of their from-scratch Fraction versions kept here,
@@ -15,6 +17,7 @@ of dividing directly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -28,11 +31,13 @@ from congames import CostPolynomial, Game, State, gen_lower_bound, make_player, 
 from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
+    IncrementalScan,
     MoveRecord,
     Schedule,
     Trace,
     best_response,
     compute_schedule,
+    first_eligible_move,
     game_fingerprint,
     has_rho_move,
     run_algorithm,
@@ -52,6 +57,7 @@ from congames.game import (
     group_cost,
     group_loads,
     loads,
+    parse_instance,
     player_costs,
     potential_coefficients,
     social_cost,
@@ -67,6 +73,7 @@ from congames.verify import (
 )
 
 from conftest import crafted_p_move_game
+from test_golden import CASES, _cli
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
@@ -116,8 +123,9 @@ def test_kernel_matches_fraction_oracle(case, bound):
     assert [ig.cost_value(k) for k in costs] == list(player_costs(game, state))
     for u in range(game.n):
         k, cost, current = ig.best_response(state.choices, x, rcosts, u)
-        assert (k, ig.cost_value(cost)) == best_response(game, state, u)
-        assert ig.cost_value(current) == player_costs(game, state)[u]
+        w = ig.weights[u]  # the kernel's sums are unweighted
+        assert (k, ig.cost_value(w * cost)) == best_response(game, state, u)
+        assert ig.cost_value(w * current) == player_costs(game, state)[u]
     assert ig.potential_value(ig.potential(x)) == potential(game, state)
     assert ig.potential_value(ig.partial_potential(state.choices, group)) == partial_potential(
         game, state, group
@@ -436,6 +444,71 @@ def test_p_move_trace_matches_fraction_replay():
     _, trace = run_algorithm(game, s0, p_override=4)
     assert any(mv.move_class == P_MOVE for mv in trace.moves)
     assert trace == reference_run(game, s0, 4)
+
+
+@contextlib.contextmanager
+def scan_checked_against_oracle():
+    """Patch IncrementalScan.next_move so that each of its answers, and
+    its cached player costs, are compared with first_eligible_move and
+    player_costs on loads recomputed from scratch; yields the answers."""
+    answers = []
+    incremental = IncrementalScan.next_move
+
+    def checked(scan):
+        found = incremental(scan)
+        ig, choices = scan.ig, scan.choices
+        x = ig.loads(choices)
+        assert scan.costs == ig.player_costs(choices, ig.resource_costs(x))
+        assert found == first_eligible_move(
+            ig, scan.schedule, scan.bounds, scan.phase, choices, x, scan.fixed
+        )
+        answers.append(found)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalScan, "next_move", checked)
+        yield answers
+
+
+def assert_scan_matches_oracle(game: Game, s_init: State, p_override: int | None) -> None:
+    with scan_checked_against_oracle() as answers:
+        try:
+            _, trace = run_algorithm(game, s_init, p_override)
+        except ZeroMinCostError:
+            return
+    if trace.schedule is None:
+        assert answers == []
+        return
+    # one answer per move, and the None that ends each phase
+    assert len(answers) == len(trace.moves) + trace.schedule.m
+    assert answers.count(None) == trace.schedule.m
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.one_of(games(zero_cost=True), games(anchored=True)), st.booleans())
+def test_incremental_scan_matches_scan_from_scratch(case, p_low):
+    game, state, _ = case
+    game = normalize(game)
+    assert_scan_matches_oracle(game, state, game.degree + 2 if p_low else None)
+
+
+def test_incremental_scan_matches_scan_from_scratch_on_p_move_game():
+    game, s0 = crafted_p_move_game()
+    assert_scan_matches_oracle(game, s0, 4)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_incremental_scan_matches_scan_from_scratch_on_golden_cases(name, tmp_path):
+    source, solve_flags = CASES[name]
+    if isinstance(source, list):
+        path = tmp_path / "game.json"
+        _cli([*source, "--out", str(path)])
+        game, s0 = parse_instance(path.read_bytes())
+    else:
+        game, s0 = source()
+        game = normalize(game)
+    p_override = int(solve_flags[1]) if solve_flags else None
+    assert_scan_matches_oracle(game, s0 or State((0,) * game.n), p_override)
 
 
 # --------------------------------------------------------------------------
