@@ -50,9 +50,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_instance(path: str, keep_weights: bool):
-    data = Path(path).read_bytes()
-    return parse_instance(data, normalize_weights=not keep_weights)
+def _read_instance(path: str):
+    return parse_instance(Path(path).read_bytes())
 
 
 def _read_state(path: str) -> State:
@@ -75,11 +74,14 @@ def _write_state(path: str, state: State) -> None:
 def _factor_str(factor) -> str:
     if factor == float("inf"):
         return "inf"
-    return f"{format_rational(factor)} (~{float(factor):.6f})"
+    try:
+        return f"{format_rational(factor)} (~{float(factor):.6f})"
+    except OverflowError:  # past the float range: the exact value alone
+        return format_rational(factor)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    game, initial = _read_instance(args.input, args.keep_weights)
+    game, initial = _read_instance(args.input)
     state = initial if initial is not None else State((0,) * game.n)
     validate_state(game, state)
     final, trace = dynamics.run_algorithm(game, state, p_override=args.p_override)
@@ -97,7 +99,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    game, _ = _read_instance(args.game, args.keep_weights)
+    game, _ = _read_instance(args.game)
     state = _read_state(args.state)
     validate_state(game, state)
     group = None
@@ -120,7 +122,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    game, _ = _read_instance(args.game, args.keep_weights)
+    game, _ = _read_instance(args.game)
     with open(args.trace, encoding="utf-8") as fp:
         trace = dynamics.read_trace(fp)
     report = verify.audit_trace(game, trace)
@@ -140,7 +142,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute_poa(args: argparse.Namespace) -> int:
-    game, _ = _read_instance(args.game, args.keep_weights)
+    game, _ = _read_instance(args.game)
     rho = parse_rational(args.rho)
     poa, worst, optimum = verify.brute_force_poa(game, rho, state_cap=args.state_cap)
     print(f"poa: {_factor_str(poa)}")
@@ -153,9 +155,12 @@ _POA_COLUMNS = ("d", "rho", "phi", "poa_bound", "lambert_bound", "mu_hat", "B_at
 
 
 def _cmd_poa(args: argparse.Namespace) -> int:
-    rho = float(parse_rational(args.rho))
     d_values = list(range(1, args.table + 1)) if args.table else [args.d]
-    results = [analysis.poa_bounds(d, rho) for d in d_values]
+    try:  # a degree below 1, rho below 1, or a value past the float range
+        rho = float(parse_rational(args.rho))
+        results = [analysis.poa_bounds(d, rho) for d in d_values]
+    except (ValueError, OverflowError) as exc:
+        raise InstanceError(f"poa: {exc}") from exc
     rows = [{c: getattr(r, c) for c in _POA_COLUMNS} for r in results]
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -224,19 +229,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="congames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_keep_weights(p: _Parser) -> None:
-        p.add_argument(
-            "--keep-weights",
-            action="store_true",
-            help="skip the automatic rescaling of weights below 1",
-        )
-
     p = sub.add_parser("solve", help="run the phased best-response solver")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--trace", default=None)
     p.add_argument("--p-override", type=int, default=None)
-    add_keep_weights(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="measure a state's equilibrium factor")
@@ -244,20 +241,17 @@ def build_parser() -> _Parser:
     p.add_argument("--state", required=True)
     p.add_argument("--rho", default=None, help='factor to check, as "p/q"')
     p.add_argument("--group", default=None, help="comma-separated player indices")
-    add_keep_weights(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("audit", help="replay and check a solver trace")
     p.add_argument("--game", required=True)
     p.add_argument("--trace", required=True)
-    add_keep_weights(p)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("brute-poa", help="exhaustive PoA of rho-equilibria")
     p.add_argument("--game", required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--state-cap", type=int, default=10**6)
-    add_keep_weights(p)
     p.set_defaults(func=_cmd_brute_poa)
 
     p = sub.add_parser("poa", help="PoA bounds table for (d, rho)")

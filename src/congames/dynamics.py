@@ -309,11 +309,9 @@ def game_fingerprint(game: Game) -> str:
 
 
 def _ceil_log2(a: int, b: int) -> int:
-    """Smallest k >= 0 with 2^k * b >= a, for a >= b > 0."""
-    k = 0
-    while b << k < a:
-        k += 1
-    return k
+    """Smallest k >= 0 with 2^k * b >= a, for a >= 1 and b > 0: 2^k * b >= a
+    holds exactly when 2^k > (a - 1) // b."""
+    return ((a - 1) // b).bit_length()
 
 
 def compute_schedule(

@@ -339,7 +339,7 @@ class IntGame:
     def potentials(self) -> tuple[tuple[int, ...], ...]:
         """With k_v the X^v coefficient of D*c_e(X/W), the X^j coefficient
         of Dp*phi_e(X/W) is 2*k_{j-1} + (j+1)*W*k_j for 1 <= j <= d, 2*k_d
-        for j = d+1 and 0 for j = 0 (see potential_coefficients)."""
+        for j = d+1 and 0 for j = 0 (see potential.potential_coefficients)."""
         rows = []
         for row in self.costs:  # k_d, ..., k_0
             terms = zip(range(len(row), 0, -1), (0, *row), row)  # (j, k_j, k_{j-1}), j = d+1..1
@@ -464,23 +464,6 @@ def _scale(
         )
         for coeffs in polys
     )
-
-
-def potential_coefficients(poly: CostPolynomial) -> tuple[Fraction, ...]:
-    """Coefficients, lowest first, of the potential phi of a cost
-    polynomial (see potential.py) as an ordinary polynomial in x.
-
-    The x^k coefficient collects a_{k-1} (for k >= 2), a_k * (k+1)/2 and,
-    for k = 1, the constant-cost term a_0.
-    """
-    a = poly.coeffs
-    d = len(a) - 1
-    b = [Fraction(0)] * (d + 2)
-    b[1] += a[0]
-    for v in range(1, d + 1):
-        b[v + 1] += a[v]
-        b[v] += a[v] * Fraction(v + 1, 2)
-    return tuple(b)
 
 
 def compile_game(game: Game) -> IntGame:

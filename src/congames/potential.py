@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import MalformedInstanceError
-from .game import CostPolynomial, Game, State, group_loads, potential_coefficients
+from .game import CostPolynomial, Game, State, group_loads
 
 
 def alpha(degree: int) -> int:
@@ -31,6 +31,23 @@ def alpha(degree: int) -> int:
     auditors import it rather than recomputing.
     """
     return degree + 1
+
+
+def potential_coefficients(poly: CostPolynomial) -> tuple[Fraction, ...]:
+    """Coefficients, lowest first, of the potential phi of a cost
+    polynomial (see the module docstring) as an ordinary polynomial in x.
+
+    The x^k coefficient collects a_{k-1} (for k >= 2), a_k * (k+1)/2 and,
+    for k = 1, the constant-cost term a_0.
+    """
+    a = poly.coeffs
+    d = len(a) - 1
+    b = [Fraction(0)] * (d + 2)
+    b[1] += a[0]
+    for v in range(1, d + 1):
+        b[v + 1] += a[v]
+        b[v] += a[v] * Fraction(v + 1, 2)
+    return tuple(b)
 
 
 def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:

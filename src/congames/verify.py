@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dynamics import (
+    MoveRecord,
     Trace,
     compute_schedule,
     first_eligible_move,
@@ -283,10 +284,12 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     do not raise; they are returned in the report with the offending
     phase or move named.
 
-    The replay runs on the compiled integer game (see game.IntGame) and
-    recomputes the loads of every recorded state from scratch, so it
-    shares none of the solver's incremental bookkeeping, but it applies
-    the solver's own rules to them (see dynamics).
+    One walk: the moves are grouped by phase, then replayed in trace order
+    on the compiled integer game (see game.IntGame), with the loads and the
+    potential recomputed from scratch after each move.  It uses neither
+    IncrementalScan nor IntGame.move, so it shares none of the solver's
+    incremental bookkeeping, but it applies the solver's own rules to the
+    states it replays (see dynamics).
     """
     _check_same("game fingerprint", trace.game_sha256, game_fingerprint(game))
     _check_indices(game, trace)
@@ -331,63 +334,64 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     _check_same("phase count (movers)", len(trace.movers_per_phase), m)
     _check_same("fixed set count", len(trace.fixed_sets), m + 1)
 
-    def replay(state: State) -> tuple[list[int], list[int], int]:
-        """Scaled loads, player costs and potential of a state, from scratch."""
-        x = ig.loads(state.choices)
-        return x, ig.player_costs(state.choices, ig.resource_costs(x)), ig.potential(x)
+    # Group the moves by phase, in trace order.  The first move whose phase
+    # is below its predecessor's (or below 0), or not below m, ends the
+    # grouping.  It is raised where a replay in trace order meets it: after
+    # the moves of its predecessor's phase, or after the last phase.
+    by_phase: list[list[MoveRecord]] = [[] for _ in range(m)]
+    stray, last = None, 0
+    for mv in trace.moves:
+        if not last <= mv.phase < m:
+            stray = mv
+            break
+        by_phase[mv.phase].append(mv)
+        last = mv.phase
 
     move_audits: list[MoveAudit] = []
     phase_audits: list[PhaseAudit] = []
     fix_audits: list[FixAudit] = []
 
-    state = trace.initial_state
-    x, costs, pot = replay(state)
+    choices = list(trace.initial_state.choices)
+    x = ig.loads(choices)
+    pot = ig.potential(x)
     fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
-    move_iter = iter(trace.moves)
-    pending = next(move_iter, None)
-    expected_step = 0
 
-    for phase in range(m):
-        movers: set[int] = set()
-        last_cost_after: dict[int, Fraction] = {}
-        start_state = state
-        move_count = 0
+    def cost_of(u: int) -> int:
+        """Scaled cost of player u, from her own resources at the loads x."""
+        return ig.weights[u] * sum(ig.own_costs(choices, x, u).values())
 
-        while pending is not None and pending.phase == phase:
-            mv = pending
-            _check_same(f"move {mv.step} step order", mv.step, expected_step)
+    for phase, moves in enumerate(by_phase):
+        start = tuple(choices)
+        for mv in moves:
+            at = f"move {mv.step}"
+            _check_same(f"{at} step order", mv.step, len(move_audits))
             u = mv.player
-            _check_same(f"move {mv.step} from_strategy", mv.from_strategy, state.choices[u])
-            _check_same(f"move {mv.step} cost_before", mv.cost_before, ig.cost_value(costs[u]))
-            _check_same(
-                f"move {mv.step} potential_before", mv.potential_before, ig.potential_value(pot)
-            )
-            new_state = state.with_choice(u, mv.to_strategy)
-            new_x, new_costs, new_pot = replay(new_state)
-            _check_same(
-                f"move {mv.step} cost_after", mv.cost_after, ig.cost_value(new_costs[u])
-            )
-            _check_same(
-                f"move {mv.step} potential_after", mv.potential_after, ig.potential_value(new_pot)
-            )
+            _check_same(f"{at} from_strategy", mv.from_strategy, choices[u])
+            cost = cost_of(u)
+            _check_same(f"{at} cost_before", mv.cost_before, ig.cost_value(cost))
+            _check_same(f"{at} potential_before", mv.potential_before, ig.potential_value(pot))
+            choices[u] = mv.to_strategy
+            x = ig.loads(choices)
+            pot = ig.potential(x)
+            new_cost = cost_of(u)
+            _check_same(f"{at} cost_after", mv.cost_after, ig.cost_value(new_cost))
+            _check_same(f"{at} potential_after", mv.potential_after, ig.potential_value(pot))
 
-            rule = schedule.classify(phase, costs[u], bounds)
+            rule = schedule.classify(phase, cost, bounds)
             legal = (
                 u not in fixed
                 and rule is not None
                 and rule[1] == mv.move_class
-                and improves(costs[u], new_costs[u], rule[0])
+                and improves(cost, new_cost, rule[0])
             )
             if not legal:
-                failures.append(f"move {mv.step}: ineligible move recorded")
+                failures.append(f"{at}: ineligible move recorded")
 
             drop = mv.potential_before - mv.potential_after
             required = mv.cost_before / drop_denominator
             drop_ok = drop >= required
             if not drop_ok:
-                failures.append(
-                    f"move {mv.step}: potential drop {drop} below floor {required}"
-                )
+                failures.append(f"{at}: potential drop {drop} below floor {required}")
             move_audits.append(
                 MoveAudit(
                     step=mv.step,
@@ -400,21 +404,17 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                     legal=legal,
                 )
             )
-            movers.add(u)
-            last_cost_after[u] = mv.cost_after
-            state, x, costs, pot = new_state, new_x, new_costs, new_pot
-            move_count += 1
-            expected_step += 1
-            pending = next(move_iter, None)
 
-        if pending is not None and pending.phase < phase:
-            raise TraceMismatchError(f"move {pending.step}: phases not nondecreasing")
+        if stray is not None and stray.phase < last == phase:
+            raise TraceMismatchError(f"move {stray.step}: phases not nondecreasing")
 
+        state = State(tuple(choices))
+        movers = frozenset(mv.player for mv in moves)
         _check_same(f"phase {phase} end state", trace.phase_end_states[phase], state)
-        _check_same(f"phase {phase} movers", trace.movers_per_phase[phase], frozenset(movers))
+        _check_same(f"phase {phase} movers", trace.movers_per_phase[phase], movers)
 
-        start_partial = ig.potential_value(ig.partial_potential(start_state.choices, movers))
-        end_partial = ig.potential_value(ig.partial_potential(state.choices, movers))
+        start_partial = ig.potential_value(ig.partial_potential(start, movers))
+        end_partial = ig.potential_value(ig.partial_potential(choices, movers))
 
         key_slack: Fraction | None = None
         key_ok = True
@@ -427,7 +427,8 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                     f"exceeds n*p*b_{phase} = {n * p * b[phase]}"
                 )
 
-        reveal_bound = a * sum(last_cost_after.values(), Fraction(0))
+        last_costs = {mv.player: mv.cost_after for mv in moves}  # the last per mover
+        reveal_bound = a * sum(last_costs.values(), Fraction(0))
         cost_reveal_ok = end_partial <= reveal_bound
         if not cost_reveal_ok:
             failures.append(
@@ -436,18 +437,18 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
 
         budget = schedule.move_budget(phase)
-        budget_ok = move_count <= budget
+        budget_ok = len(moves) <= budget
         if not budget_ok:
-            failures.append(f"phase {phase}: {move_count} moves exceed budget {budget}")
+            failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
 
-        settled = first_eligible_move(ig, schedule, bounds, phase, state.choices, x, fixed) is None
+        settled = first_eligible_move(ig, schedule, bounds, phase, choices, x, fixed) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 
         phase_audits.append(
             PhaseAudit(
                 phase=phase,
-                movers=frozenset(movers),
+                movers=movers,
                 boundary=b[phase],
                 start_partial_potential=start_partial,
                 key_slack=key_slack,
@@ -455,19 +456,20 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                 last_move_costs_bound=reveal_bound,
                 end_partial_potential=end_partial,
                 cost_reveal_ok=cost_reveal_ok,
-                move_count=move_count,
+                move_count=len(moves),
                 move_budget=budget,
                 budget_ok=budget_ok,
                 settled=settled,
             )
         )
 
+        costs = ig.player_costs(choices, ig.resource_costs(x))
         newly = newly_fixed(costs, fixed, bounds[phase]) if phase else frozenset()
         _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
         fixed.update((u, (phase, costs[u])) for u in newly)
 
-    if pending is not None:
-        raise TraceMismatchError(f"move {pending.step}: phase {pending.phase} >= m = {m}")
+    if stray is not None:
+        raise TraceMismatchError(f"move {stray.step}: phase {stray.phase} >= m = {m}")
 
     newly = newly_fixed(costs, fixed, bounds[m])
     _check_same("final fixed set", trace.fixed_sets[m], newly)

@@ -40,6 +40,11 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    def test_keep_weights_is_gone(self, capsys):
+        code, _, err = run(capsys, "verify", "--game", "g", "--state", "s", "--keep-weights")
+        assert code == 1
+        assert "--keep-weights" in err
+
 
 class TestPoa:
     def test_golden_ratio_line(self, capsys):
@@ -64,6 +69,20 @@ class TestPoa:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["d"] == 2
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--d", "0"], "degree must be >= 1"),
+        (["--rho", "1/2"], "rho must be >= 1"),
+        (["--d", "171"], "out of range"),
+        (["--table", "171"], "out of range"),
+        (["--rho", "1" + "0" * 400], "too large for a float"),
+    ])
+    def test_outside_the_float_analysis_is_an_input_error(self, argv, reason):
+        proc = run_process("poa", *argv)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "input error" in proc.stderr and reason in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestPipeline:
@@ -309,6 +328,34 @@ class TestDigitLimit:
             "gen-lb", "--d", "2", "--rho", "3/2", "--n", "40", "--out", str(out)
         ))
         assert not out.exists()
+
+
+class TestFactorPastTheFloatRange:
+    """A factor above the largest float prints as the exact rational alone."""
+
+    BIG = 2**1100
+
+    def write_game(self, tmp_path) -> tuple[Path, Path]:
+        game, state = tmp_path / "game.json", tmp_path / "state.json"
+        game.write_text(json.dumps({
+            "degree": 1,
+            "resources": [{"coeffs": [str(self.BIG), "0"]}, {"coeffs": ["1", "0"]}],
+            "players": [{"weight": "1", "strategies": [[0], [1]]}],
+        }))
+        state.write_text('{"choices": [0]}')
+        return game, state
+
+    def test_verify(self, tmp_path):
+        game, state = self.write_game(tmp_path)
+        proc = run_process("verify", "--game", str(game), "--state", str(state))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"equilibrium factor: {self.BIG}\n"
+
+    def test_brute_poa(self, tmp_path):
+        game, _ = self.write_game(tmp_path)
+        proc = run_process("brute-poa", "--game", str(game), "--rho", str(self.BIG))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"poa: {self.BIG}\nworst_state: [0]\noptimum_state: [1]\n"
 
 
 # each command and option that reads a file, with the bytes in that file

@@ -7,6 +7,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from congames import (
     CostPolynomial,
@@ -28,6 +30,7 @@ from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
     IncrementalScan,
+    _ceil_log2,
     first_eligible_move,
     read_trace,
     write_trace,
@@ -107,6 +110,17 @@ class TestHasRhoMove:
 
 
 class TestComputeSchedule:
+    @given(st.integers(1, 2**200), st.integers(1, 2**200))
+    @example(1, 1)
+    @example(2**64, 1)
+    @example(2**64 + 1, 1)
+    @example(6, 3)
+    @example(7, 3)
+    def test_ceil_log2_is_the_smallest_exponent(self, a, b):
+        k = _ceil_log2(a, b)
+        assert k >= 0 and b * 2**k >= a
+        assert k == 0 or b * 2 ** (k - 1) < a
+
     def test_target_p_values(self):
         assert target_p(1) == 160
         assert target_p(2) == 10752

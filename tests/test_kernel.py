@@ -59,11 +59,10 @@ from congames.game import (
     loads,
     parse_instance,
     player_costs,
-    potential_coefficients,
     social_cost,
     validate_state,
 )
-from congames.potential import alpha, partial_potential, potential
+from congames.potential import alpha, partial_potential, potential, potential_coefficients
 from congames.verify import (
     audit_trace,
     brute_force_poa,

@@ -226,6 +226,18 @@ class TestAuditTrace:
         assert report.passed, report.failures
         assert any(ph.move_count for ph in report.phases[1:])
 
+    def test_reveal_bound_takes_each_movers_last_move(self):
+        # player 0 moves twice in phase 0: to cost 44, then back down to 32
+        game = gen_random(3, 1, 4, 3, 2, (Fraction(0), Fraction(4)),
+                          weight_range=(Fraction(1), Fraction(9)), seed=20)
+        _, trace = run_algorithm(game, State((0,) * 3))
+        assert [(mv.phase, mv.player) for mv in trace.moves] == [(0, 0), (0, 1), (0, 2), (0, 0)]
+        assert (trace.moves[0].cost_after, trace.moves[3].cost_after) == (44, 32)
+        phase = audit_trace(game, trace).phases[0]
+        last = 32 + trace.moves[1].cost_after + trace.moves[2].cost_after
+        assert phase.last_move_costs_bound == trace.schedule.alpha * last
+        assert phase.move_count == 4 and phase.movers == {0, 1, 2}
+
     def test_tampered_cost_raises(self, rng):
         game = random_game(rng, 4, 1, 5, positive_costs=True)
         trace = None
@@ -486,3 +498,38 @@ class TestAuditHeaderMutations:
             "p", "alpha", "m", "g", "n_players", "c_max", "c_min", "exact_constants",
             "boundary", "fixed_sets", "movers_per_phase", "phase_end_states",
         }
+
+
+class TestAuditOrderChecks:
+    """A move out of phase or step order raises TraceMismatchError where a
+    replay in trace order reaches it.  The crafted run's five moves are all
+    in phase 1 of m = 33."""
+
+    END_STATE = "phase 1 end state: recorded State(choices=(1, 1, 1, 1, 1, 0)) disagrees with "
+
+    @staticmethod
+    def audit_with(i: int, **changes) -> None:
+        game, s0 = crafted_p_move_game()
+        trace = run_algorithm(game, s0, p_override=4)[1]
+        assert trace.schedule.m == 33 and [mv.phase for mv in trace.moves] == [1] * 5
+        moves = list(trace.moves)
+        if i == len(moves):  # one record past the run, a copy of its last
+            moves.append(replace(moves[-1], step=i, **changes))
+        else:
+            moves[i] = replace(moves[i], **changes)
+        audit_trace(game, replace(trace, moves=tuple(moves)))
+
+    @pytest.mark.parametrize("i, changes, message", [
+        (2, {"phase": -1}, "move 2: phases not nondecreasing"),
+        (0, {"phase": -1}, "move 0: phases not nondecreasing"),
+        (2, {"phase": 0}, "move 2: phases not nondecreasing"),
+        (5, {"phase": 33}, "move 5: phase 33 >= m = 33"),
+        (2, {"step": 3}, "move 3 step order: recorded 3 disagrees with recomputation 2"),
+        # reached only after phase 1 ends without the move
+        (4, {"phase": 33}, END_STATE + "recomputation State(choices=(1, 1, 1, 1, 0, 0))"),
+        (0, {"phase": 2}, END_STATE + "recomputation State(choices=(0, 0, 0, 0, 0, 0))"),
+    ])
+    def test_message(self, i, changes, message):
+        with pytest.raises(TraceMismatchError) as exc:
+            self.audit_with(i, **changes)
+        assert str(exc.value) == message
