@@ -155,6 +155,9 @@ _POA_COLUMNS = ("d", "rho", "phi", "poa_bound", "lambert_bound", "mu_hat", "B_at
 
 
 def _cmd_poa(args: argparse.Namespace) -> int:
+    if args.table is not None and args.table < 1:
+        print(f"congames poa: error: --table must be at least 1, got {args.table}", file=sys.stderr)
+        return EXIT_USAGE
     d_values = list(range(1, args.table + 1)) if args.table else [args.d]
     try:  # a degree below 1, rho below 1, or a value past the float range
         rho = float(parse_rational(args.rho))

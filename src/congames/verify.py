@@ -5,12 +5,13 @@ equilibrium factor, the PoA oracles and the trace auditor run on the
 integer game (Game.compiled, a game.IntGame): each test is homogeneous in
 the cost scale, so answers and ratios are those on Fractions.  The
 auditor applies the solver's rules to the states it replays, with the
-scan from scratch, first_eligible_move.  The group oracles' complement
-loads and potential are constant per bucket.  The enumerations are
+scan from scratch, first_eligible_move.  Brute force tests a state's
+players only if its cost could change the answer; the group oracles sum
+a group's cost from its members' costs.  The enumerations are
 deliberately capped and fail loudly rather than truncating, since their
-whole value is oracle status.  A player who has
-positive cost but a zero-cost deviation gets the explicit infinite factor
-(math.inf), never a large stand-in number.
+whole value is oracle status.  A player who has positive cost but a
+zero-cost deviation gets the explicit infinite factor (math.inf), never
+a large stand-in number.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from .game import Game, IntGame, State, social_cost
+from .game import Game, State, social_cost
 from .potential import alpha
 
 Factor = Fraction | float  # exact rational, or math.inf as explicit sentinel
@@ -86,27 +87,27 @@ def enumerate_states(game: Game, state_cap: int = 10**6) -> list[State]:
 
 
 class _Row(NamedTuple):
-    """A state's choices, loads, resource costs, potential and players within rho."""
+    """A state's choices, player costs, potential (if asked for) and players within rho, as bits."""
 
     choices: tuple[int, ...]
-    x: list[int]
-    rcosts: list[int]
-    potential: int
-    within: list[bool]
+    costs: list[int]
+    potential: int | None
+    within: int
 
 
-def _rows(ig: IntGame, game: Game, rho: Fraction, state_cap: int) -> Iterator[_Row]:
-    """Every state's row from scratch, in product order.  A player is within
-    rho >= 1 when her best response does not improve on her cost by more
-    than rho (0/0 is factor 1, K/0 for K > 0 infinite), and never for rho < 1."""
+def _rows(game: Game, rho: Fraction, state_cap: int, potential: bool) -> Iterator[_Row]:
+    """Every state's row from scratch, in product order.  Player u's bit is
+    set when rho >= 1 and her best response improves on her cost by at
+    most rho (0/0 counts as 1, K/0 for K > 0 as infinite)."""
+    ig, at_least_one = game.compiled, rho >= 1
     for choices in _all_choices(game, state_cap):
-        x = ig.loads(choices)
-        rcosts = ig.resource_costs(x)
-        within = []
+        rcosts = ig.resource_costs(x := ig.loads(choices))
+        costs, within = [], 0
         for u in range(game.n):
             _, best, now = ig.best_response(choices, x, rcosts, u)
-            within.append(rho >= 1 and not improves(now, best, rho))
-        yield _Row(choices, x, rcosts, ig.potential(x), within)
+            costs.append(ig.weights[u] * now)
+            within |= (at_least_one and not improves(now, best, rho)) << u
+        yield _Row(choices, costs, ig.potential(x) if potential else None, within)
 
 
 def brute_force_poa(
@@ -116,63 +117,69 @@ def brute_force_poa(
     ratio C(s)/C(s*) of a state s whose equilibrium factor is at most rho to
     the optimum s*, ties going to the state enumerated first.  Raises
     NoEquilibriumError when no state qualifies (possible in weighted games,
-    and always for rho < 1)."""
+    and always for rho < 1).  Streams the states, cost first: only a state
+    costlier than the worst equilibrium so far can change the answer, so
+    only its players are tested, up to the first one not within rho."""
+    ig, at_least_one = game.compiled, rho >= 1
     opt_cost, worst_cost = math.inf, -1
-    for row in _rows(game.compiled, game, rho, state_cap):
-        cost = sum(load * rc for load, rc in zip(row.x, row.rcosts))
+    for choices in _all_choices(game, state_cap):
+        rcosts = ig.resource_costs(x := ig.loads(choices))
+        cost = sum(load * rc for load, rc in zip(x, rcosts))
         if cost < opt_cost:
-            opt_cost, optimum = cost, row.choices
+            opt_cost, optimum = cost, choices
         # Ranking by cost ranks the ratios even when the optimum costs 0:
         # then every player has a zero-cost strategy, so every equilibrium costs 0.
-        if cost > worst_cost and all(row.within):
-            worst_cost, worst = cost, row.choices
+        if cost > worst_cost and at_least_one and all(
+            not improves(now, best, rho)
+            for _, best, now in (ig.best_response(choices, x, rcosts, u) for u in range(game.n))
+        ):
+            worst_cost, worst = cost, choices
     if worst_cost < 0:
         raise NoEquilibriumError(f"no {rho}-approximate equilibrium exists")
     return _ratio(worst_cost, opt_cost), State(worst), State(optimum)
 
 
 def _max_group_ratio(
-    game: Game, rho: Fraction, state_cap: int, metric: Callable[[_Row, list[int], int], int]
+    game: Game, rho: Fraction, state_cap: int, metric: Callable[..., int], potential: bool = False
 ) -> Factor:
     """Worst ratio M_R(s)/M_R(s') of a group metric over all triples
     (R, s, s') where s is a rho-equilibrium for R and the complement C of
     R plays the same strategies in s and s'.  A bucket holds the states of
-    one choice of C; the metric of its rows is given C's loads X_C and
-    potential Phi(X_C), and its worst ratio is the largest value of its
-    equilibria over its smallest value."""
+    one choice of C; a row's value is metric(row, R, Phi(X_C)), Phi(X_C) only
+    if ``potential`` is set (else 0).  The worst bucket ratio, its largest
+    value at an equilibrium over its smallest, is kept as a pair of ints."""
     ig = game.compiled
-    rows = list(_rows(ig, game, rho, state_cap))
-    worst: Factor = Fraction(0)
+    rows = list(_rows(game, rho, state_cap, potential))
+    top, bottom = 0, 1
     for group_size in range(1, game.n + 1):
         for group in itertools.combinations(range(game.n), group_size):
+            mask = sum(1 << u for u in group)
             complement = [u for u in range(game.n) if u not in group]
             buckets: dict[tuple[int, ...], list[_Row]] = {}
             for row in rows:
                 buckets.setdefault(tuple(row.choices[u] for u in complement), []).append(row)
             for bucket in buckets.values():
-                eq = [row for row in bucket if all(row.within[u] for u in group)]
-                if eq:
-                    xc = ig.loads(bucket[0].choices, complement)
-                    phi_c = ig.potential(xc)
-                    top = max(metric(row, xc, phi_c) for row in eq)
-                    worst = max(worst, _ratio(top, min(metric(row, xc, phi_c) for row in bucket)))
-    return worst
+                if eq := [row for row in bucket if row.within & mask == mask]:
+                    phi_c = ig.potential(ig.loads(eq[0].choices, complement)) if potential else 0
+                    high = max(metric(row, group, phi_c) for row in eq)
+                    low = min(metric(row, group, phi_c) for row in bucket)
+                    high, low = (high, low) if low else (1, int(high == 0))  # 0/0 is 1, K/0 inf
+                    if high * bottom > top * low:
+                        top, bottom = high, low
+    return _ratio(top, bottom)
 
 
 def max_group_poa_ratio(game: Game, rho: Fraction, state_cap: int = 10**6) -> Factor:
-    """Worst group cost ratio C_R(s)/C_R(s*) over all triples (R, s, s*)
-    where s is a rho-equilibrium for R and the complement of R plays the
-    same strategies in s and s*.  Exhaustive; tiny games only."""
-    def group_cost(row: _Row, xc: list[int], phi_c: int) -> int:
-        return sum((x - x_c) * rc for x, x_c, rc in zip(row.x, xc, row.rcosts))
-
-    return _max_group_ratio(game, rho, state_cap, group_cost)
+    """Worst group cost ratio C_R(s)/C_R(s*), C_R the sum of the members'
+    costs, over all triples (R, s, s*) where s is a rho-equilibrium for R and
+    the complement of R plays the same strategies in s and s*.  Exhaustive; tiny games only."""
+    return _max_group_ratio(game, rho, state_cap, lambda row, R, _: sum(row.costs[u] for u in R))
 
 
 def max_rho_stretch_ratio(game: Game, rho: Fraction, state_cap: int = 10**6) -> Factor:
     """Worst partial-potential ratio over the same (R, s, s') triples as
     max_group_poa_ratio; bounded by alpha * Phi(d, rho)^(d+1)."""
-    return _max_group_ratio(game, rho, state_cap, lambda row, xc, phi_c: row.potential - phi_c)
+    return _max_group_ratio(game, rho, state_cap, lambda row, _, phi_c: row.potential - phi_c, True)
 
 
 # --------------------------------------------------------------------------

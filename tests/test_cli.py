@@ -70,6 +70,28 @@ class TestPoa:
         rows = json.loads(out)
         assert rows[0]["d"] == 2
 
+    @pytest.mark.parametrize("table", ["0", "-3"])
+    def test_table_below_one_is_a_usage_error(self, table):
+        proc = run_process("poa", "--table", table)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"--table must be at least 1, got {table}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_degree_and_rho_grid_never_ends_in_a_traceback(self, capsys):
+        # 13 degrees by 11 values of rho, from the float analysis's edges to
+        # past the float range; rho = 10^10 once failed the Lambert check.
+        degrees = [1, 2, 3, 4, 5, 10, 20, 50, 100, 150, 170, 171, 250]
+        rhos = ["1", "3/2", "2", "10", "1000"]
+        rhos += ["1" + "0" * k for k in (10, 20, 100, 300, 308, 309)]
+        codes = {}
+        for d in degrees:
+            for rho in rhos:
+                codes[d, rho] = code = main(["poa", "--d", str(d), "--rho", rho])
+                assert "Traceback" not in capsys.readouterr().err
+                assert code in (0, 3), (d, rho)
+        assert all(codes[d, "1" + "0" * 10] == 0 for d in (1, 2, 3, 5, 10))
+
     @pytest.mark.parametrize("argv, reason", [
         (["--d", "0"], "degree must be >= 1"),
         (["--rho", "1/2"], "rho must be >= 1"),

@@ -31,11 +31,17 @@ from congames.errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from congames.game import player_costs
-from congames.potential import alpha, potential
+from congames.game import IntGame, player_costs
+from congames.potential import alpha, partial_potential, potential
 from congames.verify import _max_group_ratio, enumerate_states
 
 from conftest import crafted_p_move_game, random_game, random_state, single_player_game
+from test_kernel import (
+    _outcome,
+    reference_brute_force_poa,
+    reference_group_cost,
+    reference_group_ratio,
+)
 
 
 class TestMinEquilibriumFactor:
@@ -198,6 +204,83 @@ class TestOracleEdgeCases:
         assert ratio((0, 5)) == math.inf
         assert ratio((5, 0)) == ratio((0, 0)) == 1
         assert ratio((2, 3)) == Fraction(3, 2)
+
+
+def two_link_game(link0: tuple[int, ...], link1: tuple[int, ...]) -> Game:
+    """Two unit-weight players, each on link 0 or link 1, whose costs have
+    the given coefficients, constant term first."""
+    return Game(
+        degree=1,
+        resources=tuple(CostPolynomial(tuple(map(Fraction, c))) for c in (link0, link1)),
+        players=(make_player(Fraction(1), [[0], [1]]),) * 2,
+    )
+
+
+class TestCostFirstBruteForce:
+    """brute_force_poa tests a state's players only when its cost exceeds
+    the worst equilibrium cost found so far; each case must give the
+    answers, states and errors of the from-scratch references."""
+
+    @staticmethod
+    def assert_matches_references(game: Game, rho: Fraction) -> None:
+        cap = 10**6
+        assert _outcome(brute_force_poa, game, rho) == _outcome(
+            reference_brute_force_poa, game, rho, cap
+        )
+        for oracle, metric in (
+            (max_group_poa_ratio, reference_group_cost),
+            (max_rho_stretch_ratio, partial_potential),
+        ):
+            assert _outcome(oracle, game, rho) == _outcome(
+                reference_group_ratio, game, rho, cap, metric
+            )
+
+    def test_best_response_count(self, monkeypatch):
+        # A gate on a count, not a time: testing every player of every
+        # state would take n * |S| = 4 * 4^4 = 1024 best responses.
+        game, rho = gen_random(4, 2, 6, 4, 2, seed=0), Fraction(3)
+        calls = 0
+        best_response = IntGame.best_response
+
+        def counting(self, *args):
+            nonlocal calls
+            calls += 1
+            return best_response(self, *args)
+
+        monkeypatch.setattr(IntGame, "best_response", counting)
+        got = _outcome(brute_force_poa, game, rho)
+        assert calls == 166 < game.n * len(enumerate_states(game))
+        assert got == _outcome(reference_brute_force_poa, game, rho, 10**6)
+
+    def test_equal_cost_equilibria_return_the_first(self):
+        # At rho = 2 both players on one link (cost 4) are equilibria, as
+        # (0, 0) and as (1, 1); the optimum splits them (cost 2).
+        game, rho = two_link_game((0, 1), (0, 1)), Fraction(2)
+        assert brute_force_poa(game, rho) == (2, State((0, 0)), State((0, 1)))
+        self.assert_matches_references(game, rho)
+
+    def test_costliest_state_first_is_no_equilibrium(self):
+        # (0, 0) costs 12 and comes first, but either player gains by
+        # leaving; the worst equilibrium is (1, 1) at 6 against 5.
+        game, rho = two_link_game((0, 3), (1, 1)), Fraction(1)
+        assert brute_force_poa(game, rho) == (Fraction(6, 5), State((1, 1)), State((0, 1)))
+        self.assert_matches_references(game, rho)
+
+    def test_optimum_costs_zero(self):
+        # Link 1 is free: (1, 1) costs 0 and is the only equilibrium, 0/0 = 1.
+        game = two_link_game((1,), (0,))
+        for rho in (Fraction(1), Fraction(10**9)):
+            poa, worst, opt = brute_force_poa(game, rho)
+            assert (poa, worst, opt) == (1, State((1, 1)), State((1, 1)))
+            assert type(poa) is Fraction
+            self.assert_matches_references(game, rho)
+
+    def test_rho_below_one(self):
+        game, rho = two_link_game((0, 3), (1, 1)), Fraction(1, 2)
+        with pytest.raises(NoEquilibriumError):
+            brute_force_poa(game, rho)
+        assert max_group_poa_ratio(game, rho) == max_rho_stretch_ratio(game, rho) == 0
+        self.assert_matches_references(game, rho)
 
 
 class TestAuditTrace:
