@@ -15,9 +15,10 @@ All thresholds are exact rationals; the run is fully deterministic: the
 scan always picks the lowest-index eligible player and ties between equal
 best responses resolve to the lowest strategy index.  A complete Trace of
 the run is emitted for independent auditing.  The rules are written once:
-Schedule.classify with improves, and newly_fixed.  The auditor scans its
-replayed states from scratch (first_eligible_move); the solver keeps the
-same scan up to date across moves (IncrementalScan).
+Schedule.classify with improves, and newly_fixed.  The auditor scans each
+replayed phase end with a stateless scan (first_eligible_move) on the
+costs it passes in; the solver keeps the same scan up to date across
+moves (IncrementalScan).
 """
 
 from __future__ import annotations
@@ -170,15 +171,17 @@ def first_eligible_move(
     phase: int,
     choices: Sequence[int],
     x: Sequence[int],
+    rcosts: Sequence[int],
+    costs: Sequence[int],
     fixed: Container[int],
 ) -> tuple[int, int, int, int, str] | None:
     """The phase's scan: the lowest-index non-fixed player whose best
     response beats the improvement factor Schedule.classify sets for her
     cost, as (player, best response, cost, best-response cost, move
     class), costs scaled; None when no player may move.  ``x`` are the
-    scaled loads of ``choices`` and ``bounds`` the scaled boundaries."""
-    rcosts = ig.resource_costs(x)
-    for u, cost in enumerate(ig.player_costs(choices, rcosts)):
+    scaled loads of ``choices``, ``rcosts`` and ``costs`` their resource
+    and player costs, and ``bounds`` the scaled boundaries."""
+    for u, cost in enumerate(costs):
         rule = None if u in fixed else schedule.classify(phase, cost, bounds)
         if rule is not None:
             br, best, now = ig.best_response(choices, x, rcosts, u)
@@ -219,8 +222,9 @@ class IncrementalScan:
         self.heap = [u for u, rule in enumerate(self.rules) if rule]
 
     def _rule(self, u: int) -> tuple[Fraction, str] | None:
-        rule = self.schedule.classify(self.phase, self.costs[u], self.bounds)
-        return None if u in self.fixed else rule
+        if u in self.fixed:
+            return None
+        return self.schedule.classify(self.phase, self.costs[u], self.bounds)
 
     def next_move(self) -> tuple[int, int, int, int, str] | None:
         """What first_eligible_move returns at the current state."""

@@ -4,8 +4,10 @@ Everything here recomputes from first principles in exact arithmetic.  The
 equilibrium factor, the PoA oracles and the trace auditor run on the
 integer game (Game.compiled, a game.IntGame): each test is homogeneous in
 the cost scale, so answers and ratios are those on Fractions.  The
-auditor applies the solver's rules to the states it replays, with the
-scan from scratch, first_eligible_move.  Brute force tests a state's
+auditor replays a trace from its initial state, updating the loads,
+resource costs and potential on the resources each move changes, and
+applies the solver's rules to the states it replays with the stateless
+scan first_eligible_move.  Brute force tests a state's
 players only if its cost could change the answer; the group oracles sum
 a group's cost from its members' costs.  The enumerations are
 deliberately capped and fail loudly rather than truncating, since their
@@ -36,7 +38,7 @@ from .errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from .game import Game, State, social_cost
+from .game import Game, IntGame, State, _horner, social_cost
 from .potential import alpha
 
 Factor = Fraction | float  # exact rational, or math.inf as explicit sentinel
@@ -147,18 +149,31 @@ def _max_group_ratio(
     R plays the same strategies in s and s'.  A bucket holds the states of
     one choice of C; a row's value is metric(row, R, Phi(X_C)), Phi(X_C) only
     if ``potential`` is set (else 0).  The worst bucket ratio, its largest
-    value at an equilibrium over its smallest, is kept as a pair of ints."""
+    value at an equilibrium over its smallest, is kept as a pair of ints.
+
+    The rows are in product order, so a state's row index is the sum of
+    choices[u] * strides[u] over the players: a bucket's rows are at its
+    complement offset plus each of the group's offsets."""
     ig = game.compiled
     rows = list(_rows(game, rho, state_cap, potential))
+    sizes = [len(p.strategies) for p in game.players]
+    strides = [math.prod(sizes[u + 1:]) for u in range(game.n)]
+
+    def offsets(players: list[int]) -> list[int]:
+        """The players' part of the row index for each of their choices, in product order."""
+        result = [0]
+        for u in players:
+            result = [i + k * strides[u] for i in result for k in range(sizes[u])]
+        return result
+
     top, bottom = 0, 1
     for group_size in range(1, game.n + 1):
         for group in itertools.combinations(range(game.n), group_size):
             mask = sum(1 << u for u in group)
             complement = [u for u in range(game.n) if u not in group]
-            buckets: dict[tuple[int, ...], list[_Row]] = {}
-            for row in rows:
-                buckets.setdefault(tuple(row.choices[u] for u in complement), []).append(row)
-            for bucket in buckets.values():
+            group_offsets = offsets(list(group))
+            for base in offsets(complement):
+                bucket = [rows[base + i] for i in group_offsets]
                 if eq := [row for row in bucket if row.within & mask == mask]:
                     phi_c = ig.potential(ig.loads(eq[0].choices, complement)) if potential else 0
                     high = max(metric(row, group, phi_c) for row in eq)
@@ -279,8 +294,26 @@ def _check_indices(game: Game, trace: Trace) -> None:
         check(f"move {i}: to_strategy", mv.to_strategy, size)
 
 
+def _replay_move(
+    ig: IntGame, choices: list[int], x: list[int], rcosts: list[int], u: int, k: int
+) -> int:
+    """Switch player u to strategy k, updating the choices, loads and
+    resource costs in place on the resources the move changes; returns
+    the change of the scaled potential."""
+    w = ig.weights[u]
+    old, new = set(ig.strategies[u][choices[u]]), set(ig.strategies[u][k])
+    delta = 0
+    for e in old ^ new:
+        x_new = x[e] + w if e in new else x[e] - w
+        delta += _horner(ig.potentials[e], x_new) - _horner(ig.potentials[e], x[e])
+        x[e] = x_new
+        rcosts[e] = _horner(ig.costs[e], x_new)
+    choices[u] = k
+    return delta
+
+
 def audit_trace(game: Game, trace: Trace) -> AuditReport:
-    """Replay a trace from scratch and check every invariant the run claims.
+    """Replay a trace and check every invariant the run claims.
 
     Recorded values (costs, potentials, states, schedule, fingerprint) must
     match exact recomputation; disagreement raises TraceMismatchError, as
@@ -292,11 +325,16 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     phase or move named.
 
     One walk: the moves are grouped by phase, then replayed in trace order
-    on the compiled integer game (see game.IntGame), with the loads and the
-    potential recomputed from scratch after each move.  It uses neither
+    on the compiled integer game (see game.IntGame).  The loads, resource
+    costs and potential are computed from scratch at the initial state and
+    then updated by _replay_move on the resources each move changes, so a
+    move costs O(size of the move); the mover's costs are read from the
+    resource costs.  Every player's cost is computed once per phase end
+    that follows a move, and the scan for an eligible move, the fixing
+    rule and the drift check all read it.  The walk uses neither
     IncrementalScan nor IntGame.move, so it shares none of the solver's
-    incremental bookkeeping, but it applies the solver's own rules to the
-    states it replays (see dynamics).
+    bookkeeping, but it applies the solver's own rules to the states it
+    replays (see dynamics).
     """
     _check_same("game fingerprint", trace.game_sha256, game_fingerprint(game))
     _check_indices(game, trace)
@@ -360,12 +398,14 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
 
     choices = list(trace.initial_state.choices)
     x = ig.loads(choices)
+    rcosts = ig.resource_costs(x)
     pot = ig.potential(x)
+    costs: list[int] | None = None  # every player's, from the first phase end after a move
     fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
 
     def cost_of(u: int) -> int:
-        """Scaled cost of player u, from her own resources at the loads x."""
-        return ig.weights[u] * sum(ig.own_costs(choices, x, u).values())
+        """Scaled cost of player u, from the resource costs."""
+        return ig.weights[u] * sum(rcosts[e] for e in ig.strategies[u][choices[u]])
 
     for phase, moves in enumerate(by_phase):
         start = tuple(choices)
@@ -377,9 +417,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             cost = cost_of(u)
             _check_same(f"{at} cost_before", mv.cost_before, ig.cost_value(cost))
             _check_same(f"{at} potential_before", mv.potential_before, ig.potential_value(pot))
-            choices[u] = mv.to_strategy
-            x = ig.loads(choices)
-            pot = ig.potential(x)
+            pot += _replay_move(ig, choices, x, rcosts, u, mv.to_strategy)
             new_cost = cost_of(u)
             _check_same(f"{at} cost_after", mv.cost_after, ig.cost_value(new_cost))
             _check_same(f"{at} potential_after", mv.potential_after, ig.potential_value(pot))
@@ -448,7 +486,11 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         if not budget_ok:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
 
-        settled = first_eligible_move(ig, schedule, bounds, phase, choices, x, fixed) is None
+        if moves or costs is None:
+            costs = ig.player_costs(choices, rcosts)
+        settled = first_eligible_move(
+            ig, schedule, bounds, phase, choices, x, rcosts, costs, fixed
+        ) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 
@@ -470,7 +512,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
         )
 
-        costs = ig.player_costs(choices, ig.resource_costs(x))
         newly = newly_fixed(costs, fixed, bounds[phase]) if phase else frozenset()
         _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
         fixed.update((u, (phase, costs[u])) for u in newly)

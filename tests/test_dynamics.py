@@ -26,6 +26,8 @@ from congames import (
     run_algorithm,
     target_p,
 )
+from congames import dynamics, verify
+from congames import game as game_module
 from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
@@ -215,11 +217,15 @@ class TestScan:
         ig = game.compiled
         bounds = [ig.cost_ceil(b) for b in schedule.boundaries]
         x = ig.loads(s0.choices)
+        rcosts = ig.resource_costs(x)
+        costs = ig.player_costs(s0.choices, rcosts)
         scan = IncrementalScan(ig, schedule, bounds, s0.choices)
         for fixed, mover in ((set(), 0), ({0}, 1), ({1}, 0), ({0, 1}, None)):
             scan.start(phase, fixed)  # the same scan, re-classified from its cache
             for found in (
-                first_eligible_move(ig, schedule, bounds, phase, s0.choices, x, fixed),
+                first_eligible_move(
+                    ig, schedule, bounds, phase, s0.choices, x, rcosts, costs, fixed
+                ),
                 scan.next_move(),
             ):
                 if mover is None:
@@ -329,7 +335,11 @@ class TestRunAlgorithm:
     def test_best_response_count_at_n2000(self, monkeypatch):
         """The solver re-derives only the players a move concerns: on this
         n = 2000 game it makes 23,640 best-response calls, where a scan
-        from scratch after every move makes 481,504."""
+        from scratch after every move makes 481,504.  The auditor updates
+        only the resources a move changes and computes the player costs
+        once per phase end after a move: 50,295 polynomial evaluations and
+        7 load computations, where a replay with loads and potential from
+        scratch after every move makes 329,917 and 547."""
         game = normalize(gen_random(
             n=2000, d=2, num_resources=500, strategies_per_player=3, max_strategy_size=3,
             coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
@@ -348,8 +358,21 @@ class TestRunAlgorithm:
             _, trace = run_algorithm(game, State((0,) * game.n))
         assert len(trace.moves) == 540
         assert calls <= 100_000
-        report = audit_trace(game, trace)
+        counts = {"_horner": 0, "loads": 0}
+
+        def counting(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        with monkeypatch.context() as patch:
+            for module in (game_module, dynamics, verify):
+                patch.setattr(module, "_horner", counting("_horner", game_module._horner))
+            patch.setattr(IntGame, "loads", counting("loads", IntGame.loads))
+            report = audit_trace(game, trace)
         assert report.passed, report.failures
+        assert counts["_horner"] <= 75_000 and counts["loads"] <= 10, counts
 
     def test_trace_round_trip(self):
         game, s0 = crafted_p_move_game()

@@ -12,7 +12,8 @@ social_cost, compute_schedule and has_rho_move must return the values,
 states and errors of their from-scratch Fraction versions kept here,
 also on lower-bound games.  game._scale, which takes each quotient of
 the common denominator from the next larger one's, must give the integers
-of dividing directly.
+of dividing directly, and verify._max_group_ratio, which finds a bucket's
+rows by their index, the answer of buckets kept in a dict.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ from congames.game import (
 )
 from congames.potential import alpha, partial_potential, potential, potential_coefficients
 from congames.verify import (
+    _max_group_ratio,
+    _ratio as _int_ratio,
+    _rows,
     audit_trace,
     brute_force_poa,
     max_group_poa_ratio,
@@ -457,9 +461,11 @@ def scan_checked_against_oracle():
         found = incremental(scan)
         ig, choices = scan.ig, scan.choices
         x = ig.loads(choices)
-        assert scan.costs == ig.player_costs(choices, ig.resource_costs(x))
+        rcosts = ig.resource_costs(x)
+        costs = ig.player_costs(choices, rcosts)
+        assert scan.costs == costs
         assert found == first_eligible_move(
-            ig, scan.schedule, scan.bounds, scan.phase, choices, x, scan.fixed
+            ig, scan.schedule, scan.bounds, scan.phase, choices, x, rcosts, costs, scan.fixed
         )
         answers.append(found)
         return found
@@ -496,8 +502,8 @@ def test_incremental_scan_matches_scan_from_scratch_on_p_move_game():
     assert_scan_matches_oracle(game, s0, 4)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_incremental_scan_matches_scan_from_scratch_on_golden_cases(name, tmp_path):
+def golden_case(name: str, tmp_path) -> tuple[Game, State, int | None]:
+    """A golden case's game, initial state and p override, as solve reads them."""
     source, solve_flags = CASES[name]
     if isinstance(source, list):
         path = tmp_path / "game.json"
@@ -507,7 +513,12 @@ def test_incremental_scan_matches_scan_from_scratch_on_golden_cases(name, tmp_pa
         game, s0 = source()
         game = normalize(game)
     p_override = int(solve_flags[1]) if solve_flags else None
-    assert_scan_matches_oracle(game, s0 or State((0,) * game.n), p_override)
+    return game, s0 or State((0,) * game.n), p_override
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_incremental_scan_matches_scan_from_scratch_on_golden_cases(name, tmp_path):
+    assert_scan_matches_oracle(*golden_case(name, tmp_path))
 
 
 # --------------------------------------------------------------------------
@@ -565,6 +576,30 @@ def reference_group_ratio(game: Game, rho: Fraction, state_cap: int, metric):
                         if r > worst:
                             worst = r
     return worst
+
+
+def dict_bucket_group_ratio(game: Game, rho: Fraction, state_cap: int, metric, potential: bool):
+    """verify._max_group_ratio with each bucket found by a dict keyed by
+    the complement's choices, one key per row per group."""
+    ig = game.compiled
+    rows = list(_rows(game, rho, state_cap, potential))
+    top, bottom = 0, 1
+    for group_size in range(1, game.n + 1):
+        for group in itertools.combinations(range(game.n), group_size):
+            mask = sum(1 << u for u in group)
+            complement = [u for u in range(game.n) if u not in group]
+            buckets: dict[tuple[int, ...], list] = {}
+            for row in rows:
+                buckets.setdefault(tuple(row.choices[u] for u in complement), []).append(row)
+            for bucket in buckets.values():
+                if eq := [row for row in bucket if row.within & mask == mask]:
+                    phi_c = ig.potential(ig.loads(eq[0].choices, complement)) if potential else 0
+                    high = max(metric(row, group, phi_c) for row in eq)
+                    low = min(metric(row, group, phi_c) for row in bucket)
+                    high, low = (high, low) if low else (1, int(high == 0))
+                    if high * bottom > top * low:
+                        top, bottom = high, low
+    return _int_ratio(top, bottom)
 
 
 @st.composite
@@ -627,3 +662,15 @@ def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
         got = _outcome(oracle, game, rho, state_cap)
         expected = _outcome(reference_group_ratio, game, rho, state_cap, metric)
         assert got == expected
+
+
+@settings(SETTINGS, max_examples=50)
+@given(oracle_games(), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]))
+def test_group_buckets_from_row_index_match_dict_buckets(game, rho):
+    for metric, potential in (
+        (lambda row, group, _: sum(row.costs[u] for u in group), False),  # max_group_poa_ratio
+        (lambda row, _, phi_c: row.potential - phi_c, True),  # max_rho_stretch_ratio
+    ):
+        assert _exact(_max_group_ratio(game, rho, 10**6, metric, potential)) == _exact(
+            dict_bucket_group_ratio(game, rho, 10**6, metric, potential)
+        )
