@@ -23,7 +23,6 @@ moves (IncrementalScan).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 from dataclasses import dataclass, fields
@@ -45,9 +44,7 @@ from .game import (
     State,
     _horner,
     format_rational,
-    loads,
     parse_rational,
-    serialize_instance,
     validate_state,
 )
 from .potential import alpha
@@ -64,22 +61,12 @@ def target_p(degree: int) -> int:
 
 def best_response(game: Game, state: State, u: int) -> tuple[int, Fraction]:
     """Best strategy index for player u against the others' choices, with
-    its exact cost.  Ties resolve to the lowest strategy index."""
-    player = game.players[u]
-    base = list(loads(game, state))
-    for e in player.strategies[state.choices[u]]:
-        base[e] -= player.weight
-    best_idx = 0
-    best_cost: Fraction | None = None
-    for k, strat in enumerate(player.strategies):
-        total = Fraction(0)
-        for e in strat:
-            total += game.resources[e](base[e] + player.weight)
-        cost = player.weight * total
-        if best_cost is None or cost < best_cost:
-            best_idx, best_cost = k, cost
-    assert best_cost is not None
-    return best_idx, best_cost
+    its exact cost: IntGame.best_response, scaled back.  Ties resolve to
+    the lowest strategy index."""
+    ig = game.compiled
+    x = ig.loads(state.choices)
+    br, best, _ = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
+    return br, ig.cost_value(ig.weights[u] * best)
 
 
 def has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
@@ -241,18 +228,23 @@ class IncrementalScan:
         return None
 
     def move(self, u: int, k: int) -> int:
-        """Switch player u to strategy k and re-derive every player the
-        move concerns; returns the change of the scaled potential."""
-        ig, choices, rcosts = self.ig, self.choices, self.rcosts
-        strategies = ig.strategies[u]
-        changed = set(strategies[choices[u]]).symmetric_difference(strategies[k])
-        delta = ig.move(choices, self.x, u, k)
+        """Switch player u to strategy k, updating the load and resource
+        cost of each resource the move changes, and re-derive every player
+        the move concerns; returns the change of the scaled potential."""
+        ig, choices, x, rcosts = self.ig, self.choices, self.x, self.rcosts
+        w, potentials = ig.weights[u], ig.potentials
+        old, new = set(ig.strategies[u][choices[u]]), set(ig.strategies[u][k])
+        delta = 0
         concerned: set[int] = set()
-        for e in changed:
-            rcosts[e] = _horner(ig.costs[e], self.x[e])
+        for e in old ^ new:
+            x_new = x[e] + w if e in new else x[e] - w
+            delta += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
+            x[e] = x_new
+            rcosts[e] = _horner(ig.costs[e], x_new)
             concerned |= self.users[e]
+        choices[u] = k
         for v in concerned:
-            self.costs[v] = ig.weights[v] * sum(rcosts[e] for e in ig.strategies[v][choices[v]])
+            self.costs[v] = ig.player_cost(choices, rcosts, v)
             self.responses[v] = None
             self.rules[v] = self._rule(v)
             if self.rules[v] is not None:
@@ -305,11 +297,6 @@ class Trace:
     movers_per_phase: tuple[frozenset[int], ...]
     fixed_sets: tuple[frozenset[int], ...]
     game_sha256: str
-
-
-def game_fingerprint(game: Game) -> str:
-    """SHA-256 of the canonical instance serialization (no initial state)."""
-    return hashlib.sha256(serialize_instance(game).encode("utf-8")).hexdigest()
 
 
 def _ceil_log2(a: int, b: int) -> int:
@@ -375,7 +362,7 @@ def _trivial_trace(game: Game, s_init: State) -> Trace:
         phase_end_states=(),
         movers_per_phase=(),
         fixed_sets=(),
-        game_sha256=game_fingerprint(game),
+        game_sha256=game.fingerprint,
     )
 
 
@@ -454,7 +441,7 @@ def run_algorithm(
         phase_end_states=tuple(phase_end_states),
         movers_per_phase=tuple(movers_per_phase),
         fixed_sets=tuple(fixed_sets),
-        game_sha256=game_fingerprint(game),
+        game_sha256=game.fingerprint,
     )
     return trace.final_state, trace
 

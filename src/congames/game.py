@@ -10,22 +10,22 @@ and potentials are exact, so every threshold comparison made by the solver
 is bit-exact and reproducible.  All types are immutable after construction
 and safe to share between threads; the operations below are pure functions.
 
-The Fraction functions here (loads, group_loads, player_costs and
-CostPolynomial's Horner), dynamics.best_response and the potentials of
-potential.py are the reference.  The solver, the auditor, the
-verification oracles and group/social costs run on an integer form of
-the same game, made by compile_game and kept on the Game object
-(Game.compiled).  Weights are scaled by W, the lcm of their
-denominators, so loads are integers X = W*x.  Each c_e(X/W) is scaled to
-integer coefficients over D = lcm(coefficient denominators) * W^d, and
-each potential phi_e(X/W), derived from those integer cost rows on
-first use, over Dp = 2*W*D.  A cost K stands for K/(W*D) and a potential
-P for P/Dp.  Every test made on them (cost >= b_i, cost > t * cost',
-drop >= floor) is homogeneous in the cost scale, so one uniform
-positive rescaling leaves its answer unchanged: a boundary b becomes the
-integer ceil(b*W*D), and a rational factor t = a/c is compared by
-cross-multiplying, K*c > a*K'.  Values become Fractions again only where
-they are reported.
+Costs and potentials are computed in one place: an integer form of the
+game, made by compile_game and kept on the Game object (Game.compiled).
+The solver, the auditor, the verification oracles and group/social costs
+run on it, and player_costs here, dynamics.best_response and the
+potentials of potential.py are views of it, scaled back to Fractions;
+only loads and group_loads stay Fraction weight sums.  Weights are
+scaled by W, the lcm of their denominators, so loads are integers
+X = W*x.  Each c_e(X/W) is scaled to integer coefficients over
+D = lcm(coefficient denominators) * W^d, and each potential phi_e(X/W),
+derived from those integer cost rows on first use, over Dp = 2*W*D.  A
+cost K stands for K/(W*D) and a potential P for P/Dp.  Every test made
+on them (cost >= b_i, cost > t * cost', drop >= floor) is homogeneous in
+the cost scale, so one uniform positive rescaling leaves its answer
+unchanged: a boundary b becomes the integer ceil(b*W*D), and a rational
+factor t = a/c is compared by cross-multiplying, K*c > a*K'.  Values
+become Fractions again only where they are reported.
 
 Instance file format (JSON, UTF-8, strict — unknown keys are rejected)::
 
@@ -37,7 +37,7 @@ Instance file format (JSON, UTF-8, strict — unknown keys are rejected)::
     }
 
 Rationals are written as "p/q" or integer strings, always in lowest terms.
-The canonical bytes of an instance, which game_fingerprint hashes, are
+The canonical bytes of an instance, which Game.fingerprint hashes, are
 those of json.dumps(doc, indent=2, sort_keys=True) + "\n";
 serialize_instance writes them directly, without the json encoder.  An
 integer past the interpreter's int/str digit limit (4,300 digits by
@@ -46,6 +46,7 @@ default) raises DigitLimitError when read or written.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import operator
@@ -213,6 +214,12 @@ class Game:
         and kept on this object."""
         return compile_game(self)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the canonical instance serialization (no initial
+        state), computed on first use and kept on this object."""
+        return hashlib.sha256(serialize_instance(self).encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class State:
@@ -274,15 +281,10 @@ def group_loads(game: Game, state: State, players: Iterable[int]) -> tuple[Fract
 
 
 def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
-    """All players' costs at the state (loads computed once)."""
-    x = loads(game, state)
-    out = []
-    for u, player in enumerate(game.players):
-        total = Fraction(0)
-        for e in player.strategies[state.choices[u]]:
-            total += game.resources[e](x[e])
-        out.append(player.weight * total)
-    return tuple(out)
+    """All players' costs at the state: IntGame.player_costs, scaled back."""
+    ig = game.compiled
+    rcosts = ig.resource_costs(ig.loads(state.choices))
+    return tuple(map(ig.cost_value, ig.player_costs(state.choices, rcosts)))
 
 
 def group_cost(game: Game, state: State, players: Iterable[int]) -> Fraction:
@@ -322,7 +324,9 @@ class IntGame:
     P/Dp.  ``costs[e]`` and ``potentials[e]`` are the integer coefficients,
     highest degree first, of D*c_e(X/W) and Dp*phi_e(X/W); Dp and the
     potentials are derived from the cost rows on first use.  ``choices``
-    arguments are strategy indices per player, as in State.choices.
+    arguments are strategy indices per player, as in State.choices.  The
+    package's one cost kernel: tests/reference.py keeps from-scratch
+    Fraction player costs, best responses and potentials as its oracle.
     """
 
     W: int
@@ -364,12 +368,13 @@ class IntGame:
         all that best_response reads of ``rcosts`` for u."""
         return {e: _horner(self.costs[e], x[e]) for e in self.strategies[u][choices[u]]}
 
+    def player_cost(self, choices: Sequence[int], rcosts: Sequence[int], u: int) -> int:
+        """Scaled cost of player u, from the resource_costs of the loads."""
+        return self.weights[u] * sum(rcosts[e] for e in self.strategies[u][choices[u]])
+
     def player_costs(self, choices: Sequence[int], rcosts: Sequence[int]) -> list[int]:
-        """Scaled cost of every player, from the resource_costs of the loads."""
-        return [
-            self.weights[u] * sum(rcosts[e] for e in self.strategies[u][k])
-            for u, k in enumerate(choices)
-        ]
+        """Scaled cost of every player (player_cost)."""
+        return [self.player_cost(choices, rcosts, u) for u in range(len(choices))]
 
     def best_response(
         self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int
@@ -414,20 +419,6 @@ class IntGame:
         return self.potential(self.loads(choices)) - self.potential(
             self.loads(choices, complement)
         )
-
-    def move(self, choices: list[int], x: list[int], u: int, k: int) -> int:
-        """Switch player u to strategy k, updating choices and loads in
-        place; returns the change of the scaled potential."""
-        w = self.weights[u]
-        potentials = self.potentials
-        old, new = set(self.strategies[u][choices[u]]), set(self.strategies[u][k])
-        delta = 0
-        for e in old ^ new:
-            x_new = x[e] + w if e in new else x[e] - w
-            delta += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
-            x[e] = x_new
-        choices[u] = k
-        return delta
 
     def cost_value(self, k: int) -> Fraction:
         return Fraction(k, self.W * self.D)

@@ -12,7 +12,9 @@ satisfies the sandwich
 for all x >= 0 and w >= 1, which makes the aggregate potential decrease
 whenever a player improves her cost by more than a factor alpha = d + 1.
 Group-restricted variants (subgame and partial potentials) support the
-phase analysis of the solver.  Everything here is exact rational arithmetic.
+phase analysis of the solver.  Everything here is exact rational arithmetic:
+phi is defined per polynomial here, and the game potentials are views of
+the integer kernel (game.IntGame), scaled back to Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import MalformedInstanceError
-from .game import CostPolynomial, Game, State, group_loads
+from .game import CostPolynomial, Game, State
 
 
 def alpha(degree: int) -> int:
@@ -66,11 +68,8 @@ def potential(game: Game, state: State) -> Fraction:
 def subgame_potential(game: Game, state: State, players: Iterable[int]) -> Fraction:
     """Potential of the game restricted to a group: loads count only the
     group's weights."""
-    x = group_loads(game, state, players)
-    return sum(
-        (resource_potential(poly, x[e]) for e, poly in enumerate(game.resources)),
-        Fraction(0),
-    )
+    ig = game.compiled
+    return ig.potential_value(ig.potential(ig.loads(state.choices, players)))
 
 
 def partial_potential(game: Game, state: State, players: Iterable[int]) -> Fraction:
@@ -79,6 +78,5 @@ def partial_potential(game: Game, state: State, players: Iterable[int]) -> Fract
 
     Cost-revealing for the group R: C_R(s) <= partial <= (d+1) * C_R(s).
     """
-    group = set(players)
-    complement = [u for u in range(game.n) if u not in group]
-    return potential(game, state) - subgame_potential(game, state, complement)
+    ig = game.compiled
+    return ig.potential_value(ig.partial_potential(state.choices, players))

@@ -29,7 +29,6 @@ from .dynamics import (
     Trace,
     compute_schedule,
     first_eligible_move,
-    game_fingerprint,
     improves,
     newly_fixed,
 )
@@ -331,12 +330,12 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     move costs O(size of the move); the mover's costs are read from the
     resource costs.  Every player's cost is computed once per phase end
     that follows a move, and the scan for an eligible move, the fixing
-    rule and the drift check all read it.  The walk uses neither
-    IncrementalScan nor IntGame.move, so it shares none of the solver's
-    bookkeeping, but it applies the solver's own rules to the states it
-    replays (see dynamics).
+    rule and the drift check all read it.  The walk does not use
+    IncrementalScan, so it shares none of the solver's bookkeeping, but
+    it applies the solver's own rules to the states it replays (see
+    dynamics) and reads each cost with IntGame.player_cost.
     """
-    _check_same("game fingerprint", trace.game_sha256, game_fingerprint(game))
+    _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
     _check_indices(game, trace)
 
     failures: list[str] = []
@@ -403,10 +402,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     costs: list[int] | None = None  # every player's, from the first phase end after a move
     fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
 
-    def cost_of(u: int) -> int:
-        """Scaled cost of player u, from the resource costs."""
-        return ig.weights[u] * sum(rcosts[e] for e in ig.strategies[u][choices[u]])
-
     for phase, moves in enumerate(by_phase):
         start = tuple(choices)
         for mv in moves:
@@ -414,11 +409,11 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             _check_same(f"{at} step order", mv.step, len(move_audits))
             u = mv.player
             _check_same(f"{at} from_strategy", mv.from_strategy, choices[u])
-            cost = cost_of(u)
+            cost = ig.player_cost(choices, rcosts, u)
             _check_same(f"{at} cost_before", mv.cost_before, ig.cost_value(cost))
             _check_same(f"{at} potential_before", mv.potential_before, ig.potential_value(pot))
             pot += _replay_move(ig, choices, x, rcosts, u, mv.to_strategy)
-            new_cost = cost_of(u)
+            new_cost = ig.player_cost(choices, rcosts, u)
             _check_same(f"{at} cost_after", mv.cost_after, ig.cost_value(new_cost))
             _check_same(f"{at} potential_after", mv.potential_after, ig.potential_value(pot))
 

@@ -29,7 +29,6 @@ from congames.dynamics import (
     MoveRecord,
     compute_schedule,
     first_eligible_move,
-    game_fingerprint,
     improves,
     newly_fixed,
 )
@@ -55,7 +54,7 @@ import test_verify
 
 def reference_audit_trace(game: Game, trace) -> AuditReport:
     """audit_trace with every load, potential and cost from scratch."""
-    _check_same("game fingerprint", trace.game_sha256, game_fingerprint(game))
+    _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
     _check_indices(game, trace)
     failures: list[str] = []
     if trace.schedule is None:

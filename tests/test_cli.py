@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -291,16 +292,69 @@ class TestInputErrors:
         assert "input error" in err and "cost zero" in err
 
 
-def run_process(*argv: str) -> subprocess.CompletedProcess:
+def run_process(*argv: str, python: str = sys.executable) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter at the default int/str digit limit,
-    so that an uncaught exception would show as a traceback on stderr."""
+    so that an uncaught exception would show as a traceback on stderr.
+    Site-packages are off (-S): the CLI needs the standard library only."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "congames.cli", *argv],
+        [python, "-S", "-m", "congames.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def find_interpreter(name: str) -> str | None:
+    """A path that runs the interpreter ``name``, or None when there is
+    none.  A pyenv shim on PATH runs only the versions pyenv has selected,
+    so pyenv is asked for the interpreter's own path when the shim fails."""
+    candidates = [shutil.which(name)]
+    if shutil.which("pyenv"):
+        where = subprocess.run(["pyenv", "whence", "--path", name], capture_output=True, text=True)
+        candidates += where.stdout.split()
+    for path in filter(None, candidates):
+        if subprocess.run([path, "-c", ""], capture_output=True).returncode == 0:
+            return path
+    return None
+
+
+ROUND_TRIP_GAME = [
+    "gen-random", "--seed", "3", "--n", "12", "--d", "2", "--resources", "6",
+    "--strategies", "3", "--max-size", "2",
+    "--coeff-range", "1/4:2", "--weight-range", "1/2:3",
+]
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_round_trip_on_supported_interpreters(name, tmp_path, capsys):
+    """gen-random -> solve --trace -> audit -> verify under each other
+    interpreter pyproject.toml supports: every step exits 0, the audit
+    passes, and the trace and state bytes are those of this interpreter."""
+    python = find_interpreter(name)
+    if python is None:
+        pytest.skip(f"{name} not found")
+    runs = {}
+    for label in ("here", name):
+        d = tmp_path / label
+        d.mkdir()
+        game, state, trace = d / "game.json", d / "state.json", d / "trace.jsonl"
+        steps = [
+            [*ROUND_TRIP_GAME, "--out", str(game)],
+            ["solve", "--input", str(game), "--output", str(state), "--trace", str(trace)],
+            ["audit", "--game", str(game), "--trace", str(trace)],
+            ["verify", "--game", str(game), "--state", str(state)],
+        ]
+        for argv in steps:
+            if label == "here":
+                code, out, err = run(capsys, *argv)
+            else:
+                proc = run_process(*argv, python=python)
+                code, out, err = proc.returncode, proc.stdout, proc.stderr
+            assert code == 0, (label, argv, err)
+            assert argv[0] != "audit" or "audit: PASS" in out
+        runs[label] = trace.read_bytes(), state.read_bytes()
+    assert runs[name] == runs["here"]
 
 
 TOO_LONG = "7" * 5000  # past the default limit of 4,300 digits

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -339,26 +340,16 @@ class TestRunAlgorithm:
         only the resources a move changes and computes the player costs
         once per phase end after a move: 50,295 polynomial evaluations and
         7 load computations, where a replay with loads and potential from
-        scratch after every move makes 329,917 and 547."""
+        scratch after every move makes 329,917 and 547.  Neither calls a
+        Fraction view of the kernel (game.player_costs,
+        dynamics.best_response, potential.subgame_potential or
+        partial_potential), by any module's name for it."""
         game = normalize(gen_random(
             n=2000, d=2, num_resources=500, strategies_per_player=3, max_strategy_size=3,
             coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
             seed=5,
         ))
-        calls = 0
-        kernel = IntGame.best_response
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return kernel(*args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(IntGame, "best_response", counted)
-            _, trace = run_algorithm(game, State((0,) * game.n))
-        assert len(trace.moves) == 540
-        assert calls <= 100_000
-        counts = {"_horner": 0, "loads": 0}
+        counts = {"best_response": 0, "_horner": 0, "loads": 0, "views": 0}
 
         def counting(name, fn):
             def call(*args):
@@ -366,13 +357,26 @@ class TestRunAlgorithm:
                 return fn(*args)
             return call
 
-        with monkeypatch.context() as patch:
-            for module in (game_module, dynamics, verify):
-                patch.setattr(module, "_horner", counting("_horner", game_module._horner))
-            patch.setattr(IntGame, "loads", counting("loads", IntGame.loads))
-            report = audit_trace(game, trace)
+        views = {"player_costs", "best_response", "subgame_potential", "partial_potential"}
+        with monkeypatch.context() as outer:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("congames."):
+                    for view in views & vars(module).keys():
+                        outer.setattr(module, view, counting("views", getattr(module, view)))
+            with monkeypatch.context() as patch:
+                kernel = counting("best_response", IntGame.best_response)
+                patch.setattr(IntGame, "best_response", kernel)
+                _, trace = run_algorithm(game, State((0,) * game.n))
+            assert len(trace.moves) == 540
+            assert counts["best_response"] <= 100_000
+            with monkeypatch.context() as patch:
+                for module in (game_module, dynamics, verify):
+                    patch.setattr(module, "_horner", counting("_horner", game_module._horner))
+                patch.setattr(IntGame, "loads", counting("loads", IntGame.loads))
+                report = audit_trace(game, trace)
         assert report.passed, report.failures
         assert counts["_horner"] <= 75_000 and counts["loads"] <= 10, counts
+        assert counts["views"] == 0, counts
 
     def test_trace_round_trip(self):
         game, s0 = crafted_p_move_game()

@@ -1,19 +1,24 @@
 """The integer kernel (game.IntGame) against the Fraction oracle.
 
-Random games of degree 1-4 with zero coefficients and weights whose
-denominators reach 8: every loads, cost, best response, potential and
-partial potential the kernel computes, scaled back to a Fraction, must
-equal game.py and potential.py exactly, run_algorithm must produce the
-very trace of a from-scratch Fraction replay of the phased dynamics, and
-at every step of every phase the solver's IncrementalScan must answer
-what first_eligible_move answers on loads recomputed from scratch, and
-the exhaustive PoA oracles, min_equilibrium_factor, group_cost,
-social_cost, compute_schedule and has_rho_move must return the values,
-states and errors of their from-scratch Fraction versions kept here,
-also on lower-bound games.  game._scale, which takes each quotient of
-the common denominator from the next larger one's, must give the integers
-of dividing directly, and verify._max_group_ratio, which finds a bucket's
-rows by their index, the answer of buckets kept in a dict.
+On random games of degree 1-4 with zero coefficients and weights whose
+denominators reach 8, on the golden cases and on lower-bound games, every
+loads, cost, best response, potential and partial potential the kernel
+computes, scaled back to a Fraction, and each view of the kernel
+(game.player_costs, dynamics.best_response, the potentials of
+potential.py) must equal the from-scratch Fraction oracle of
+tests/reference.py exactly.  IncrementalScan.move must keep the loads,
+resource costs, player costs and potential of a recomputation.
+run_algorithm must produce the very trace of a from-scratch Fraction
+replay of the phased dynamics, and at every step of every phase the
+solver's IncrementalScan must answer what first_eligible_move answers on
+loads recomputed from scratch.  The exhaustive PoA oracles,
+min_equilibrium_factor, group_cost, social_cost, compute_schedule and
+has_rho_move must return the values, states and errors of their
+from-scratch Fraction versions kept here, also on lower-bound games.
+game._scale, which takes each quotient of the common denominator from
+the next larger one's, must give the integers of dividing directly, and
+verify._max_group_ratio, which finds a bucket's rows by their index, the
+answer of buckets kept in a dict.
 """
 
 from __future__ import annotations
@@ -28,7 +33,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from congames import CostPolynomial, Game, State, gen_lower_bound, make_player, normalize
+from congames import (
+    CostPolynomial,
+    Game,
+    State,
+    best_response,
+    gen_lower_bound,
+    make_player,
+    normalize,
+    partial_potential,
+    player_costs,
+    potential,
+    subgame_potential,
+)
 from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
@@ -36,10 +53,8 @@ from congames.dynamics import (
     MoveRecord,
     Schedule,
     Trace,
-    best_response,
     compute_schedule,
     first_eligible_move,
-    game_fingerprint,
     has_rho_move,
     run_algorithm,
     target_p,
@@ -59,11 +74,10 @@ from congames.game import (
     group_loads,
     loads,
     parse_instance,
-    player_costs,
     social_cost,
     validate_state,
 )
-from congames.potential import alpha, partial_potential, potential, potential_coefficients
+from congames.potential import alpha, potential_coefficients
 from congames.verify import (
     _max_group_ratio,
     _ratio as _int_ratio,
@@ -75,6 +89,7 @@ from congames.verify import (
     min_equilibrium_factor,
 )
 
+import reference
 from conftest import crafted_p_move_game
 from test_golden import CASES, _cli
 
@@ -114,26 +129,39 @@ def games(draw, anchored: bool = False, zero_cost: bool = False) -> tuple[Game, 
     return game, state, group
 
 
-@SETTINGS
-@given(games(), rationals)
-def test_kernel_matches_fraction_oracle(case, bound):
-    game, state, group = case
+def assert_kernel_matches_oracle(game: Game, state: State, group) -> None:
+    """The kernel scaled back, and each view of it, against the oracle."""
     ig = compile_game(game)
     x = ig.loads(state.choices)
     assert [Fraction(v, ig.W) for v in x] == list(loads(game, state))
     rcosts = ig.resource_costs(x)
-    costs = ig.player_costs(state.choices, rcosts)
-    assert [ig.cost_value(k) for k in costs] == list(player_costs(game, state))
+    costs = reference.player_costs(game, state)
+    assert [ig.cost_value(k) for k in ig.player_costs(state.choices, rcosts)] == list(costs)
+    assert _exact(player_costs(game, state)) == _exact(costs)
     for u in range(game.n):
         k, cost, current = ig.best_response(state.choices, x, rcosts, u)
         w = ig.weights[u]  # the kernel's sums are unweighted
-        assert (k, ig.cost_value(w * cost)) == best_response(game, state, u)
-        assert ig.cost_value(w * current) == player_costs(game, state)[u]
-    assert ig.potential_value(ig.potential(x)) == potential(game, state)
-    assert ig.potential_value(ig.partial_potential(state.choices, group)) == partial_potential(
-        game, state, group
-    )
+        expected = reference.best_response(game, state, u)
+        assert (k, ig.cost_value(w * cost)) == expected
+        assert _exact(best_response(game, state, u)) == _exact(expected)
+        assert ig.cost_value(w * current) == costs[u]
+    expected = reference.potential(game, state)
+    assert ig.potential_value(ig.potential(x)) == expected
+    assert _exact(potential(game, state)) == _exact(expected)
+    expected = reference.subgame_potential(game, state, group)
+    assert _exact(subgame_potential(game, state, group)) == _exact(expected)
+    expected = reference.partial_potential(game, state, group)
+    assert ig.potential_value(ig.partial_potential(state.choices, group)) == expected
+    assert _exact(partial_potential(game, state, group)) == _exact(expected)
+
+
+@SETTINGS
+@given(games(), rationals)
+def test_kernel_matches_fraction_oracle(case, bound):
+    game, state, group = case
+    assert_kernel_matches_oracle(game, state, group)
     # boundaries round up: K >= cost_ceil(b) exactly when K/(W*D) >= b
+    ig = compile_game(game)
     ceil = ig.cost_ceil(bound)
     assert ig.cost_value(ceil) >= bound > ig.cost_value(ceil - 1)
 
@@ -141,17 +169,27 @@ def test_kernel_matches_fraction_oracle(case, bound):
 @SETTINGS
 @given(games(), st.data())
 def test_move_keeps_loads_and_potential(case, data):
+    """IncrementalScan.move against a recomputation after every move."""
     game, state, _ = case
     ig = compile_game(game)
-    choices = list(state.choices)
-    x = ig.loads(choices)
-    pot = ig.potential(x)
+    d = game.degree  # the rules do not matter here: everyone may move in phase 0
+    schedule = Schedule(
+        p=target_p(d), alpha=alpha(d), c_max=Fraction(1), c_min=Fraction(1), m=1, g=2,
+        boundaries=(Fraction(1), Fraction(1, 2)), n_players=game.n,
+    )
+    scan = IncrementalScan(ig, schedule, (0, 0), state.choices)
+    scan.start(0, frozenset())
+    pot = ig.potential(scan.x)
     for _ in range(3):
         u = data.draw(st.integers(0, game.n - 1))
         k = data.draw(st.integers(0, len(game.players[u].strategies) - 1))
-        pot += ig.move(choices, x, u, k)
-        assert x == ig.loads(choices)
-        assert ig.potential_value(pot) == potential(game, State(tuple(choices)))
+        pot += scan.move(u, k)
+        assert scan.choices[u] == k
+        assert scan.x == ig.loads(scan.choices)
+        assert scan.rcosts == ig.resource_costs(scan.x)
+        assert scan.costs == ig.player_costs(scan.choices, scan.rcosts)
+        assert pot == ig.potential(scan.x)
+        assert ig.potential_value(pot) == reference.potential(game, State(tuple(scan.choices)))
 
 
 def reference_scale(polys, W: int):
@@ -217,9 +255,9 @@ def reference_social_cost(game: Game, state: State) -> Fraction:
 
 
 def reference_min_equilibrium_factor(game: Game, state: State, players=None):
-    costs = player_costs(game, state)
+    costs = reference.player_costs(game, state)
     group = range(game.n) if players is None else players
-    factors = [_ratio(costs[u], best_response(game, state, u)[1]) for u in group]
+    factors = [_ratio(costs[u], reference.best_response(game, state, u)[1]) for u in group]
     return max([Fraction(1), *factors])
 
 
@@ -227,7 +265,7 @@ def reference_has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> i
     if rho < 1:
         raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
     x = loads(game, state)
-    br, br_cost = best_response(game, state, u)
+    br, br_cost = reference.best_response(game, state, u)
     player = game.players[u]
     current = player.weight * sum(
         (game.resources[e](x[e]) for e in player.strategies[state.choices[u]]), Fraction(0)
@@ -251,7 +289,7 @@ def reference_compute_schedule(
         raise MalformedInstanceError(
             "player weights must be >= 1 for the solver; apply normalize() first"
         )
-    c_max = max(player_costs(game, s_init))
+    c_max = max(reference.player_costs(game, s_init))
     if c_max == 0:
         raise AlreadyZeroError("all player costs are zero at the initial state")
     c_min = min(reference_empty_profile_best_cost(game, u) for u in range(game.n))
@@ -348,6 +386,7 @@ def test_layers_match_on_lower_bound_games(d):
         mixed = State(tuple(u % 2 for u in range(n)))
         for state in (bundle.equilibrium_state, bundle.optimal_state, mixed):
             group = list(range(0, n, 3))
+            assert_kernel_matches_oracle(bundle.game, state, group)
             assert_layers_match(bundle.game, state, group, [rho, rho - Fraction(1, 100)])
             assert_schedules_match(normalize(bundle.game), state)
 
@@ -360,7 +399,7 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
     phase_end_states, movers_per_phase, fixed_sets = [], [], []
 
     def find_move(phase):
-        costs = player_costs(game, state)
+        costs = reference.player_costs(game, state)
         for u in range(game.n):
             cost = costs[u]
             if u in fixed:
@@ -375,13 +414,13 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
                 threshold, move_class = schedule.alpha_threshold, ALPHA_MOVE
             else:
                 continue
-            br, br_cost = best_response(game, state, u)
+            br, br_cost = reference.best_response(game, state, u)
             if cost > threshold * br_cost:
                 return u, br, cost, br_cost, move_class
         return None
 
     def fix(boundary):
-        costs = player_costs(game, state)
+        costs = reference.player_costs(game, state)
         newly = frozenset(u for u in range(game.n) if u not in fixed and costs[u] >= boundary)
         fixed.update(newly)
         fixed_sets.append(newly)
@@ -394,8 +433,8 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
             moves.append(MoveRecord(
                 phase=phase, step=len(moves), player=u, from_strategy=state.choices[u],
                 to_strategy=br, cost_before=cost, cost_after=br_cost, move_class=move_class,
-                potential_before=potential(game, state),
-                potential_after=potential(game, new_state),
+                potential_before=reference.potential(game, state),
+                potential_after=reference.potential(game, new_state),
             ))
             movers.add(u)
             state = new_state
@@ -414,7 +453,7 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
         phase_end_states=tuple(phase_end_states),
         movers_per_phase=tuple(movers_per_phase),
         fixed_sets=tuple(fixed_sets),
-        game_sha256=game_fingerprint(game),
+        game_sha256=game.fingerprint,
     )
 
 
@@ -521,6 +560,14 @@ def test_incremental_scan_matches_scan_from_scratch_on_golden_cases(name, tmp_pa
     assert_scan_matches_oracle(*golden_case(name, tmp_path))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_matches_fraction_oracle_on_golden_cases(name, tmp_path):
+    game, s0, p_override = golden_case(name, tmp_path)
+    _, trace = run_algorithm(game, s0, p_override)
+    for state in {s0, *trace.phase_end_states}:
+        assert_kernel_matches_oracle(game, state, range(0, game.n, 2))
+
+
 # --------------------------------------------------------------------------
 # The exhaustive PoA oracles against their from-scratch Fraction versions
 # --------------------------------------------------------------------------
@@ -534,8 +581,8 @@ def reference_states(game: Game, state_cap: int) -> list[State]:
 
 def reference_factors(game: Game, s: State) -> list:
     """Each player's ratio of current cost to best-response cost."""
-    costs = player_costs(game, s)
-    return [_ratio(costs[u], best_response(game, s, u)[1]) for u in range(game.n)]
+    costs = reference.player_costs(game, s)
+    return [_ratio(costs[u], reference.best_response(game, s, u)[1]) for u in range(game.n)]
 
 
 def reference_brute_force_poa(game: Game, rho: Fraction, state_cap: int):
@@ -657,7 +704,7 @@ def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
     assert got == expected  # same values, same types (Fraction or inf), same states
     for oracle, metric in (
         (max_group_poa_ratio, reference_group_cost),
-        (max_rho_stretch_ratio, partial_potential),
+        (max_rho_stretch_ratio, reference.partial_potential),
     ):
         got = _outcome(oracle, game, rho, state_cap)
         expected = _outcome(reference_group_ratio, game, rho, state_cap, metric)

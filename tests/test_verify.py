@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -25,16 +26,18 @@ from congames import (
     run_algorithm,
     social_cost,
 )
-from congames.dynamics import ALPHA_MOVE, P_MOVE, MoveRecord, Trace, game_fingerprint
+from congames import game as game_module
+from congames.dynamics import ALPHA_MOVE, P_MOVE, MoveRecord, Trace
 from congames.errors import (
     NoEquilibriumError,
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from congames.game import IntGame, player_costs
-from congames.potential import alpha, partial_potential, potential
+from congames.game import IntGame
+from congames.potential import alpha
 from congames.verify import _max_group_ratio, enumerate_states
 
+import reference
 from conftest import crafted_p_move_game, random_game, random_state, single_player_game
 from test_kernel import (
     _outcome,
@@ -229,7 +232,7 @@ class TestCostFirstBruteForce:
         )
         for oracle, metric in (
             (max_group_poa_ratio, reference_group_cost),
-            (max_rho_stretch_ratio, partial_potential),
+            (max_rho_stretch_ratio, reference.partial_potential),
         ):
             assert _outcome(oracle, game, rho) == _outcome(
                 reference_group_ratio, game, rho, cap, metric
@@ -342,10 +345,27 @@ class TestAuditTrace:
     def test_wrong_game_raises(self, rng):
         game = random_game(rng, 3, 1, 4, positive_costs=True)
         other = random_game(rng, 3, 1, 4, positive_costs=True)
-        assert game_fingerprint(game) != game_fingerprint(other)
+        assert game.fingerprint != other.fingerprint
         _, trace = run_algorithm(game, State((0, 0, 0)))
         with pytest.raises(TraceMismatchError):
             audit_trace(other, trace)
+
+    def test_fingerprint_serializes_once(self, rng, monkeypatch):
+        """Solving and auditing one Game serialize it once: the
+        fingerprint is kept on the Game, and its bytes are the SHA-256 of
+        the canonical instance."""
+        game = random_game(rng, 3, 1, 4, positive_costs=True)
+        serialize, calls = game_module.serialize_instance, []
+
+        def counted(*args):
+            calls.append(args)
+            return serialize(*args)
+
+        monkeypatch.setattr(game_module, "serialize_instance", counted)
+        _, trace = run_algorithm(game, State((0, 0, 0)))
+        assert audit_trace(game, trace).passed
+        assert len(calls) == 1
+        assert trace.game_sha256 == hashlib.sha256(serialize(game).encode("utf-8")).hexdigest()
 
     def test_ineligible_move_is_reported_not_raised(self):
         # hand-built trace whose recorded values replay exactly, but whose
@@ -380,7 +400,7 @@ class TestAuditTrace:
             phase_end_states=(s1,),
             movers_per_phase=(frozenset({0}),),
             fixed_sets=(frozenset(), frozenset({0})),
-            game_sha256=game_fingerprint(game),
+            game_sha256=game.fingerprint,
         )
         report = audit_trace(game, trace)
         assert not report.passed
@@ -410,7 +430,7 @@ class TestAuditTrace:
         # after the last phase at b_m
         fixed, fixed_sets = set(), [frozenset()]
         for i in range(1, m + 1):
-            costs = player_costs(game, ends[min(i, m - 1)])
+            costs = reference.player_costs(game, ends[min(i, m - 1)])
             fixed_sets.append(
                 frozenset(u for u in range(game.n) if u not in fixed and costs[u] >= b[i])
             )
@@ -441,21 +461,23 @@ class TestAuditTrace:
         u = 0
         k = max(
             (k for k in range(len(game.players[u].strategies)) if k != before.choices[u]),
-            key=lambda k: player_costs(game, before.with_choice(u, k))[u],
+            key=lambda k: reference.player_costs(game, before.with_choice(u, k))[u],
         )
         after = before.with_choice(u, k)
-        assert player_costs(game, after)[u] >= player_costs(game, before)[u]
+        cost_before = reference.player_costs(game, before)[u]
+        cost_after = reference.player_costs(game, after)[u]
+        assert cost_after >= cost_before
         worse = MoveRecord(
             phase=last.phase,
             step=last.step + 1,
             player=u,
             from_strategy=before.choices[u],
             to_strategy=k,
-            cost_before=player_costs(game, before)[u],
-            cost_after=player_costs(game, after)[u],
+            cost_before=cost_before,
+            cost_after=cost_after,
             move_class=ALPHA_MOVE,
-            potential_before=potential(game, before),
-            potential_after=potential(game, after),
+            potential_before=reference.potential(game, before),
+            potential_after=reference.potential(game, after),
         )
         report = audit_trace(game, self.with_moves(game, trace, (*trace.moves, worse)))
         assert not report.passed
