@@ -459,14 +459,15 @@ def _scale(
 
 def compile_game(game: Game) -> IntGame:
     """Compile a game to the integer form of IntGame: W is the lcm of the
-    weight denominators, D the denominator made by _scale.  Use
-    Game.compiled, which compiles each Game once."""
-    W = math.lcm(*(p.weight.denominator for p in game.players))
+    weight denominators and D the denominator, both made by _scale, which
+    also scales each weight w to the integer w * W.  Use Game.compiled,
+    which compiles each Game once."""
+    W, weights = _scale([(p.weight,) for p in game.players], 1)
     D, costs = _scale([poly.coeffs for poly in game.resources], W)
     return IntGame(
         W=W,
         D=D,
-        weights=tuple(p.weight.numerator * (W // p.weight.denominator) for p in game.players),
+        weights=tuple(w for (w,) in weights),
         strategies=tuple(p.strategies for p in game.players),
         costs=costs,
     )

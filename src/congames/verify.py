@@ -7,19 +7,22 @@ the cost scale, so answers and ratios are those on Fractions.  The
 auditor replays a trace from its initial state, updating the loads,
 resource costs and potential on the resources each move changes, and
 applies the solver's rules to the states it replays with the stateless
-scan first_eligible_move.  Brute force tests a state's
-players only if its cost could change the answer; the group oracles sum
-a group's cost from its members' costs.  The enumerations are
-deliberately capped and fail loudly rather than truncating, since their
-whole value is oracle status.  A player who has positive cost but a
-zero-cost deviation gets the explicit infinite factor (math.inf), never
-a large stand-in number.
+scan first_eligible_move.  The PoA oracles walk the states in product
+order, updating loads and costs only where a player's turn changes them,
+from (resource, load) tables; brute force tests a state's players only if
+its cost could change the answer, and the group oracles read player costs
+from a deviation vector per player and choice of the others.  The
+enumerations are capped and fail loudly rather than truncating, since their
+whole value is oracle status.  A player with positive cost but a zero-cost
+deviation gets the explicit infinite factor (math.inf).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -74,17 +77,54 @@ def min_equilibrium_factor(
     return _ratio(worst, worst_br)
 
 
-def _all_choices(game: Game, state_cap: int) -> Iterator[tuple[int, ...]]:
-    """Every state's choices in itertools.product order, or
-    StateSpaceTooLargeError above the cap (raised before any is made)."""
-    if math.prod(len(p.strategies) for p in game.players) > state_cap:
-        raise StateSpaceTooLargeError(f"state space exceeds cap {state_cap}")
-    return itertools.product(*(range(len(p.strategies)) for p in game.players))
+class _Walk:
+    """Every state once, in product order (an odometer over the choices):
+    its choices, loads and resource costs (lists updated in place), social
+    cost and potential (None unless asked for).  A turn updates them on
+    the resources the player leaves or joins, reading c_e(X) and Phi_e(X)
+    from tables keyed by (resource, load): one _horner per distinct pair."""
+
+    def __init__(self, game: Game, state_cap: int, potential: bool = False) -> None:
+        self.ig = ig = game.compiled
+        self.sizes = [len(strategies) for strategies in ig.strategies]
+        if math.prod(self.sizes) > state_cap:
+            raise StateSpaceTooLargeError(f"state space exceeds cap {state_cap}")
+        self.strides = [math.prod(self.sizes[u + 1:]) for u in range(len(self.sizes))]
+        self.cost = functools.cache(lambda e, X: _horner(ig.costs[e], X))
+        self.phi = functools.cache(lambda e, X: _horner(ig.potentials[e], X)) if potential else None
+
+    def __iter__(self) -> Iterator[tuple[list[int], list[int], list[int], int, int | None]]:
+        ig, cost_of, phi = self.ig, self.cost, self.phi
+        choices = [0] * len(ig.strategies)
+        x = ig.loads(choices)
+        rcosts = list(map(cost_of, itertools.count(), x))
+        cost = sum(map(operator.mul, x, rcosts))
+        pot = sum(map(phi, itertools.count(), x)) if phi else None
+        # steps[u][k]: (resource, load change) when u turns from k to the next (the last to 0)
+        steps = [[[(e, -w) for e in a if e not in b] + [(e, w) for e in b if e not in a]
+                  for a, b in zip(S, S[1:] + S[:1])] for w, S in zip(ig.weights, ig.strategies)]
+        while True:
+            yield choices, x, rcosts, cost, pot
+            u = len(choices) - 1
+            while (k := choices[u]) == len(steps[u]) - 1:  # carry
+                if u == 0:
+                    return
+                u -= 1
+            for v in range(u, len(choices)):  # u turns to k + 1, the players after her to 0
+                for e, dw in steps[v][choices[v]]:
+                    old, new = x[e], x[e] + dw
+                    x[e], c = new, cost_of(e, new)
+                    cost += new * c - old * rcosts[e]
+                    rcosts[e] = c
+                    if phi:
+                        pot += phi(e, new) - phi(e, old)
+                choices[v] = 0
+            choices[u] = k + 1
 
 
 def enumerate_states(game: Game, state_cap: int = 10**6) -> list[State]:
-    """All states of the game, or StateSpaceTooLargeError above the cap."""
-    return [State(choices) for choices in _all_choices(game, state_cap)]
+    """All states of the game, in product order, or StateSpaceTooLargeError above the cap."""
+    return [State(tuple(choices)) for choices, *_ in _Walk(game, state_cap)]
 
 
 class _Row(NamedTuple):
@@ -96,19 +136,26 @@ class _Row(NamedTuple):
     within: int
 
 
-def _rows(game: Game, rho: Fraction, state_cap: int, potential: bool) -> Iterator[_Row]:
-    """Every state's row from scratch, in product order.  Player u's bit is
-    set when rho >= 1 and her best response improves on her cost by at
-    most rho (0/0 counts as 1, K/0 for K > 0 as infinite)."""
-    ig, at_least_one = game.compiled, rho >= 1
-    for choices in _all_choices(game, state_cap):
-        rcosts = ig.resource_costs(x := ig.loads(choices))
-        costs, within = [], 0
-        for u in range(game.n):
-            _, best, now = ig.best_response(choices, x, rcosts, u)
-            costs.append(ig.weights[u] * now)
-            within |= (at_least_one and not improves(now, best, rho)) << u
-        yield _Row(choices, costs, ig.potential(x) if potential else None, within)
+def _rows(walk: _Walk, rho: Fraction) -> Iterator[_Row]:
+    """Every state's row, in product order.  Player u's bit is set when
+    rho >= 1 and her best response improves on her cost by at most rho
+    (0/0 counts as 1, K/0 for K > 0 as infinite).  Both are read from her
+    deviation vector, her (cost, bit) at each strategy against the others'
+    loads, made at the first state of each choice of the others."""
+    ig, strides, at_least_one = walk.ig, walk.strides, rho >= 1
+    vectors: list[dict[int, list[tuple[int, int]]]] = [{} for _ in strides]
+    for i, (choices, x, _, _, pot) in enumerate(walk):
+        for u, k in enumerate(choices):
+            if k == 0:  # the first state in product order of the others' choices
+                w, own = ig.weights[u], ig.strategies[u][0]
+                now = [sum(walk.cost(e, x[e] if e in own else x[e] + w) for e in strategy)
+                       for strategy in ig.strategies[u]]
+                best = min(now)
+                vectors[u][i] = [
+                    (w * c, (at_least_one and not improves(c, best, rho)) << u) for c in now
+                ]
+        costs, bits = zip(*(vectors[u][i - k * strides[u]][k] for u, k in enumerate(choices)))
+        yield _Row(tuple(choices), list(costs), pot, sum(bits))
 
 
 def brute_force_poa(
@@ -118,47 +165,41 @@ def brute_force_poa(
     ratio C(s)/C(s*) of a state s whose equilibrium factor is at most rho to
     the optimum s*, ties going to the state enumerated first.  Raises
     NoEquilibriumError when no state qualifies (possible in weighted games,
-    and always for rho < 1).  Streams the states, cost first: only a state
+    and always for rho < 1).  Walks the states cost first: only a state
     costlier than the worst equilibrium so far can change the answer, so
     only its players are tested, up to the first one not within rho."""
     ig, at_least_one = game.compiled, rho >= 1
     opt_cost, worst_cost = math.inf, -1
-    for choices in _all_choices(game, state_cap):
-        rcosts = ig.resource_costs(x := ig.loads(choices))
-        cost = sum(load * rc for load, rc in zip(x, rcosts))
+    for choices, x, rcosts, cost, _ in _Walk(game, state_cap):
         if cost < opt_cost:
-            opt_cost, optimum = cost, choices
+            opt_cost, optimum = cost, tuple(choices)
         # Ranking by cost ranks the ratios even when the optimum costs 0:
         # then every player has a zero-cost strategy, so every equilibrium costs 0.
         if cost > worst_cost and at_least_one and all(
             not improves(now, best, rho)
             for _, best, now in (ig.best_response(choices, x, rcosts, u) for u in range(game.n))
         ):
-            worst_cost, worst = cost, choices
+            worst_cost, worst = cost, tuple(choices)
     if worst_cost < 0:
         raise NoEquilibriumError(f"no {rho}-approximate equilibrium exists")
     return _ratio(worst_cost, opt_cost), State(worst), State(optimum)
 
 
-def _max_group_ratio(
-    game: Game, rho: Fraction, state_cap: int, metric: Callable[..., int], potential: bool = False
-) -> Factor:
+def _max_group_ratio(walk: _Walk, rows: list[_Row], values: Callable, shift=lambda *_: 0) -> Factor:
     """Worst ratio M_R(s)/M_R(s') of a group metric over all triples
     (R, s, s') where s is a rho-equilibrium for R and the complement C of
-    R plays the same strategies in s and s'.  A bucket holds the states of
-    one choice of C; a row's value is metric(row, R, Phi(X_C)), Phi(X_C) only
-    if ``potential`` is set (else 0).  The worst bucket ratio, its largest
-    value at an equilibrium over its smallest, is kept as a pair of ints.
+    R plays the same strategies in s and s'.  A bucket holds the rows of
+    one choice of C; values(R)[i] is row i's metric, less shift(choices, C)
+    at the bucket's choices, once per bucket that holds an equilibrium.  The
+    worst bucket ratio, max at an equilibrium over min, is kept as two ints.
 
     The rows are in product order, so a state's row index is the sum of
     choices[u] * strides[u] over the players: a bucket's rows are at its
     complement offset plus each of the group's offsets."""
-    ig = game.compiled
-    rows = list(_rows(game, rho, state_cap, potential))
-    sizes = [len(p.strategies) for p in game.players]
-    strides = [math.prod(sizes[u + 1:]) for u in range(game.n)]
+    sizes, strides, n = walk.sizes, walk.strides, len(walk.sizes)
+    within = [row.within for row in rows]
 
-    def offsets(players: list[int]) -> list[int]:
+    def offsets(players: Iterable[int]) -> list[int]:
         """The players' part of the row index for each of their choices, in product order."""
         result = [0]
         for u in players:
@@ -166,17 +207,18 @@ def _max_group_ratio(
         return result
 
     top, bottom = 0, 1
-    for group_size in range(1, game.n + 1):
-        for group in itertools.combinations(range(game.n), group_size):
+    for group_size in range(1, n + 1):
+        for group in itertools.combinations(range(n), group_size):
             mask = sum(1 << u for u in group)
-            complement = [u for u in range(game.n) if u not in group]
-            group_offsets = offsets(list(group))
+            complement = [u for u in range(n) if u not in group]
+            group_offsets, value = offsets(group), values(group)
             for base in offsets(complement):
-                bucket = [rows[base + i] for i in group_offsets]
-                if eq := [row for row in bucket if row.within & mask == mask]:
-                    phi_c = ig.potential(ig.loads(eq[0].choices, complement)) if potential else 0
-                    high = max(metric(row, group, phi_c) for row in eq)
-                    low = min(metric(row, group, phi_c) for row in bucket)
+                bucket = [base + i for i in group_offsets]
+                if eq := [i for i in bucket if within[i] & mask == mask]:
+                    high = max(map(value.__getitem__, eq))
+                    low = min(map(value.__getitem__, bucket))
+                    s = shift(rows[base].choices, complement)
+                    high, low = high - s, low - s
                     high, low = (high, low) if low else (1, int(high == 0))  # 0/0 is 1, K/0 inf
                     if high * bottom > top * low:
                         top, bottom = high, low
@@ -187,13 +229,19 @@ def max_group_poa_ratio(game: Game, rho: Fraction, state_cap: int = 10**6) -> Fa
     """Worst group cost ratio C_R(s)/C_R(s*), C_R the sum of the members'
     costs, over all triples (R, s, s*) where s is a rho-equilibrium for R and
     the complement of R plays the same strategies in s and s*.  Exhaustive; tiny games only."""
-    return _max_group_ratio(game, rho, state_cap, lambda row, R, _: sum(row.costs[u] for u in R))
+    rows = list(_rows(walk := _Walk(game, state_cap), rho))
+    columns = list(zip(*(row.costs for row in rows)))  # each player's costs, row by row
+    return _max_group_ratio(walk, rows, lambda R: list(map(sum, zip(*map(columns.__getitem__, R)))))
 
 
 def max_rho_stretch_ratio(game: Game, rho: Fraction, state_cap: int = 10**6) -> Factor:
     """Worst partial-potential ratio over the same (R, s, s') triples as
-    max_group_poa_ratio; bounded by alpha * Phi(d, rho)^(d+1)."""
-    return _max_group_ratio(game, rho, state_cap, lambda row, _, phi_c: row.potential - phi_c, True)
+    max_group_poa_ratio; bounded by alpha * Phi(d, rho)^(d+1).  A bucket's
+    values are its rows' potentials less one Phi(X_C)."""
+    rows = list(_rows(walk := _Walk(game, state_cap, potential=True), rho))
+    potentials = [row.potential for row in rows]
+    return _max_group_ratio(walk, rows, lambda _: potentials, lambda choices, C: sum(
+        map(walk.phi, itertools.count(), walk.ig.loads(choices, C))))  # Phi(X_C)
 
 
 # --------------------------------------------------------------------------

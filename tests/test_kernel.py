@@ -15,10 +15,14 @@ loads recomputed from scratch.  The exhaustive PoA oracles,
 min_equilibrium_factor, group_cost, social_cost, compute_schedule and
 has_rho_move must return the values, states and errors of their
 from-scratch Fraction versions kept here, also on lower-bound games.
-game._scale, which takes each quotient of the common denominator from
-the next larger one's, must give the integers of dividing directly, and
-verify._max_group_ratio, which finds a bucket's rows by their index, the
-answer of buckets kept in a dict.
+game._scale and compile_game, which take each quotient of a common
+denominator from the next larger one's, must give the integers of
+dividing directly.  The product-order walk of the PoA oracles
+(verify._Walk) must give every state's loads, resource costs, social cost
+and potential from scratch, and verify._rows, which reads each player's
+costs from a deviation vector, the rows made from scratch state by
+state; the group oracles, which find a bucket's rows by their index,
+must give the answer of buckets kept in a dict.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from congames.dynamics import (
     compute_schedule,
     first_eligible_move,
     has_rho_move,
+    improves,
     run_algorithm,
     target_p,
 )
@@ -79,9 +84,10 @@ from congames.game import (
 )
 from congames.potential import alpha, potential_coefficients
 from congames.verify import (
-    _max_group_ratio,
     _ratio as _int_ratio,
+    _Row,
     _rows,
+    _Walk,
     audit_trace,
     brute_force_poa,
     max_group_poa_ratio,
@@ -207,7 +213,10 @@ def reference_scale(polys, W: int):
 
 
 def assert_scale_matches(game: Game) -> None:
-    W = compile_game(game).W
+    ig = compile_game(game)
+    W = ig.W
+    assert W == math.lcm(*(p.weight.denominator for p in game.players))
+    assert ig.weights == tuple(p.weight.numerator * (W // p.weight.denominator) for p in game.players)
     for polys in (
         [poly.coeffs for poly in game.resources],
         [potential_coefficients(poly) for poly in game.resources],
@@ -625,11 +634,27 @@ def reference_group_ratio(game: Game, rho: Fraction, state_cap: int, metric):
     return worst
 
 
+def reference_rows(game: Game, rho: Fraction, state_cap: int, potential: bool):
+    """verify._rows with each state's loads, resource costs, potential and
+    best responses computed from scratch, in product order."""
+    ig, at_least_one = game.compiled, rho >= 1
+    for state in reference_states(game, state_cap):
+        choices = state.choices
+        rcosts = ig.resource_costs(x := ig.loads(choices))
+        costs, within = [], 0
+        for u in range(game.n):
+            _, best, now = ig.best_response(choices, x, rcosts, u)
+            costs.append(ig.weights[u] * now)
+            within |= (at_least_one and not improves(now, best, rho)) << u
+        yield _Row(choices, costs, ig.potential(x) if potential else None, within)
+
+
 def dict_bucket_group_ratio(game: Game, rho: Fraction, state_cap: int, metric, potential: bool):
     """verify._max_group_ratio with each bucket found by a dict keyed by
-    the complement's choices, one key per row per group."""
+    the complement's choices, one key per row per group, on the rows of
+    reference_rows."""
     ig = game.compiled
-    rows = list(_rows(game, rho, state_cap, potential))
+    rows = list(reference_rows(game, rho, state_cap, potential))
     top, bottom = 0, 1
     for group_size in range(1, game.n + 1):
         for group in itertools.combinations(range(game.n), group_size):
@@ -714,10 +739,37 @@ def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
 @settings(SETTINGS, max_examples=50)
 @given(oracle_games(), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]))
 def test_group_buckets_from_row_index_match_dict_buckets(game, rho):
-    for metric, potential in (
-        (lambda row, group, _: sum(row.costs[u] for u in group), False),  # max_group_poa_ratio
-        (lambda row, _, phi_c: row.potential - phi_c, True),  # max_rho_stretch_ratio
+    for oracle, metric, potential in (
+        (max_group_poa_ratio, lambda row, group, _: sum(row.costs[u] for u in group), False),
+        (max_rho_stretch_ratio, lambda row, _, phi_c: row.potential - phi_c, True),
     ):
-        assert _exact(_max_group_ratio(game, rho, 10**6, metric, potential)) == _exact(
+        assert _exact(oracle(game, rho)) == _exact(
             dict_bucket_group_ratio(game, rho, 10**6, metric, potential)
         )
+
+
+@settings(SETTINGS, max_examples=50)
+@given(
+    oracle_games(),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+    st.sampled_from([10**6, 8]),
+    st.booleans(),
+)
+def test_rows_of_the_walk_match_rows_from_scratch(game, rho, state_cap, potential):
+    got = _outcome(lambda: tuple(_rows(_Walk(game, state_cap, potential), rho)))
+    expected = _outcome(lambda: tuple(reference_rows(game, rho, state_cap, potential)))
+    assert got == expected  # field by field, types included, or the same cap error
+
+
+@settings(SETTINGS, max_examples=50)
+@given(oracle_games(), st.booleans())
+def test_walk_matches_states_from_scratch(game, potential):
+    ig = game.compiled
+    for (choices, x, rcosts, cost, pot), state in zip(
+        _Walk(game, 10**6, potential), reference_states(game, 10**6), strict=True
+    ):
+        assert tuple(choices) == state.choices
+        assert x == ig.loads(choices)
+        assert rcosts == ig.resource_costs(x)
+        assert ig.cost_value(cost) == reference_social_cost(game, state)
+        assert pot == (ig.potential(x) if potential else None)

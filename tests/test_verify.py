@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -27,6 +28,7 @@ from congames import (
     social_cost,
 )
 from congames import game as game_module
+from congames import verify
 from congames.dynamics import ALPHA_MOVE, P_MOVE, MoveRecord, Trace
 from congames.errors import (
     NoEquilibriumError,
@@ -35,7 +37,7 @@ from congames.errors import (
 )
 from congames.game import IntGame
 from congames.potential import alpha
-from congames.verify import _max_group_ratio, enumerate_states
+from congames.verify import _max_group_ratio, _rows, _Walk, enumerate_states
 
 import reference
 from conftest import crafted_p_move_game, random_game, random_state, single_player_game
@@ -197,9 +199,11 @@ class TestOracleEdgeCases:
         assert max_group_poa_ratio(game, rho) == 1
         assert max_rho_stretch_ratio(game, rho) == 1
 
+        rows = list(_rows(walk := _Walk(game, 10**6), rho))
+
         def ratio(values):
             """The bucket's ratio under a metric valued values[k] at state (k,)."""
-            return _max_group_ratio(game, rho, 10**6, lambda row, xc, phi_c: values[row.choices[0]])
+            return _max_group_ratio(walk, rows, lambda group: [values[row.choices[0]] for row in rows])
 
         # The oracles' own metrics never reach inf: a group of value 0 uses
         # only resources that cost nothing, so a member of positive cost has
@@ -254,6 +258,36 @@ class TestCostFirstBruteForce:
         got = _outcome(brute_force_poa, game, rho)
         assert calls == 166 < game.n * len(enumerate_states(game))
         assert got == _outcome(reference_brute_force_poa, game, rho, 10**6)
+
+    def test_horner_count(self, monkeypatch):
+        # A gate on a count, not a time: the walk reads c_e(X) and Phi_e(X)
+        # from tables, so each polynomial is evaluated once per (resource,
+        # load) pair; test_kernel.reference_rows evaluates every resource at
+        # every state.  Both modules' names are counted.
+        game, rho = gen_random(4, 2, 6, 3, 3, seed=0), Fraction(3)
+        calls = []
+        horner = game_module._horner
+
+        def counting(coeffs, x):
+            calls.append(len(coeffs))
+            return horner(coeffs, x)
+
+        monkeypatch.setattr(verify, "_horner", counting)
+        monkeypatch.setattr(game_module, "_horner", counting)
+        got = _outcome(max_rho_stretch_ratio, game, rho)
+        monkeypatch.undo()
+        ig, players = game.compiled, range(game.n)
+        pairs = {  # (resource, load of any group of players at any state)
+            (e, X)
+            for s in enumerate_states(game)
+            for size in range(game.n + 1)
+            for group in itertools.combinations(players, size)
+            for e, X in enumerate(ig.loads(s.choices, group))
+        }
+        assert len(calls) == 120
+        for length in (game.degree + 1, game.degree + 2):  # cost rows, then potential rows
+            assert calls.count(length) <= len(pairs) == 60
+        assert got == _outcome(reference_group_ratio, game, rho, 10**6, reference.partial_potential)
 
     def test_equal_cost_equilibria_return_the_first(self):
         # At rho = 2 both players on one link (cost 4) are equilibria, as
