@@ -75,8 +75,8 @@ class AnalysisResult:
 def lambert_w(tau: float) -> float:
     """Principal-branch Lambert-W on [0, inf): the unique w with w*e^w = tau.
 
-    Halley iteration from the initial guess log(1 + tau); the residual
-    |w*e^w - tau| is driven below 1e-13 * max(1, tau).
+    Halley iteration from the initial guess log(1 + tau), stopped once
+    the residual |w*e^w - tau| is at most 1e-14 * tau, relative at any tau.
     """
     if tau < 0:
         raise ValueError(f"lambert_w requires tau >= 0, got {tau}")
@@ -86,7 +86,7 @@ def lambert_w(tau: float) -> float:
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - tau
-        if abs(f) <= 1e-14 * max(1.0, tau):
+        if abs(f) <= 1e-14 * tau:
             break
         # Halley step: f / (e^w (w+1) - (w+2) f / (2w+2))
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
@@ -205,7 +205,7 @@ def poa_bounds(d: int, rho: float) -> AnalysisResult:
     poa = phi ** (d + 1)
     lam_w = lambert_w(d / rho)
     lambert_bound = (d / lam_w) ** (d + 1)
-    if phi > d / lam_w * (1.0 + 1e-6):  # lambert_w leaves it up to 7e-8 low
+    if phi > d / lam_w * (1.0 + 1e-12):
         raise AssertionError(f"Phi({d},{rho})={phi} exceeds Lambert bound {d / lam_w}")
     mu_hat = smoothness_mu_hat(d, rho)
     lambda_hat = (1.0 - mu_hat) * poa / rho

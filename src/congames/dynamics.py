@@ -15,10 +15,12 @@ All thresholds are exact rationals; the run is fully deterministic: the
 scan always picks the lowest-index eligible player and ties between equal
 best responses resolve to the lowest strategy index.  A complete Trace of
 the run is emitted for independent auditing.  The rules are written once:
-Schedule.classify with improves, and newly_fixed.  The auditor scans each
-replayed phase end with a stateless scan (first_eligible_move) on the
-costs it passes in; the solver keeps the same scan up to date across
-moves (IncrementalScan).
+Schedule.classify with improves, and newly_fixed; so is a move's update
+of the integer state, IntState.move.  The solver's IncrementalScan is an
+IntState, and the auditor replays a trace on one of its own.  The auditor
+scans each replayed phase end with a stateless scan (first_eligible_move)
+on its state and the costs it passes in; the solver keeps the same scan
+up to date across moves.
 """
 
 from __future__ import annotations
@@ -151,50 +153,76 @@ def improves(cost, br_cost, threshold: Fraction) -> bool:
     return cost * threshold.denominator > threshold.numerator * br_cost
 
 
+class IntState:
+    """A state of the integer game: its choices, loads x, resource costs
+    and scaled potential, computed from scratch once and then kept by
+    move.  The solver's IncrementalScan is one, and the auditor replays a
+    trace on one, so a move's update is written here only; the PoA
+    oracles' walk keeps its own, from per-call tables (see verify._Walk)."""
+
+    def __init__(self, ig: IntGame, choices: Sequence[int]) -> None:
+        self.ig = ig
+        self.choices = list(choices)
+        self.x = ig.loads(self.choices)
+        self.rcosts = ig.resource_costs(self.x)
+        self.potential = ig.potential(self.x)
+
+    def move(self, u: int, k: int) -> set[int]:
+        """Switch player u to strategy k, updating the load, resource cost
+        and potential on each resource the move changes; returns those
+        resources, the symmetric difference of her old and new strategy."""
+        ig, x, rcosts = self.ig, self.x, self.rcosts
+        w, potentials = ig.weights[u], ig.potentials
+        old, new = set(ig.strategies[u][self.choices[u]]), set(ig.strategies[u][k])
+        changed = old ^ new
+        for e in changed:
+            x_new = x[e] + w if e in new else x[e] - w
+            self.potential += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
+            x[e] = x_new
+            rcosts[e] = _horner(ig.costs[e], x_new)
+        self.choices[u] = k
+        return changed
+
+
 def first_eligible_move(
-    ig: IntGame,
+    state: IntState,
     schedule: Schedule,
     bounds: Sequence[int],
     phase: int,
-    choices: Sequence[int],
-    x: Sequence[int],
-    rcosts: Sequence[int],
     costs: Sequence[int],
     fixed: Container[int],
 ) -> tuple[int, int, int, int, str] | None:
     """The phase's scan: the lowest-index non-fixed player whose best
     response beats the improvement factor Schedule.classify sets for her
     cost, as (player, best response, cost, best-response cost, move
-    class), costs scaled; None when no player may move.  ``x`` are the
-    scaled loads of ``choices``, ``rcosts`` and ``costs`` their resource
-    and player costs, and ``bounds`` the scaled boundaries."""
+    class), costs scaled; None when no player may move.  ``costs`` are the
+    player costs of ``state`` and ``bounds`` the scaled boundaries."""
+    ig = state.ig
     for u, cost in enumerate(costs):
         rule = None if u in fixed else schedule.classify(phase, cost, bounds)
         if rule is not None:
-            br, best, now = ig.best_response(choices, x, rcosts, u)
+            br, best, now = ig.best_response(state.choices, state.x, state.rcosts, u)
             if improves(now, best, rule[0]):
                 return u, br, cost, ig.weights[u] * best, rule[1]
     return None
 
 
-class IncrementalScan:
+class IncrementalScan(IntState):
     """The solver's scan: first_eligible_move kept up to date across moves.
 
-    It owns the run's choices, loads x, resource costs and player costs,
-    and caches each player's best response (None when stale) and classify
-    rule (None when fixed).  A move re-derives only the players with a
-    strategy on a resource whose load it changed and queues the classified
-    ones in a heap, lowest index on top.  next_move computes a stale best
-    response only at the top, and pops a player who does not beat her rule
-    (or a copy queued earlier) until a move or start queues her again."""
+    An IntState that also keeps the player costs, and caches each player's
+    best response (None when stale) and classify rule (None when fixed).
+    A move re-derives only the players with a strategy on a resource whose
+    load it changed and queues the classified ones in a heap, lowest index
+    on top.  next_move computes a stale best response only at the top, and
+    pops a player who does not beat her rule (or a copy queued earlier)
+    until a move or start queues her again."""
 
     def __init__(
         self, ig: IntGame, schedule: Schedule, bounds: Sequence[int], choices: Sequence[int]
     ) -> None:
-        self.ig, self.schedule, self.bounds = ig, schedule, bounds
-        self.choices = list(choices)
-        self.x = ig.loads(self.choices)
-        self.rcosts = ig.resource_costs(self.x)
+        super().__init__(ig, choices)
+        self.schedule, self.bounds = schedule, bounds
         self.costs = ig.player_costs(self.choices, self.rcosts)
         self.users: list[set[int]] = [set() for _ in self.x]  # a best response reads them all
         for u, strategies in enumerate(ig.strategies):
@@ -227,29 +255,17 @@ class IncrementalScan:
             heapq.heappop(heap)
         return None
 
-    def move(self, u: int, k: int) -> int:
-        """Switch player u to strategy k, updating the load and resource
-        cost of each resource the move changes, and re-derive every player
-        the move concerns; returns the change of the scaled potential."""
-        ig, choices, x, rcosts = self.ig, self.choices, self.x, self.rcosts
-        w, potentials = ig.weights[u], ig.potentials
-        old, new = set(ig.strategies[u][choices[u]]), set(ig.strategies[u][k])
-        delta = 0
-        concerned: set[int] = set()
-        for e in old ^ new:
-            x_new = x[e] + w if e in new else x[e] - w
-            delta += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
-            x[e] = x_new
-            rcosts[e] = _horner(ig.costs[e], x_new)
-            concerned |= self.users[e]
-        choices[u] = k
-        for v in concerned:
-            self.costs[v] = ig.player_cost(choices, rcosts, v)
+    def move(self, u: int, k: int) -> set[int]:
+        """IntState.move, then re-derive every player with a strategy on a
+        resource it changed."""
+        changed = super().move(u, k)
+        for v in set().union(*map(self.users.__getitem__, changed)):
+            self.costs[v] = self.ig.player_cost(self.choices, self.rcosts, v)
             self.responses[v] = None
             self.rules[v] = self._rule(v)
             if self.rules[v] is not None:
                 heapq.heappush(self.heap, v)
-        return delta
+        return changed
 
 
 def newly_fixed(costs: Sequence[int], fixed: Container[int], boundary: int) -> frozenset[int]:
@@ -392,7 +408,6 @@ def run_algorithm(
 
     scan = IncrementalScan(ig, schedule, bounds, s_init.choices)
     choices = scan.choices
-    pot = ig.potential(scan.x)
     fixed: set[int] = set()
     moves: list[MoveRecord] = []
     phase_end_states: list[State] = []
@@ -408,9 +423,8 @@ def run_algorithm(
             u, br, cost_before, cost_after, move_class = found
             if len(moves) - first_step == budget:
                 raise MoveBudgetExceededError(f"phase {phase} exceeded its move budget {budget}")
-            from_strategy = choices[u]
-            pot_before = pot
-            pot += scan.move(u, br)
+            from_strategy, pot_before = choices[u], scan.potential
+            scan.move(u, br)
             moves.append(
                 MoveRecord(
                     phase=phase,
@@ -422,7 +436,7 @@ def run_algorithm(
                     cost_after=ig.cost_value(cost_after),
                     move_class=move_class,
                     potential_before=ig.potential_value(pot_before),
-                    potential_after=ig.potential_value(pot),
+                    potential_after=ig.potential_value(scan.potential),
                 )
             )
             movers.add(u)

@@ -4,8 +4,8 @@ Everything here recomputes from first principles in exact arithmetic.  The
 equilibrium factor, the PoA oracles and the trace auditor run on the
 integer game (Game.compiled, a game.IntGame): each test is homogeneous in
 the cost scale, so answers and ratios are those on Fractions.  The
-auditor replays a trace from its initial state, updating the loads,
-resource costs and potential on the resources each move changes, and
+auditor replays a trace on a dynamics.IntState of its own, whose move is
+the solver's update of the loads, resource costs and potential, and
 applies the solver's rules to the states it replays with the stateless
 scan first_eligible_move.  The PoA oracles walk the states in product
 order, updating loads and costs only where a player's turn changes them,
@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dynamics import (
+    IntState,
     MoveRecord,
     Trace,
     compute_schedule,
@@ -40,7 +41,7 @@ from .errors import (
     StateSpaceTooLargeError,
     TraceMismatchError,
 )
-from .game import Game, IntGame, State, _horner, social_cost
+from .game import Game, State, _horner, social_cost
 from .potential import alpha
 
 Factor = Fraction | float  # exact rational, or math.inf as explicit sentinel
@@ -82,7 +83,10 @@ class _Walk:
     its choices, loads and resource costs (lists updated in place), social
     cost and potential (None unless asked for).  A turn updates them on
     the resources the player leaves or joins, reading c_e(X) and Phi_e(X)
-    from tables keyed by (resource, load): one _horner per distinct pair."""
+    from tables keyed by (resource, load): one _horner per distinct pair.
+    It does not move a dynamics.IntState: its per-call tables and steps
+    precomputed per strategy are what make the oracles fast, and walking an
+    IntState instead measured about 1.5 times slower per 4^4-state game."""
 
     def __init__(self, game: Game, state_cap: int, potential: bool = False) -> None:
         self.ig = ig = game.compiled
@@ -341,24 +345,6 @@ def _check_indices(game: Game, trace: Trace) -> None:
         check(f"move {i}: to_strategy", mv.to_strategy, size)
 
 
-def _replay_move(
-    ig: IntGame, choices: list[int], x: list[int], rcosts: list[int], u: int, k: int
-) -> int:
-    """Switch player u to strategy k, updating the choices, loads and
-    resource costs in place on the resources the move changes; returns
-    the change of the scaled potential."""
-    w = ig.weights[u]
-    old, new = set(ig.strategies[u][choices[u]]), set(ig.strategies[u][k])
-    delta = 0
-    for e in old ^ new:
-        x_new = x[e] + w if e in new else x[e] - w
-        delta += _horner(ig.potentials[e], x_new) - _horner(ig.potentials[e], x[e])
-        x[e] = x_new
-        rcosts[e] = _horner(ig.costs[e], x_new)
-    choices[u] = k
-    return delta
-
-
 def audit_trace(game: Game, trace: Trace) -> AuditReport:
     """Replay a trace and check every invariant the run claims.
 
@@ -372,16 +358,16 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     phase or move named.
 
     One walk: the moves are grouped by phase, then replayed in trace order
-    on the compiled integer game (see game.IntGame).  The loads, resource
-    costs and potential are computed from scratch at the initial state and
-    then updated by _replay_move on the resources each move changes, so a
-    move costs O(size of the move); the mover's costs are read from the
-    resource costs.  Every player's cost is computed once per phase end
-    that follows a move, and the scan for an eligible move, the fixing
-    rule and the drift check all read it.  The walk does not use
-    IncrementalScan, so it shares none of the solver's bookkeeping, but
-    it applies the solver's own rules to the states it replays (see
-    dynamics) and reads each cost with IntGame.player_cost.
+    on an IntState of the compiled integer game: its loads, resource costs
+    and potential are computed from scratch at the initial state and then
+    updated by IntState.move, the solver's own update, so a move costs
+    O(size of the move); the mover's costs are read from the resource
+    costs.  Every player's cost is computed once per phase end that
+    follows a move, and the scan for an eligible move, the fixing rule and
+    the drift check all read it.  The walk keeps none of IncrementalScan's
+    bookkeeping (users, cached best responses, heap), but it applies the
+    solver's own rules to the states it replays (see dynamics) and reads
+    each cost with IntGame.player_cost.
     """
     _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
     _check_indices(game, trace)
@@ -443,10 +429,8 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     phase_audits: list[PhaseAudit] = []
     fix_audits: list[FixAudit] = []
 
-    choices = list(trace.initial_state.choices)
-    x = ig.loads(choices)
-    rcosts = ig.resource_costs(x)
-    pot = ig.potential(x)
+    replay = IntState(ig, trace.initial_state.choices)
+    choices, rcosts = replay.choices, replay.rcosts
     costs: list[int] | None = None  # every player's, from the first phase end after a move
     fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
 
@@ -459,11 +443,13 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             _check_same(f"{at} from_strategy", mv.from_strategy, choices[u])
             cost = ig.player_cost(choices, rcosts, u)
             _check_same(f"{at} cost_before", mv.cost_before, ig.cost_value(cost))
-            _check_same(f"{at} potential_before", mv.potential_before, ig.potential_value(pot))
-            pot += _replay_move(ig, choices, x, rcosts, u, mv.to_strategy)
+            _check_same(f"{at} potential_before", mv.potential_before,
+                        ig.potential_value(replay.potential))
+            replay.move(u, mv.to_strategy)
             new_cost = ig.player_cost(choices, rcosts, u)
             _check_same(f"{at} cost_after", mv.cost_after, ig.cost_value(new_cost))
-            _check_same(f"{at} potential_after", mv.potential_after, ig.potential_value(pot))
+            _check_same(f"{at} potential_after", mv.potential_after,
+                        ig.potential_value(replay.potential))
 
             rule = schedule.classify(phase, cost, bounds)
             legal = (
@@ -531,9 +517,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
 
         if moves or costs is None:
             costs = ig.player_costs(choices, rcosts)
-        settled = first_eligible_move(
-            ig, schedule, bounds, phase, choices, x, rcosts, costs, fixed
-        ) is None
+        settled = first_eligible_move(replay, schedule, bounds, phase, costs, fixed) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 

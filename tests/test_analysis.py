@@ -47,9 +47,10 @@ class TestLambertW:
         assert 0.257 < lambert_w(1.0 / 3.0) < 0.259
 
     def test_defining_equation_residual(self):
-        for tau in (0.1, 1.0, 10.0, 137.0):
+        # relative at every tau: an absolute stop returned log(1 + tau) below about 1e-7
+        for tau in (1e-10, 1e-8, 1e-7, 0.1, 1.0, 10.0, 137.0):
             w = lambert_w(tau)
-            assert abs(w * math.exp(w) - tau) < 1e-13 * max(1.0, tau)
+            assert abs(w * math.exp(w) - tau) <= 1e-13 * tau
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

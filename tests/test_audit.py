@@ -9,9 +9,11 @@ error with the same message, or return an equal AuditReport, on every
 single-fault trace: each single-field change of the move records and of
 the header, and each move set to an out-of-order phase, deleted,
 duplicated or swapped, on the crafted p-move run and on gen_random runs.
-After every move the auditor replays, its loads and resource costs must
-equal their values from scratch and its potential change the change from
-scratch, on the golden cases, the crafted p-move run and hypothesis games.
+After every move the solver makes and every move the auditor replays,
+both on IntState.move, the loads, resource costs and potential must equal
+their values from scratch and the resources it returns the mover's
+strategy change, on the golden cases, the crafted p-move run and
+hypothesis games.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames import State, gen_random, normalize, run_algorithm, social_cost, verify
+from congames import State, gen_random, normalize, run_algorithm, social_cost
 from congames.dynamics import (
+    IntState,
     MoveRecord,
     compute_schedule,
     first_eligible_move,
@@ -163,9 +166,9 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
         budget = schedule.move_budget(phase)
         if len(moves) > budget:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
-        rcosts = ig.resource_costs(x)
+        scratch = IntState(ig, choices)
         settled = first_eligible_move(
-            ig, schedule, bounds, phase, choices, x, rcosts, ig.player_costs(choices, rcosts), fixed
+            scratch, schedule, bounds, phase, ig.player_costs(choices, scratch.rcosts), fixed
         ) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
@@ -275,38 +278,41 @@ def test_single_fault_traces_match_reference():
 
 @contextlib.contextmanager
 def replay_checked_against_scratch():
-    """Patch verify._replay_move so that each move the auditor replays is
-    checked: its loads and resource costs must equal those from scratch,
-    and the potential change it returns Phi after minus Phi before, from
-    scratch; the auditor's running potential is the initial potential
-    plus these changes.  Yields the list of checked movers."""
+    """Patch IntState.move, the one move update of the solver's scan and
+    of the auditor's replay, so that each move is checked: afterwards its
+    loads, resource costs and potential must equal their values from
+    scratch, and the resources it returns must be the symmetric difference
+    of the mover's old and new strategy.  Yields the list of checked
+    movers."""
     movers = []
-    replay = verify._replay_move
+    move = IntState.move
 
-    def checked(ig, choices, x, rcosts, u, k):
-        before = ig.potential(ig.loads(choices))
-        delta = replay(ig, choices, x, rcosts, u, k)
-        assert choices[u] == k
-        assert x == ig.loads(choices)
-        assert rcosts == ig.resource_costs(x)
-        assert before + delta == ig.potential(x)
+    def checked(state, u, k):
+        ig = state.ig
+        old = set(ig.strategies[u][state.choices[u]])
+        changed = move(state, u, k)
+        assert state.choices[u] == k
+        assert changed == old ^ set(ig.strategies[u][k])
+        assert state.x == ig.loads(state.choices)
+        assert state.rcosts == ig.resource_costs(state.x)
+        assert state.potential == ig.potential(state.x)
         movers.append(u)
-        return delta
+        return changed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_replay_move", checked)
+        patch.setattr(IntState, "move", checked)
         yield movers
 
 
 def assert_replay_matches_scratch(game: Game, s_init: State, p_override: int | None) -> None:
-    try:
-        _, trace = run_algorithm(game, s_init, p_override)
-    except ZeroMinCostError:
-        return
     with replay_checked_against_scratch() as movers:
+        try:
+            _, trace = run_algorithm(game, s_init, p_override)
+        except ZeroMinCostError:
+            return
         report = audit_trace(game, trace)
     assert report.passed, report.failures
-    assert movers == [mv.player for mv in trace.moves]
+    assert movers == [mv.player for mv in trace.moves] * 2  # the solve, then the audit
     assert _outcome(audit_trace, game, trace) == _outcome(reference_audit_trace, game, trace)
 
 

@@ -71,6 +71,12 @@ class TestPoa:
         rows = json.loads(out)
         assert rows[0]["d"] == 2
 
+    def test_lambert_bound_not_below_poa_bound_at_large_rho(self, capsys):
+        code, out, _ = run(capsys, "poa", "--d", "1", "--rho", "10000000000", "--format", "json")
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["lambert_bound"] >= row["poa_bound"]
+
     @pytest.mark.parametrize("table", ["0", "-3"])
     def test_table_below_one_is_a_usage_error(self, table):
         proc = run_process("poa", "--table", table)

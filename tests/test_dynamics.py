@@ -33,6 +33,7 @@ from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
     IncrementalScan,
+    IntState,
     _ceil_log2,
     first_eligible_move,
     read_trace,
@@ -217,16 +218,13 @@ class TestScan:
         schedule = compute_schedule(game, s0, p_override=3)
         ig = game.compiled
         bounds = [ig.cost_ceil(b) for b in schedule.boundaries]
-        x = ig.loads(s0.choices)
-        rcosts = ig.resource_costs(x)
-        costs = ig.player_costs(s0.choices, rcosts)
+        state = IntState(ig, s0.choices)
+        costs = ig.player_costs(s0.choices, state.rcosts)
         scan = IncrementalScan(ig, schedule, bounds, s0.choices)
         for fixed, mover in ((set(), 0), ({0}, 1), ({1}, 0), ({0, 1}, None)):
             scan.start(phase, fixed)  # the same scan, re-classified from its cache
             for found in (
-                first_eligible_move(
-                    ig, schedule, bounds, phase, s0.choices, x, rcosts, costs, fixed
-                ),
+                first_eligible_move(state, schedule, bounds, phase, costs, fixed),
                 scan.next_move(),
             ):
                 if mover is None:

@@ -6,12 +6,13 @@ loads, cost, best response, potential and partial potential the kernel
 computes, scaled back to a Fraction, and each view of the kernel
 (game.player_costs, dynamics.best_response, the potentials of
 potential.py) must equal the from-scratch Fraction oracle of
-tests/reference.py exactly.  IncrementalScan.move must keep the loads,
-resource costs, player costs and potential of a recomputation.
-run_algorithm must produce the very trace of a from-scratch Fraction
-replay of the phased dynamics, and at every step of every phase the
-solver's IncrementalScan must answer what first_eligible_move answers on
-loads recomputed from scratch.  The exhaustive PoA oracles,
+tests/reference.py exactly.  IncrementalScan.move, which is IntState.move
+followed by the scan's own bookkeeping, must keep the loads, resource
+costs, player costs and potential of a recomputation.  run_algorithm
+must produce the very trace of a from-scratch Fraction replay of the
+phased dynamics, and at every step of every phase the solver's
+IncrementalScan must answer what first_eligible_move answers on an
+IntState built from scratch.  The exhaustive PoA oracles,
 min_equilibrium_factor, group_cost, social_cost, compute_schedule and
 has_rho_move must return the values, states and errors of their
 from-scratch Fraction versions kept here, also on lower-bound games.
@@ -54,6 +55,7 @@ from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
     IncrementalScan,
+    IntState,
     MoveRecord,
     Schedule,
     Trace,
@@ -185,17 +187,18 @@ def test_move_keeps_loads_and_potential(case, data):
     )
     scan = IncrementalScan(ig, schedule, (0, 0), state.choices)
     scan.start(0, frozenset())
-    pot = ig.potential(scan.x)
     for _ in range(3):
         u = data.draw(st.integers(0, game.n - 1))
         k = data.draw(st.integers(0, len(game.players[u].strategies) - 1))
-        pot += scan.move(u, k)
+        scan.move(u, k)
         assert scan.choices[u] == k
         assert scan.x == ig.loads(scan.choices)
         assert scan.rcosts == ig.resource_costs(scan.x)
         assert scan.costs == ig.player_costs(scan.choices, scan.rcosts)
-        assert pot == ig.potential(scan.x)
-        assert ig.potential_value(pot) == reference.potential(game, State(tuple(scan.choices)))
+        assert scan.potential == ig.potential(scan.x)
+        assert ig.potential_value(scan.potential) == reference.potential(
+            game, State(tuple(scan.choices))
+        )
 
 
 def reference_scale(polys, W: int):
@@ -507,13 +510,11 @@ def scan_checked_against_oracle():
 
     def checked(scan):
         found = incremental(scan)
-        ig, choices = scan.ig, scan.choices
-        x = ig.loads(choices)
-        rcosts = ig.resource_costs(x)
-        costs = ig.player_costs(choices, rcosts)
+        ig, scratch = scan.ig, IntState(scan.ig, scan.choices)
+        costs = ig.player_costs(scratch.choices, scratch.rcosts)
         assert scan.costs == costs
         assert found == first_eligible_move(
-            ig, scan.schedule, scan.bounds, scan.phase, choices, x, rcosts, costs, scan.fixed
+            scratch, scan.schedule, scan.bounds, scan.phase, costs, scan.fixed
         )
         answers.append(found)
         return found
