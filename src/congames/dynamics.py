@@ -212,11 +212,14 @@ class IncrementalScan(IntState):
 
     An IntState that also keeps the player costs, and caches each player's
     best response (None when stale) and classify rule (None when fixed).
-    A move re-derives only the players with a strategy on a resource whose
-    load it changed and queues the classified ones in a heap, lowest index
-    on top.  next_move computes a stale best response only at the top, and
-    pops a player who does not beat her rule (or a copy queued earlier)
-    until a move or start queues her again."""
+    A move touches only the players with a strategy on a resource whose
+    load it changed: each loses her cached best response, and only the
+    mover and the players whose current strategy uses such a resource get
+    their cost and rule re-derived, as no other cost changed.  The touched
+    players with a rule are queued in a heap, lowest index on top.
+    next_move computes a stale best response only at the top, and pops a
+    player who does not beat her rule (or a copy queued earlier) until a
+    move or start queues her again."""
 
     def __init__(
         self, ig: IntGame, schedule: Schedule, bounds: Sequence[int], choices: Sequence[int]
@@ -256,14 +259,16 @@ class IncrementalScan(IntState):
         return None
 
     def move(self, u: int, k: int) -> set[int]:
-        """IntState.move, then re-derive every player with a strategy on a
-        resource it changed."""
+        """IntState.move, then touch every player with a strategy on a
+        resource it changed (see the class docstring)."""
         changed = super().move(u, k)
+        ig, choices, rules = self.ig, self.choices, self.rules
         for v in set().union(*map(self.users.__getitem__, changed)):
-            self.costs[v] = self.ig.player_cost(self.choices, self.rcosts, v)
             self.responses[v] = None
-            self.rules[v] = self._rule(v)
-            if self.rules[v] is not None:
+            if v == u or not changed.isdisjoint(ig.strategies[v][choices[v]]):
+                self.costs[v] = ig.player_cost(choices, self.rcosts, v)
+                rules[v] = self._rule(v)
+            if rules[v] is not None:
                 heapq.heappush(self.heap, v)
         return changed
 

@@ -401,23 +401,32 @@ class IntGame:
     def alone_cost(self, u: int) -> int:
         """Scaled cost of player u's cheapest strategy when she is alone on
         its resources."""
-        w = self.weights[u]
-        return w * min(
-            sum(_horner(self.costs[e], w) for e in strat) for strat in self.strategies[u]
-        )
+        w, costs = self.weights[u], self.costs
+        best = None
+        for strat in self.strategies[u]:
+            total = 0
+            for e in strat:
+                total += _horner(costs[e], w)
+            if best is None or total < best:
+                best = total
+        return w * best
 
     def potential(self, x: Sequence[int]) -> int:
         """Scaled global potential at the loads."""
         return sum(_horner(poly, x[e]) for e, poly in enumerate(self.potentials))
 
     def partial_potential(self, choices: Sequence[int], players: Iterable[int]) -> int:
-        """Scaled partial potential of a group (see potential.partial_potential)."""
+        """Scaled partial potential of a group R (see
+        potential.partial_potential): Phi(X) - Phi(X - X_R) is the sum of
+        Phi_e(X_e) - Phi_e(X_e - X_{R,e}) over the resources R uses, as
+        every other resource's term is 0.  An empty group computes no loads."""
         group = set(players)
         if not group:
-            return 0  # Phi(X) - Phi(X)
-        complement = [u for u in range(len(choices)) if u not in group]
-        return self.potential(self.loads(choices)) - self.potential(
-            self.loads(choices, complement)
+            return 0
+        x, potentials = self.loads(choices), self.potentials
+        return sum(
+            _horner(potentials[e], x[e]) - _horner(potentials[e], x[e] - xr)
+            for e, xr in enumerate(self.loads(choices, group)) if xr
         )
 
     def cost_value(self, k: int) -> Fraction:
@@ -491,9 +500,27 @@ def parse_instance(
 
     Parsing is strict: unknown keys, non-string rationals and malformed
     structure are rejected.  Weights below 1 are normalized away unless
-    ``normalize_weights`` is False.  Coefficients are padded and strategies
-    sorted here, so that Game and PlayerSpec have nothing left to redo.
+    ``normalize_weights`` is False.  Checked here, in document order: the
+    JSON types and keys, each rational string (each distinct string is
+    parsed once per call), the coefficient count against the degree, and
+    each strategy's indices, which must be integers and are deduplicated
+    and sorted once, a duplicate showing as a shorter result; coefficients
+    are padded here.  The constructors then check what they check for any
+    caller, part of it again: CostPolynomial the signs, PlayerSpec the
+    weight's sign, that each strategy is nonempty and strictly increasing
+    (so free of duplicates), and Game the index ranges; validate_state
+    checks the initial state.
     """
+    rationals: dict[str, Fraction] = {}
+
+    def rational(text) -> Fraction:
+        if type(text) is not str:
+            return parse_rational(text)  # which rejects it
+        value = rationals.get(text)
+        if value is None:
+            value = rationals[text] = parse_rational(text)
+        return value
+
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
@@ -524,7 +551,7 @@ def parse_instance(
                 f"resource {i}: {len(coeffs)} coefficients exceed degree {degree}"
             )
         padding = (Fraction(0),) * (degree + 1 - len(coeffs))
-        resources.append(CostPolynomial(tuple(map(parse_rational, coeffs)) + padding))
+        resources.append(CostPolynomial(tuple(map(rational, coeffs)) + padding))
 
     if not isinstance(raw.get("players"), list):
         raise MalformedInstanceError("'players' must be a list")
@@ -533,10 +560,11 @@ def parse_instance(
         if not isinstance(entry, dict):
             raise MalformedInstanceError(f"player {i} must be an object")
         _require_keys(entry, {"weight", "strategies"}, f"player {i}")
-        weight = parse_rational(entry.get("weight"))
+        weight = rational(entry.get("weight"))
         strategies = entry.get("strategies")
         if not isinstance(strategies, list) or not strategies:
             raise EmptyStrategyError(f"player {i}: 'strategies' must be a nonempty list")
+        canonical = []
         for strat in strategies:
             if not isinstance(strat, list):
                 raise MalformedInstanceError(f"player {i}: strategy must be a list")
@@ -545,9 +573,10 @@ def parse_instance(
                     raise MalformedInstanceError(
                         f"player {i}: resource index {e!r} must be an integer"
                     )
-            if len(set(strat)) != len(strat):
+            canonical.append(tuple(sorted(set(strat))))
+            if len(canonical[-1]) != len(strat):
                 raise MalformedInstanceError(f"player {i}: duplicate resource in {strat}")
-        players.append(PlayerSpec(weight, tuple(tuple(sorted(s)) for s in strategies)))
+        players.append(PlayerSpec(weight, tuple(canonical)))
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
 

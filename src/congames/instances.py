@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,13 +99,18 @@ def gen_lower_bound(
     r = rational_root_below(d, rho, precision_digits)
     w = 1 / r
 
-    resources = [CostPolynomial((r ** (d + 2) / rho,) + (Fraction(0),) * d)]
-    for j in range(2, n + 2):
-        coeffs = (Fraction(0),) * d + (r ** ((d + 1) * j),)
-        resources.append(CostPolynomial(coeffs))
+    # r^((d+1)*j) for j = 2..n+1 and w^i for i = 1..n, each the one before
+    # times r^(d+1) or w: a product of Fractions in lowest terms is the power
+    step = r ** (d + 1)
+    chain = itertools.accumulate(itertools.repeat(step, n - 1), operator.mul, initial=step * step)
+    weights = itertools.accumulate(itertools.repeat(w, n - 1), operator.mul, initial=w)
+    zeros = (Fraction(0),) * d
+    resources = [CostPolynomial((r ** (d + 2) / rho, *zeros))]
+    resources += (CostPolynomial((*zeros, c)) for c in chain)
 
     players = tuple(
-        PlayerSpec(weight=w**i, strategies=((i - 1,), (i,))) for i in range(1, n + 1)
+        PlayerSpec(weight=weight, strategies=((i - 1,), (i,)))
+        for i, weight in enumerate(weights, start=1)
     )
     game = Game(degree=d, resources=tuple(resources), players=players)
     equilibrium_state = State((1,) * n)

@@ -60,18 +60,30 @@ def min_equilibrium_factor(
     the worst ratio of current cost to best-response cost over the group.
 
     0/0 counts as factor 1; positive cost against a zero-cost deviation is
-    the explicit infinite factor.  Streams over the players on the integer
-    game: each evaluates the costs of its own resources once, for its cost
-    and its best response, and the running maximum K/K_br (from 1/1) is
-    kept by cross-multiplying, in lowest terms: in the lower-bound family
-    a cost and its best response share a large factor.  The player's
-    weight cancels in K/K_br, so it is never multiplied in.
+    the explicit infinite factor.  Runs on the integer game: the cost of
+    each resource the group's current strategies use is evaluated once, at
+    its first user, read by each user's best response and dropped after
+    its last, so no more costs are held at once than the members share
+    (in the lower-bound family each is a 10^5-bit integer).  The running
+    maximum K/K_br (from 1/1) is kept by cross-multiplying, in lowest
+    terms: there a cost and its best response share a large factor.  The
+    player's weight cancels in K/K_br, so it is never multiplied in.
+    ``players`` is read into a list first, as it is walked twice.
     """
-    ig = game.compiled
-    x = ig.loads(state.choices)
+    ig, choices = game.compiled, state.choices
+    players = range(game.n) if players is None else list(players)
+    x, rcosts = ig.loads(choices), {}
+    last = {e: u for u in players for e in ig.strategies[u][choices[u]]}  # e's last user
     worst, worst_br = 1, 1
-    for u in range(game.n) if players is None else players:
-        _, best, now = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
+    for u in players:
+        own = ig.strategies[u][choices[u]]
+        for e in own:
+            if e not in rcosts:
+                rcosts[e] = _horner(ig.costs[e], x[e])
+        _, best, now = ig.best_response(choices, x, rcosts, u)
+        for e in own:
+            if last[e] == u:
+                del rcosts[e]
         if now * worst_br > worst * best:
             g = math.gcd(now, best)
             worst, worst_br = now // g, best // g

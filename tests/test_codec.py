@@ -26,6 +26,7 @@ missing; the codec names p, the first field of Schedule.
 
 from __future__ import annotations
 
+import collections
 import copy
 import io
 import json
@@ -49,6 +50,7 @@ from congames import (
     normalize,
     run_algorithm,
 )
+from congames import game as game_module
 from congames.dynamics import read_trace, write_trace
 from congames.errors import (
     DegreeMismatchError,
@@ -355,6 +357,31 @@ def test_parser_matches_reference_on_mutations(case, data):
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate(doc, data.draw)
     assert_parsers_agree(json.dumps(doc))
+
+
+def test_parser_parses_each_distinct_rational_once(monkeypatch):
+    """A gen-random file repeats a few rational strings many times: at
+    d = 2, n = 50 and 20 resources it holds 110 rationals, 12 distinct.
+    parse_instance parses each distinct string once per call."""
+    game = gen_random(
+        n=50, d=2, num_resources=20, strategies_per_player=3, max_strategy_size=3,
+        coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)), seed=1,
+    )
+    text = serialize_instance(game)
+    doc = json.loads(text)
+    strings = [c for r in doc["resources"] for c in r["coeffs"]] + [p["weight"] for p in doc["players"]]
+    calls = collections.Counter()
+
+    def counting(value):
+        calls[value] += 1
+        return parse_rational(value)
+
+    monkeypatch.setattr(game_module, "parse_rational", counting)
+    for _ in range(2):  # once per call, not once per process
+        calls.clear()
+        assert parse_instance(text) == (game, None)
+        assert set(calls) == set(strings) and set(calls.values()) == {1}, calls
+    assert (len(strings), len(calls)) == (110, 12)
 
 
 # --------------------------------------------------------------------------

@@ -334,7 +334,9 @@ class TestRunAlgorithm:
     def test_best_response_count_at_n2000(self, monkeypatch):
         """The solver re-derives only the players a move concerns: on this
         n = 2000 game it makes 23,640 best-response calls, where a scan
-        from scratch after every move makes 481,504.  The auditor updates
+        from scratch after every move makes 481,504, and 18,037 player-cost
+        calls, where re-deriving the cost of every player with a strategy
+        on a changed resource makes 49,444.  The auditor updates
         only the resources a move changes and computes the player costs
         once per phase end after a move: 50,295 polynomial evaluations and
         7 load computations, where a replay with loads and potential from
@@ -347,7 +349,7 @@ class TestRunAlgorithm:
             coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
             seed=5,
         ))
-        counts = {"best_response": 0, "_horner": 0, "loads": 0, "views": 0}
+        counts = {"best_response": 0, "player_cost": 0, "_horner": 0, "loads": 0, "views": 0}
 
         def counting(name, fn):
             def call(*args):
@@ -364,9 +366,11 @@ class TestRunAlgorithm:
             with monkeypatch.context() as patch:
                 kernel = counting("best_response", IntGame.best_response)
                 patch.setattr(IntGame, "best_response", kernel)
+                patch.setattr(IntGame, "player_cost", counting("player_cost", IntGame.player_cost))
                 _, trace = run_algorithm(game, State((0,) * game.n))
             assert len(trace.moves) == 540
             assert counts["best_response"] <= 100_000
+            assert counts["player_cost"] == 18_037, counts
             with monkeypatch.context() as patch:
                 for module in (game_module, dynamics, verify):
                     patch.setattr(module, "_horner", counting("_horner", game_module._horner))

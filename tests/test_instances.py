@@ -7,6 +7,9 @@ from fractions import Fraction
 import pytest
 
 from congames import (
+    CostPolynomial,
+    Game,
+    PlayerSpec,
     gen_lower_bound,
     gen_random,
     min_equilibrium_factor,
@@ -80,6 +83,27 @@ class TestLowerBoundFamily:
     def test_precision_floor(self):
         with pytest.raises(MalformedInstanceError):
             gen_lower_bound(1, Fraction(1), 2, 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [Fraction(1), Fraction(3, 2), Fraction(7, 3)])
+    def test_matches_power_construction(self, d, rho):
+        """The chained products equal a fresh power for every coefficient
+        and weight."""
+        for n in (1, 2, 5, 60):
+            assert gen_lower_bound(d, rho, n, 30).game == reference_lower_bound_game(d, rho, n, 30)
+
+
+def reference_lower_bound_game(d: int, rho: Fraction, n: int, digits: int) -> Game:
+    """The lower-bound family's game, each coefficient r^((d+1)*j) and
+    weight r^(-i) computed as a power of its own."""
+    r = rational_root_below(d, rho, digits)
+    resources = [CostPolynomial((r ** (d + 2) / rho,) + (Fraction(0),) * d)]
+    for j in range(2, n + 2):
+        resources.append(CostPolynomial((Fraction(0),) * d + (r ** ((d + 1) * j),)))
+    players = tuple(
+        PlayerSpec(weight=(1 / r) ** i, strategies=((i - 1,), (i,))) for i in range(1, n + 1)
+    )
+    return Game(degree=d, resources=tuple(resources), players=players)
 
 
 class TestRandomGames:

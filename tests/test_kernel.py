@@ -336,6 +336,13 @@ def assert_layers_match(game: Game, state: State, group, rhos) -> None:
         assert _exact(min_equilibrium_factor(game, state, players)) == _exact(
             reference_min_equilibrium_factor(game, state, players)
         )
+    # the group is walked twice, so a one-shot iterator must give the same answer
+    assert _exact(min_equilibrium_factor(game, state, iter(group))) == _exact(
+        min_equilibrium_factor(game, state, list(group))
+    )
+    assert _exact(min_equilibrium_factor(game, state, None)) == _exact(
+        min_equilibrium_factor(game, state, range(game.n))
+    )
     assert _exact(group_cost(game, state, group)) == _exact(
         reference_group_cost(game, state, group)
     )
@@ -502,9 +509,10 @@ def test_p_move_trace_matches_fraction_replay():
 
 @contextlib.contextmanager
 def scan_checked_against_oracle():
-    """Patch IncrementalScan.next_move so that each of its answers, and
-    its cached player costs, are compared with first_eligible_move and
-    player_costs on loads recomputed from scratch; yields the answers."""
+    """Patch IncrementalScan.next_move so that each of its answers, its
+    cached player costs and every best response it holds cached are
+    compared with first_eligible_move, player_costs and best_response on
+    loads recomputed from scratch; yields the answers."""
     answers = []
     incremental = IncrementalScan.next_move
 
@@ -513,6 +521,9 @@ def scan_checked_against_oracle():
         ig, scratch = scan.ig, IntState(scan.ig, scan.choices)
         costs = ig.player_costs(scratch.choices, scratch.rcosts)
         assert scan.costs == costs
+        for u, response in enumerate(scan.responses):
+            if response is not None:
+                assert response == ig.best_response(scratch.choices, scratch.x, scratch.rcosts, u)
         assert found == first_eligible_move(
             scratch, scan.schedule, scan.bounds, scan.phase, costs, scan.fixed
         )
