@@ -8,7 +8,6 @@ constants.  See the module docstrings for the contracts.
 
 from .analysis import (
     AnalysisResult,
-    GridSpec,
     check_combination_inequality,
     check_p_property,
     check_smoothness_constraint,
@@ -25,7 +24,6 @@ from .dynamics import (
     Trace,
     best_response,
     compute_schedule,
-    has_rho_move,
     run_algorithm,
     target_p,
 )
@@ -35,7 +33,6 @@ from .game import (
     PlayerSpec,
     State,
     group_cost,
-    group_loads,
     loads,
     make_player,
     normalize,
@@ -45,7 +42,7 @@ from .game import (
     social_cost,
 )
 from .instances import LowerBoundBundle, gen_lower_bound, gen_random
-from .potential import alpha, partial_potential, potential, resource_potential, subgame_potential
+from .potential import alpha, partial_potential, potential
 from .verify import (
     AuditReport,
     audit_trace,

@@ -24,24 +24,15 @@ from dataclasses import dataclass
 
 from .dynamics import target_p
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced evaluation grid for the inequality checks.
-
-    The polynomial inequalities are scale-sensitive; a log grid over
-    [low, high] covers the extremes where the slack minima live.  A zero
-    point leads each axis so boundary rows are exercised too.
-    """
-
-    low: float = 1e-3
-    high: float = 1e3
-    points_per_axis: int = 60
-
-    def axis(self) -> list[float]:
-        lo, hi = math.log(self.low), math.log(self.high)
-        n = self.points_per_axis
-        return [0.0] + [math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(n)]
+# The evaluation axis of the grid checks: a zero point, so that boundary
+# rows are exercised too, then 60 log-spaced points over [1e-3, 1e3].  The
+# polynomial inequalities are scale-sensitive; a log grid covers the
+# extremes where the slack minima live.
+GRID_AXIS = (0.0,) + tuple(
+    math.exp(math.log(1e-3) + (math.log(1e3) - math.log(1e-3)) * i / 59) for i in range(60)
+)
+# A check passes when its worst signed relative slack is at least -TOLERANCE.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,8 +40,8 @@ class CheckResult:
     """Outcome of a grid inequality check.
 
     ``worst_slack`` is the minimum over the grid of (rhs - lhs) / scale,
-    signed: negative values are violations.  ``passed`` applies the check's
-    tolerance to that minimum.
+    signed: negative values are violations.  ``passed`` applies TOLERANCE
+    to that minimum.
     """
 
     passed: bool
@@ -224,27 +215,26 @@ def poa_bounds(d: int, rho: float) -> AnalysisResult:
     )
 
 
-def _check_monomials(d: int, a: float, b: float, grid: GridSpec, tolerance: float) -> CheckResult:
+def _check_monomials(d: int, a: float, b: float) -> CheckResult:
     """Grid-check y*(x+y)^v <= a*y*y^v + b*x*x^v for v = 0..d and x, y on
-    the grid axis: the worst signed relative slack and the first point
+    GRID_AXIS: the worst signed relative slack and the first point
     (v, x, y) attaining it."""
-    axis = grid.axis()
     worst = math.inf
     worst_point: tuple = ()
     for v in range(d + 1):
-        for x in axis:
+        for x in GRID_AXIS:
             bx = b * x * x**v
-            for y in axis:
+            for y in GRID_AXIS:
                 lhs = y * (x + y) ** v
                 rhs = a * y * y**v + bx
                 slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
                 if slack < worst:
                     worst = slack
                     worst_point = (v, x, y)
-    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+    return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)
 
 
-def _worst_slack(cases, tolerance: float) -> CheckResult:
+def _worst_slack(cases) -> CheckResult:
     """The worst signed relative slack (rhs - lhs) / max(|lhs|, |rhs|) over
     (point, lhs, rhs) cases, and the first point attaining it."""
     worst = math.inf
@@ -254,17 +244,10 @@ def _worst_slack(cases, tolerance: float) -> CheckResult:
         if slack < worst:
             worst = slack
             worst_point = point
-    return CheckResult(passed=worst >= -tolerance, worst_slack=worst, worst_point=worst_point)
+    return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)
 
 
-def check_smoothness_constraint(
-    d: int,
-    rho: float,
-    lam: float,
-    mu: float,
-    grid: GridSpec = GridSpec(),
-    tolerance: float = 1e-9,
-) -> CheckResult:
+def check_smoothness_constraint(d: int, rho: float, lam: float, mu: float) -> CheckResult:
     """Grid-check the smoothness constraint
     y*f(z+x+y) <= lam*y*f(z+y) + mu*x*f(z+x) for all f of degree <= d.
 
@@ -274,7 +257,7 @@ def check_smoothness_constraint(
     not read: the check depends on (lam, mu) only, which a caller derives
     from rho (as poa_bounds does); it stays for positional callers.
     """
-    return _check_monomials(d, lam, mu, grid, tolerance)
+    return _check_monomials(d, lam, mu)
 
 
 def combination_constant(d: int, epsilon: float) -> float:
@@ -284,52 +267,31 @@ def combination_constant(d: int, epsilon: float) -> float:
     return (1.0 + 1.0 / epsilon) ** d * float(d) ** d
 
 
-def check_combination_inequality(
-    d: int,
-    epsilon: float,
-    grid: GridSpec = GridSpec(),
-    tolerance: float = 1e-9,
-) -> CheckResult:
+def check_combination_inequality(d: int, epsilon: float) -> CheckResult:
     """Grid-check y*f(z+x+y) <= (1+eps)*y*f(z+x'+y) + xi_eps*x*f(z+x+y')
     for all f of degree <= d.
 
     Monotonicity lets x' = y' = 0 and the z shift folds into f, leaving
     y*f(x+y) <= (1+eps)*y*f(y) + xi_eps*x*f(x) over monomials f(t) = t^v.
     """
-    return _check_monomials(d, 1.0 + epsilon, combination_constant(d, epsilon), grid, tolerance)
+    return _check_monomials(d, 1.0 + epsilon, combination_constant(d, epsilon))
 
 
-def check_concavity_inequality(
-    psi_points: int = 25, grid: GridSpec = GridSpec(), tolerance: float = 1e-9
-) -> CheckResult:
-    """Grid-check (1+x)^psi - 1 >= psi*x*(1+x)^(psi-1) for psi in (0,1], x > 0."""
-    axis = [x for x in grid.axis() if x != 0.0]
+def check_concavity_inequality() -> CheckResult:
+    """Grid-check (1+x)^psi - 1 >= psi*x*(1+x)^(psi-1) for psi = 1/25,
+    2/25, ..., 1 and the positive points x of GRID_AXIS."""
     return _worst_slack(
-        (
-            ((psi, x), psi * x * (1.0 + x) ** (psi - 1.0), (1.0 + x) ** psi - 1.0)
-            for psi in (i / psi_points for i in range(1, psi_points + 1))
-            for x in axis
-        ),
-        tolerance,
+        ((psi, x), psi * x * (1.0 + x) ** (psi - 1.0), (1.0 + x) ** psi - 1.0)
+        for psi in (i / 25 for i in range(1, 26))
+        for x in GRID_AXIS[1:]
     )
 
 
-def check_epsilon_inverse_bound(
-    samples: tuple[tuple[int, float], ...] = (
-        (1, 2.0),
-        (1, 160.0),
-        (3, 160.0),
-        (10, 160.0),
-        (10, 10752.0),
-        (40, 1e6),
-        (100, 1e6),
-    ),
-    tolerance: float = 1e-9,
-) -> CheckResult:
+def check_epsilon_inverse_bound() -> CheckResult:
     """For (1+eps)^m = 1 + 1/p, check 1/eps <= m*(1+p) on sampled (m, p)."""
+    samples = ((1, 2.0), (1, 160.0), (3, 160.0), (10, 160.0), (10, 10752.0), (40, 1e6), (100, 1e6))
     return _worst_slack(
-        (((m, p), 1.0 / math.expm1(math.log1p(1.0 / p) / m), m * (1.0 + p)) for m, p in samples),
-        tolerance,
+        ((m, p), 1.0 / math.expm1(math.log1p(1.0 / p) / m), m * (1.0 + p)) for m, p in samples
     )
 
 

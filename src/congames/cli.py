@@ -83,7 +83,6 @@ def _factor_str(factor) -> str:
 def _cmd_solve(args: argparse.Namespace) -> int:
     game, initial = _read_instance(args.input)
     state = initial if initial is not None else State((0,) * game.n)
-    validate_state(game, state)
     final, trace = dynamics.run_algorithm(game, state, p_override=args.p_override)
     _write_state(args.output, final)
     if args.trace:

@@ -71,18 +71,6 @@ def best_response(game: Game, state: State, u: int) -> tuple[int, Fraction]:
     return br, ig.cost_value(ig.weights[u] * best)
 
 
-def has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
-    """Index of a strategy improving player u's cost by a factor strictly
-    greater than rho, or None.  The witness returned is the best response.
-    Decided on the integer game by cross-multiplying."""
-    if rho < 1:
-        raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
-    ig = game.compiled
-    x = ig.loads(state.choices)
-    br, best, now = ig.best_response(state.choices, x, ig.own_costs(state.choices, x, u), u)
-    return br if improves(now, best, rho) else None
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Derived constants of one solver run.

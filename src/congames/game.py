@@ -10,22 +10,22 @@ and potentials are exact, so every threshold comparison made by the solver
 is bit-exact and reproducible.  All types are immutable after construction
 and safe to share between threads; the operations below are pure functions.
 
-Costs and potentials are computed in one place: an integer form of the
-game, made by compile_game and kept on the Game object (Game.compiled).
-The solver, the auditor, the verification oracles and group/social costs
-run on it, and player_costs here, dynamics.best_response and the
-potentials of potential.py are views of it, scaled back to Fractions;
-only loads and group_loads stay Fraction weight sums.  Weights are
-scaled by W, the lcm of their denominators, so loads are integers
-X = W*x.  Each c_e(X/W) is scaled to integer coefficients over
-D = lcm(coefficient denominators) * W^d, and each potential phi_e(X/W),
-derived from those integer cost rows on first use, over Dp = 2*W*D.  A
-cost K stands for K/(W*D) and a potential P for P/Dp.  Every test made
-on them (cost >= b_i, cost > t * cost', drop >= floor) is homogeneous in
-the cost scale, so one uniform positive rescaling leaves its answer
-unchanged: a boundary b becomes the integer ceil(b*W*D), and a rational
-factor t = a/c is compared by cross-multiplying, K*c > a*K'.  Values
-become Fractions again only where they are reported.
+Loads, costs and potentials are computed in one place: an integer form
+of the game, made by compile_game and kept on the Game object
+(Game.compiled).  The solver, the auditor, the verification oracles and
+group/social costs run on it, and loads and player_costs here,
+dynamics.best_response and the potentials of potential.py are views of
+it, scaled back to Fractions.  Weights are scaled by W, the lcm of their
+denominators, so loads are integers X = W*x.  Each c_e(X/W) is scaled to
+integer coefficients over D = lcm(coefficient denominators) * W^d, and
+each potential phi_e(X/W), derived from those integer cost rows on first
+use, over Dp = 2*W*D.  A cost K stands for K/(W*D) and a potential P for
+P/Dp.  Every test made on them (cost >= b_i, cost > t * cost',
+drop >= floor) is homogeneous in the cost scale, so one uniform positive
+rescaling leaves its answer unchanged: a boundary b becomes the integer
+ceil(b*W*D), and a rational factor t = a/c is compared by
+cross-multiplying, K*c > a*K'.  Values become Fractions again only where
+they are reported.
 
 Instance file format (JSON, UTF-8, strict — unknown keys are rejected)::
 
@@ -266,18 +266,10 @@ def normalize(game: Game) -> Game:
 
 
 def loads(game: Game, state: State) -> tuple[Fraction, ...]:
-    """Total weight on each resource under the given state."""
-    return group_loads(game, state, range(game.n))
-
-
-def group_loads(game: Game, state: State, players: Iterable[int]) -> tuple[Fraction, ...]:
-    """Per-resource loads restricted to a player group."""
-    totals = [Fraction(0)] * game.num_resources
-    for u in players:
-        player = game.players[u]
-        for e in player.strategies[state.choices[u]]:
-            totals[e] += player.weight
-    return tuple(totals)
+    """Total weight on each resource under the given state: IntGame.loads,
+    scaled back."""
+    ig = game.compiled
+    return tuple(Fraction(x, ig.W) for x in ig.loads(state.choices))
 
 
 def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
@@ -341,9 +333,11 @@ class IntGame:
 
     @cached_property
     def potentials(self) -> tuple[tuple[int, ...], ...]:
-        """With k_v the X^v coefficient of D*c_e(X/W), the X^j coefficient
-        of Dp*phi_e(X/W) is 2*k_{j-1} + (j+1)*W*k_j for 1 <= j <= d, 2*k_d
-        for j = d+1 and 0 for j = 0 (see potential.potential_coefficients)."""
+        """The package's one definition of the potential phi_e (its formula
+        is in the potential module's docstring): with k_v the X^v
+        coefficient of D*c_e(X/W), the X^j coefficient of Dp*phi_e(X/W) is
+        2*k_{j-1} + (j+1)*W*k_j for 1 <= j <= d, 2*k_d for j = d+1 and 0
+        for j = 0."""
         rows = []
         for row in self.costs:  # k_d, ..., k_0
             terms = zip(range(len(row), 0, -1), (0, *row), row)  # (j, k_j, k_{j-1}), j = d+1..1

@@ -183,12 +183,11 @@ def gen_random(
     coeff_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(2)),
     weight_range: tuple[Fraction, Fraction] = (Fraction(1), Fraction(3)),
     seed: int = 0,
-    denominator: int = 4,
 ) -> Game:
     """Deterministic random game: same seed, same game, byte for byte.
 
-    Coefficients and weights are rationals on the grid Z/denominator
-    clipped to the given ranges; every coefficient slot 0..d is sampled
+    Coefficients and weights are rationals on the grid Z/4 clipped to the
+    given ranges; every coefficient slot 0..d is sampled
     independently.  Strategies are distinct random resource subsets of size
     1..max_strategy_size; after 8 repeated draws, the first unused subset
     in (size, lexicographic) order.
@@ -212,14 +211,14 @@ def gen_random(
 
     resources = tuple(
         CostPolynomial(
-            tuple(_sample_fraction(rng, lo_c, hi_c, denominator) for _ in range(d + 1))
+            tuple(_sample_fraction(rng, lo_c, hi_c, 4) for _ in range(d + 1))
         )
         for _ in range(num_resources)
     )
 
     players = []
     for _ in range(n):
-        weight = _sample_fraction(rng, lo_w, hi_w, denominator)
+        weight = _sample_fraction(rng, lo_w, hi_w, 4)
         strategies: list[tuple[int, ...]] = []
         for _ in range(strategies_per_player):
             for _attempt in range(8):

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: deterministic random rationals,
-tiny game builders, and a brute-force social-cost oracle."""
+tiny game builders, and the kernel's potential of one polynomial."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -47,6 +48,16 @@ def random_game(
             strats.append(rng.sample(range(num_resources), size))
         players.append(make_player(weight, strats))
     return Game(degree=degree, resources=resources, players=tuple(players))
+
+
+def kernel_phi(poly: CostPolynomial) -> Callable[[Fraction], Fraction]:
+    """The package's potential phi of one polynomial, read from the kernel:
+    the IntGame.potentials row of a one-resource game whose one player
+    weighs 1, so that W = 1 and a scaled load is the load itself, evaluated
+    at a Fraction load by IntGame.potential."""
+    degree = max(1, len(poly.coeffs) - 1)
+    ig = Game(degree, (poly,), (make_player(Fraction(1), [[0]]),)).compiled
+    return lambda x: ig.potential_value(ig.potential([x]))
 
 
 def random_state(rng: random.Random, game: Game) -> State:

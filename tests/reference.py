@@ -1,10 +1,12 @@
-"""From-scratch Fraction player costs, best responses and potentials.
+"""From-scratch Fraction loads, player costs, best responses and potentials.
 
-The package computes every cost and potential once, on the integer game
-(game.IntGame); game.player_costs, dynamics.best_response and the
-potentials of potential.py are views of it.  The loops here compute the
-same values directly from the Fraction game, on Fraction loads, and the
-tests use them as the oracle for the kernel and its views.
+The package computes every load, cost and potential once, on the integer
+game (game.IntGame); game.loads, game.player_costs, dynamics.best_response
+and the potentials of potential.py are views of it.  The loops here compute
+the same values directly from the Fraction game, and the tests use them as
+the oracle for the kernel and its views.  They take only types from the
+package: loads are summed here, and the potential phi is written here term
+by term, straight off its definition.
 """
 
 from __future__ import annotations
@@ -12,8 +14,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from congames.game import Game, State, group_loads, loads
-from congames.potential import resource_potential
+from congames.game import CostPolynomial, Game, State
+
+
+def loads(game: Game, state: State, players: Iterable[int] | None = None) -> tuple[Fraction, ...]:
+    """Total weight on each resource, of all players or of a group."""
+    totals = [Fraction(0)] * game.num_resources
+    for u in range(game.n) if players is None else players:
+        player = game.players[u]
+        for e in player.strategies[state.choices[u]]:
+            totals[e] += player.weight
+    return tuple(totals)
+
+
+def resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
+    """phi(x) = a_0*x + sum_{v>=1} a_v*(x^(v+1) + (v+1)/2*x^v), term by term."""
+    a = poly.coeffs
+    total = a[0] * x
+    for v in range(1, len(a)):
+        total += a[v] * (x ** (v + 1) + Fraction(v + 1, 2) * x**v)
+    return total
 
 
 def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
@@ -48,15 +68,10 @@ def best_response(game: Game, state: State, u: int) -> tuple[int, Fraction]:
     return best_idx, best_cost
 
 
-def potential(game: Game, state: State) -> Fraction:
-    """Global potential: sum of resource potentials at the state's loads."""
-    return subgame_potential(game, state, range(game.n))
-
-
-def subgame_potential(game: Game, state: State, players: Iterable[int]) -> Fraction:
-    """Potential of the game restricted to a group: loads count only the
-    group's weights."""
-    x = group_loads(game, state, players)
+def potential(game: Game, state: State, players: Iterable[int] | None = None) -> Fraction:
+    """Sum of resource potentials at the loads of all players, or of a
+    group alone."""
+    x = loads(game, state, players)
     return sum(
         (resource_potential(poly, x[e]) for e, poly in enumerate(game.resources)),
         Fraction(0),
@@ -64,7 +79,7 @@ def subgame_potential(game: Game, state: State, players: Iterable[int]) -> Fract
 
 
 def partial_potential(game: Game, state: State, players: Iterable[int]) -> Fraction:
-    """Global potential minus the subgame potential of the complement."""
+    """Global potential minus the potential of the complement's loads."""
     group = set(players)
     complement = [u for u in range(game.n) if u not in group]
-    return potential(game, state) - subgame_potential(game, state, complement)
+    return potential(game, state) - potential(game, state, complement)

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from congames import (
-    GridSpec,
     check_combination_inequality,
     check_p_property,
     check_smoothness_constraint,
@@ -19,6 +18,7 @@ from congames import (
     smoothness_mu_hat,
 )
 from congames.analysis import (
+    GRID_AXIS,
     check_concavity_inequality,
     check_epsilon_inverse_bound,
     combination_constant,
@@ -205,13 +205,11 @@ class TestConstraintChecks:
 
     def test_combination_without_constant_fails(self):
         # dropping the combination constant to ~0 must break the inequality
-        grid = GridSpec()
-        axis = grid.axis()
         d, eps = 2, 0.5
         violated = False
         for v in range(d + 1):
-            for x in axis:
-                for y in axis:
+            for x in GRID_AXIS:
+                for y in GRID_AXIS:
                     if y * (x + y) ** v > (1 + eps) * y * y**v + 1e-6 * x * x**v:
                         violated = True
         assert violated

@@ -19,7 +19,6 @@ from congames import (
     compute_schedule,
     gen_lower_bound,
     gen_random,
-    has_rho_move,
     make_player,
     min_equilibrium_factor,
     normalize,
@@ -83,11 +82,14 @@ class TestBestResponse:
                 assert player_costs(game, s.with_choice(u, idx))[u] == cost
 
 
-class TestHasRhoMove:
+class TestRhoMove:
+    """Player u has a rho-move, a strategy improving her cost by a factor
+    greater than rho, exactly when min_equilibrium_factor(game, s, [u])
+    exceeds rho."""
+
     def test_none_at_best_response(self):
         game = single_player_game()
-        for rho in (Fraction(1), Fraction(2)):
-            assert has_rho_move(game, State((0,)), 0, rho) is None
+        assert min_equilibrium_factor(game, State((0,)), [0]) == 1
 
     def test_strictness_at_exact_ratio(self):
         # two strategies with exact cost ratio 2: no 2-move, but a 3/2-move
@@ -100,17 +102,16 @@ class TestHasRhoMove:
             players=(make_player(Fraction(1), [[0], [1]]),),
         )
         s = State((0,))
-        assert has_rho_move(game, s, 0, Fraction(2)) is None
-        assert has_rho_move(game, s, 0, Fraction(3, 2)) == 1
+        assert min_equilibrium_factor(game, s, [0]) == 2
+        assert best_response(game, s, 0)[0] == 1
 
     def test_lower_bound_profile_is_tight(self):
         for rho in (Fraction(1), Fraction(3, 2)):
             bundle = gen_lower_bound(1, rho, 3, 30)
             s = bundle.equilibrium_state
             for u in range(3):
-                assert has_rho_move(bundle.game, s, u, rho) is None
-                if rho > 1:  # a probe below rho must stay in the rho >= 1 domain
-                    assert has_rho_move(bundle.game, s, u, rho - Fraction(1, 100)) is not None
+                factor = min_equilibrium_factor(bundle.game, s, [u])
+                assert rho - Fraction(1, 100) < factor <= rho
 
 
 class TestComputeSchedule:
@@ -341,9 +342,9 @@ class TestRunAlgorithm:
         once per phase end after a move: 50,295 polynomial evaluations and
         7 load computations, where a replay with loads and potential from
         scratch after every move makes 329,917 and 547.  Neither calls a
-        Fraction view of the kernel (game.player_costs,
-        dynamics.best_response, potential.subgame_potential or
-        partial_potential), by any module's name for it."""
+        Fraction view of the kernel (game.loads, game.player_costs,
+        dynamics.best_response, potential.potential or
+        potential.partial_potential), by any module's name for it."""
         game = normalize(gen_random(
             n=2000, d=2, num_resources=500, strategies_per_player=3, max_strategy_size=3,
             coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
@@ -357,7 +358,7 @@ class TestRunAlgorithm:
                 return fn(*args)
             return call
 
-        views = {"player_costs", "best_response", "subgame_potential", "partial_potential"}
+        views = {"loads", "player_costs", "best_response", "potential", "partial_potential"}
         with monkeypatch.context() as outer:
             for name, module in list(sys.modules.items()):
                 if name.startswith("congames."):

@@ -14,7 +14,6 @@ from congames import (
     State,
     gen_lower_bound,
     group_cost,
-    group_loads,
     loads,
     make_player,
     normalize,
@@ -236,8 +235,9 @@ class TestLoadsAndCosts:
         both_on_0 = State((0, 0))
         assert loads(game, both_on_0)[0] == Fraction(5, 2)
         assert loads(game, both_on_0)[1] == 0
-        assert group_loads(game, both_on_0, [])[0] == 0
-        assert group_loads(game, both_on_0, [0, 1])[0] == loads(game, both_on_0)[0]
+        ig = game.compiled  # group loads are the kernel's, scaled by W = 2
+        assert ig.loads(both_on_0.choices, [])[0] == 0
+        assert Fraction(ig.loads(both_on_0.choices, [0, 1])[0], ig.W) == loads(game, both_on_0)[0]
 
     def test_complement_additivity(self, rng):
         for _ in range(20):
@@ -245,9 +245,10 @@ class TestLoadsAndCosts:
             s = random_state(rng, game)
             group = [u for u in range(4) if rng.random() < 0.5]
             rest = [u for u in range(4) if u not in group]
+            ig = game.compiled
             for e in range(game.num_resources):
-                total = group_loads(game, s, group)[e] + group_loads(game, s, rest)[e]
-                assert total == loads(game, s)[e]
+                total = ig.loads(s.choices, group)[e] + ig.loads(s.choices, rest)[e]
+                assert Fraction(total, ig.W) == loads(game, s)[e]
 
     def test_single_player_square_cost(self):
         game = Game(

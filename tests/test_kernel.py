@@ -2,19 +2,21 @@
 
 On random games of degree 1-4 with zero coefficients and weights whose
 denominators reach 8, on the golden cases and on lower-bound games, every
-loads, cost, best response, potential and partial potential the kernel
-computes, scaled back to a Fraction, and each view of the kernel
-(game.player_costs, dynamics.best_response, the potentials of
-potential.py) must equal the from-scratch Fraction oracle of
-tests/reference.py exactly.  IncrementalScan.move, which is IntState.move
+load, group load, cost, best response, potential and partial potential
+the kernel computes, scaled back to a Fraction, each view of the kernel
+(game.loads, game.player_costs, dynamics.best_response, the potentials
+of potential.py) and each row of IntGame.potentials, at d+2 distinct
+loads, must equal the from-scratch Fraction oracle of tests/reference.py
+exactly.  IncrementalScan.move, which is IntState.move
 followed by the scan's own bookkeeping, must keep the loads, resource
 costs, player costs and potential of a recomputation.  run_algorithm
 must produce the very trace of a from-scratch Fraction replay of the
 phased dynamics, and at every step of every phase the solver's
 IncrementalScan must answer what first_eligible_move answers on an
 IntState built from scratch.  The exhaustive PoA oracles,
-min_equilibrium_factor, group_cost, social_cost, compute_schedule and
-has_rho_move must return the values, states and errors of their
+min_equilibrium_factor (of all players, of a group and of each player
+alone, which decides her rho-moves), group_cost, social_cost and
+compute_schedule must return the values, states and errors of their
 from-scratch Fraction versions kept here, also on lower-bound games.
 game._scale and compile_game, which take each quotient of a common
 denominator from the next larger one's, must give the integers of
@@ -22,8 +24,7 @@ dividing directly.  The product-order walk of the PoA oracles
 (verify._Walk) must give every state's loads, resource costs, social cost
 and potential from scratch, and verify._rows, which reads each player's
 costs from a deviation vector, the rows made from scratch state by
-state; the group oracles, which find a bucket's rows by their index,
-must give the answer of buckets kept in a dict.
+state.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from congames import (
     partial_potential,
     player_costs,
     potential,
-    subgame_potential,
 )
 from congames.dynamics import (
     ALPHA_MOVE,
@@ -61,7 +61,6 @@ from congames.dynamics import (
     Trace,
     compute_schedule,
     first_eligible_move,
-    has_rho_move,
     improves,
     run_algorithm,
     target_p,
@@ -75,18 +74,17 @@ from congames.errors import (
     ZeroMinCostError,
 )
 from congames.game import (
+    _horner,
     _scale,
     compile_game,
     group_cost,
-    group_loads,
     loads,
     parse_instance,
     social_cost,
     validate_state,
 )
-from congames.potential import alpha, potential_coefficients
+from congames.potential import alpha
 from congames.verify import (
-    _ratio as _int_ratio,
     _Row,
     _rows,
     _Walk,
@@ -141,7 +139,14 @@ def assert_kernel_matches_oracle(game: Game, state: State, group) -> None:
     """The kernel scaled back, and each view of it, against the oracle."""
     ig = compile_game(game)
     x = ig.loads(state.choices)
-    assert [Fraction(v, ig.W) for v in x] == list(loads(game, state))
+    assert [Fraction(v, ig.W) for v in x] == list(reference.loads(game, state))
+    assert _exact(loads(game, state)) == _exact(reference.loads(game, state))
+    x_group = [Fraction(v, ig.W) for v in ig.loads(state.choices, group)]
+    assert x_group == list(reference.loads(game, state, group))
+    for e, poly in enumerate(game.resources):  # d+2 values fix phi_e, of degree d+1
+        for X in range(game.degree + 2):
+            phi = reference.resource_potential(poly, Fraction(X, ig.W))
+            assert Fraction(_horner(ig.potentials[e], X), ig.Dp) == phi
     rcosts = ig.resource_costs(x)
     costs = reference.player_costs(game, state)
     assert [ig.cost_value(k) for k in ig.player_costs(state.choices, rcosts)] == list(costs)
@@ -156,8 +161,6 @@ def assert_kernel_matches_oracle(game: Game, state: State, group) -> None:
     expected = reference.potential(game, state)
     assert ig.potential_value(ig.potential(x)) == expected
     assert _exact(potential(game, state)) == _exact(expected)
-    expected = reference.subgame_potential(game, state, group)
-    assert _exact(subgame_potential(game, state, group)) == _exact(expected)
     expected = reference.partial_potential(game, state, group)
     assert ig.potential_value(ig.partial_potential(state.choices, group)) == expected
     assert _exact(partial_potential(game, state, group)) == _exact(expected)
@@ -220,11 +223,11 @@ def assert_scale_matches(game: Game) -> None:
     W = ig.W
     assert W == math.lcm(*(p.weight.denominator for p in game.players))
     assert ig.weights == tuple(p.weight.numerator * (W // p.weight.denominator) for p in game.players)
-    for polys in (
-        [poly.coeffs for poly in game.resources],
-        [potential_coefficients(poly) for poly in game.resources],
+    for polys, scale in (
+        ([poly.coeffs for poly in game.resources], W),
+        ([(p.weight,) for p in game.players], 1),
     ):
-        assert _scale(polys, W) == reference_scale(polys, W)
+        assert _scale(polys, scale) == reference_scale(polys, scale)
 
 
 @SETTINGS
@@ -252,9 +255,8 @@ def _ratio(numer: Fraction, denom: Fraction):
 
 
 def reference_group_cost(game: Game, state: State, players) -> Fraction:
-    group = set(players)
-    x = loads(game, state)
-    x_group = group_loads(game, state, group)
+    x = reference.loads(game, state)
+    x_group = reference.loads(game, state, set(players))
     total = Fraction(0)
     for e in range(game.num_resources):
         if x_group[e] != 0:
@@ -271,18 +273,6 @@ def reference_min_equilibrium_factor(game: Game, state: State, players=None):
     group = range(game.n) if players is None else players
     factors = [_ratio(costs[u], reference.best_response(game, state, u)[1]) for u in group]
     return max([Fraction(1), *factors])
-
-
-def reference_has_rho_move(game: Game, state: State, u: int, rho: Fraction) -> int | None:
-    if rho < 1:
-        raise MalformedInstanceError(f"rho must be >= 1, got {rho}")
-    x = loads(game, state)
-    br, br_cost = reference.best_response(game, state, u)
-    player = game.players[u]
-    current = player.weight * sum(
-        (game.resources[e](x[e]) for e in player.strategies[state.choices[u]]), Fraction(0)
-    )
-    return br if current > rho * br_cost else None
 
 
 def reference_empty_profile_best_cost(game: Game, u: int) -> Fraction:
@@ -329,10 +319,11 @@ def reference_compute_schedule(
     )
 
 
-def assert_layers_match(game: Game, state: State, group, rhos) -> None:
+def assert_layers_match(game: Game, state: State, group) -> None:
     """The integer layers against their Fraction versions at one state,
-    compared exactly with their types (see _exact)."""
-    for players in (None, group):
+    compared exactly with their types (see _exact).  Each player's own
+    factor decides her rho-moves: she has one exactly when it exceeds rho."""
+    for players in (None, group, *([u] for u in range(game.n))):
         assert _exact(min_equilibrium_factor(game, state, players)) == _exact(
             reference_min_equilibrium_factor(game, state, players)
         )
@@ -347,11 +338,6 @@ def assert_layers_match(game: Game, state: State, group, rhos) -> None:
         reference_group_cost(game, state, group)
     )
     assert _exact(social_cost(game, state)) == _exact(reference_social_cost(game, state))
-    for rho in rhos:
-        for u in range(game.n):
-            assert _outcome(has_rho_move, game, state, u, rho) == _outcome(
-                reference_has_rho_move, game, state, u, rho
-            )
 
 
 P_OVERRIDES = [None, "target", 0, 2, -1]  # offsets from d + 2; -1 is below the minimum
@@ -369,14 +355,11 @@ def assert_schedules_match(game: Game, state: State) -> None:
         )
 
 
-RHOS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5)]
-
-
 @SETTINGS
 @given(games(zero_cost=True))
 def test_layers_match_fraction_reference(case):
     game, state, group = case
-    assert_layers_match(game, state, group, RHOS)
+    assert_layers_match(game, state, group)
 
 
 @SETTINGS
@@ -406,7 +389,7 @@ def test_layers_match_on_lower_bound_games(d):
         for state in (bundle.equilibrium_state, bundle.optimal_state, mixed):
             group = list(range(0, n, 3))
             assert_kernel_matches_oracle(bundle.game, state, group)
-            assert_layers_match(bundle.game, state, group, [rho, rho - Fraction(1, 100)])
+            assert_layers_match(bundle.game, state, group)
             assert_schedules_match(normalize(bundle.game), state)
 
 
@@ -661,31 +644,6 @@ def reference_rows(game: Game, rho: Fraction, state_cap: int, potential: bool):
         yield _Row(choices, costs, ig.potential(x) if potential else None, within)
 
 
-def dict_bucket_group_ratio(game: Game, rho: Fraction, state_cap: int, metric, potential: bool):
-    """verify._max_group_ratio with each bucket found by a dict keyed by
-    the complement's choices, one key per row per group, on the rows of
-    reference_rows."""
-    ig = game.compiled
-    rows = list(reference_rows(game, rho, state_cap, potential))
-    top, bottom = 0, 1
-    for group_size in range(1, game.n + 1):
-        for group in itertools.combinations(range(game.n), group_size):
-            mask = sum(1 << u for u in group)
-            complement = [u for u in range(game.n) if u not in group]
-            buckets: dict[tuple[int, ...], list] = {}
-            for row in rows:
-                buckets.setdefault(tuple(row.choices[u] for u in complement), []).append(row)
-            for bucket in buckets.values():
-                if eq := [row for row in bucket if row.within & mask == mask]:
-                    phi_c = ig.potential(ig.loads(eq[0].choices, complement)) if potential else 0
-                    high = max(metric(row, group, phi_c) for row in eq)
-                    low = min(metric(row, group, phi_c) for row in bucket)
-                    high, low = (high, low) if low else (1, int(high == 0))
-                    if high * bottom > top * low:
-                        top, bottom = high, low
-    return _int_ratio(top, bottom)
-
-
 @st.composite
 def oracle_games(draw) -> Game:
     """A game of 2-4 players with 2-3 strategies each over 2-4 resources;
@@ -746,18 +704,6 @@ def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
         got = _outcome(oracle, game, rho, state_cap)
         expected = _outcome(reference_group_ratio, game, rho, state_cap, metric)
         assert got == expected
-
-
-@settings(SETTINGS, max_examples=50)
-@given(oracle_games(), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]))
-def test_group_buckets_from_row_index_match_dict_buckets(game, rho):
-    for oracle, metric, potential in (
-        (max_group_poa_ratio, lambda row, group, _: sum(row.costs[u] for u in group), False),
-        (max_rho_stretch_ratio, lambda row, _, phi_c: row.potential - phi_c, True),
-    ):
-        assert _exact(oracle(game, rho)) == _exact(
-            dict_bucket_group_ratio(game, rho, 10**6, metric, potential)
-        )
 
 
 @settings(SETTINGS, max_examples=50)

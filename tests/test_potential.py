@@ -1,10 +1,12 @@
-"""Potential function: closed-form values, sandwich and drop inequalities."""
+"""Potential function: closed-form values, sandwich and drop inequalities.
+
+The package's phi is read from the kernel (conftest.kernel_phi, or
+potential() on a one-resource game); tests/reference.py writes phi term by
+term, as the oracle it is compared with."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import pytest
 
 from congames import (
     CostPolynomial,
@@ -15,87 +17,82 @@ from congames import (
     partial_potential,
     player_costs,
     potential,
-    resource_potential,
-    subgame_potential,
 )
-from congames.errors import MalformedInstanceError
 from congames.game import group_cost, loads
 
-from conftest import random_fraction, random_game, random_polynomial, random_state
+import reference
+from conftest import kernel_phi, random_fraction, random_game, random_polynomial, random_state
 
 
-def reference_resource_potential(poly: CostPolynomial, x: Fraction) -> Fraction:
-    """Independent evaluation, term by term, straight off the definition."""
-    a = poly.coeffs
-    total = a[0] * x
-    for v in range(1, len(a)):
-        total += a[v] * (x ** (v + 1) + Fraction(v + 1, 2) * x**v)
-    return total
+def alone(poly: CostPolynomial, weight: Fraction) -> Fraction:
+    """potential() of a one-resource game whose one player, of the given
+    weight, uses the resource: phi(weight)."""
+    game = Game(max(1, len(poly.coeffs) - 1), (poly,), (make_player(weight, [[0]]),))
+    return potential(game, State((0,)))
 
 
 class TestResourcePotential:
     def test_zero_cases(self):
         zero = CostPolynomial((Fraction(0), Fraction(0)))
-        assert resource_potential(zero, Fraction(5)) == 0
+        assert alone(zero, Fraction(5)) == 0
         linear = CostPolynomial((Fraction(0), Fraction(1)))
-        assert resource_potential(linear, Fraction(0)) == 0
+        assert kernel_phi(linear)(Fraction(0)) == 0
 
     def test_linear_at_two(self):
         linear = CostPolynomial((Fraction(0), Fraction(1)))
-        assert resource_potential(linear, Fraction(2)) == 6
+        assert alone(linear, Fraction(2)) == 6
+        assert kernel_phi(linear)(Fraction(2)) == 6
 
     def test_constant_is_linear_in_load(self):
         const = CostPolynomial((Fraction(1),))
-        assert resource_potential(const, Fraction(5, 2)) == Fraction(5, 2)
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(MalformedInstanceError):
-            resource_potential(CostPolynomial((Fraction(1),)), Fraction(-1))
+        assert alone(const, Fraction(5, 2)) == Fraction(5, 2)
+        assert kernel_phi(const)(Fraction(5, 2)) == Fraction(5, 2)
 
     def test_matches_reference_implementation(self, rng):
         for _ in range(300):
             poly = random_polynomial(rng, rng.randint(1, 4))
             x = random_fraction(rng, 0, 6)
-            assert resource_potential(poly, x) == reference_resource_potential(poly, x)
+            assert kernel_phi(poly)(x) == reference.resource_potential(poly, x)
+            if x:
+                assert alone(poly, x) == reference.resource_potential(poly, x)
 
 
 class TestAggregates:
     def test_single_resource_game(self, rng):
         game = random_game(rng, 2, 2, 1, max_size=1)
         s = random_state(rng, game)
-        assert potential(game, s) == resource_potential(game.resources[0], loads(game, s)[0])
+        expected = reference.resource_potential(game.resources[0], loads(game, s)[0])
+        assert potential(game, s) == expected
 
     def test_potential_matches_reference(self, rng):
         for _ in range(20):
             game = random_game(rng, 3, 2, 4)
             s = random_state(rng, game)
-            x = loads(game, s)
-            expected = sum(
-                (reference_resource_potential(poly, x[e]) for e, poly in enumerate(game.resources)),
-                Fraction(0),
-            )
-            assert potential(game, s) == expected
+            assert potential(game, s) == reference.potential(game, s)
 
     def test_subgame_extremes(self, rng):
+        # the potential at a group's loads alone: 0 for no one, Phi for all
         game = random_game(rng, 3, 2, 4)
         s = random_state(rng, game)
-        assert subgame_potential(game, s, []) == 0
-        assert subgame_potential(game, s, range(3)) == potential(game, s)
+        ig = game.compiled
+        assert ig.potential(ig.loads(s.choices, [])) == 0
+        assert ig.potential_value(ig.potential(ig.loads(s.choices, range(3)))) == potential(game, s)
 
     def test_subgame_singleton(self, rng):
         for _ in range(10):
             game = random_game(rng, 3, 2, 4)
             s = random_state(rng, game)
+            ig = game.compiled
             for u in range(3):
                 w = game.players[u].weight
                 expected = sum(
                     (
-                        resource_potential(game.resources[e], w)
+                        reference.resource_potential(game.resources[e], w)
                         for e in game.players[u].strategies[s.choices[u]]
                     ),
                     Fraction(0),
                 )
-                assert subgame_potential(game, s, [u]) == expected
+                assert ig.potential_value(ig.potential(ig.loads(s.choices, [u]))) == expected
 
     def test_partial_extremes(self, rng):
         game = random_game(rng, 3, 2, 4)
@@ -112,7 +109,8 @@ class TestSandwichProperties:
             poly = random_polynomial(rng, d)
             x = random_fraction(rng, 0, 6)
             w = Fraction(1) + random_fraction(rng, 0, 4)
-            step = resource_potential(poly, x + w) - resource_potential(poly, x)
+            phi = kernel_phi(poly)
+            step = phi(x + w) - phi(x)
             lo = w * poly(x + w)
             assert lo <= step <= alpha(d) * lo
 
