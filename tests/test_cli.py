@@ -263,6 +263,24 @@ class TestInputErrors:
         assert code == 3
         assert "input error" in err
 
+    @pytest.mark.parametrize("choices, reason", [
+        ([0, 0], "2 entries for 3 players"),
+        ([0, 0, 2], "strategy index 2 invalid for player 2"),
+        ([-1, 0, 0], "strategy index -1 invalid for player 0"),
+    ])
+    def test_solve_rejects_invalid_initial_state(self, tmp_path, capsys, choices, reason):
+        # the instance's initial state is validated when the instance is
+        # read, before the solver starts; no state file is written
+        game, out = tmp_path / "game.json", tmp_path / "state.json"
+        run(capsys, *GEN, "--out", str(game))
+        doc = json.loads(game.read_text())
+        doc["initial_state"] = choices
+        game.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--input", str(game), "--output", str(out))
+        assert code == 3
+        assert "input error" in err and reason in err
+        assert not out.exists()
+
     def test_malformed_game(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"degree": 1}')
