@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -67,10 +68,6 @@ def _read_state(path: str) -> State:
     return State(tuple(choices))
 
 
-def _write_state(path: str, state: State) -> None:
-    Path(path).write_text(json.dumps({"choices": list(state.choices)}) + "\n")
-
-
 def _factor_str(factor) -> str:
     if factor == float("inf"):
         return "inf"
@@ -84,10 +81,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     game, initial = _read_instance(args.input)
     state = initial if initial is not None else State((0,) * game.n)
     final, trace = dynamics.run_algorithm(game, state, p_override=args.p_override)
-    _write_state(args.output, final)
+    # Both files are formatted before either is written, so that one that
+    # cannot be formatted (exit 3) leaves both as they were.
+    texts = {args.output: json.dumps({"choices": list(final.choices)}) + "\n"}
     if args.trace:
-        with open(args.trace, "w") as fp:
-            dynamics.write_trace(trace, fp)
+        buffer = io.StringIO()
+        dynamics.write_trace(trace, buffer)
+        texts[args.trace] = buffer.getvalue()
+    for path, text in texts.items():
+        Path(path).write_text(text)
     factor = verify.min_equilibrium_factor(game, final)
     print(f"moves: {len(trace.moves)}")
     if trace.schedule is not None:

@@ -15,12 +15,13 @@ All thresholds are exact rationals; the run is fully deterministic: the
 scan always picks the lowest-index eligible player and ties between equal
 best responses resolve to the lowest strategy index.  A complete Trace of
 the run is emitted for independent auditing.  The rules are written once:
-Schedule.classify with improves, and newly_fixed; so is a move's update
-of the integer state, IntState.move.  The solver's IncrementalScan is an
-IntState, and the auditor replays a trace on one of its own.  The auditor
-scans each replayed phase end with a stateless scan (first_eligible_move)
-on its state and the costs it passes in; the solver keeps the same scan
-up to date across moves.
+Schedule.rule with improves, and newly_fixed; so is a move's update of
+the integer state, IntState.move.  The solver's IncrementalScan is an
+IntState, and the auditor replays a trace on one of its own.  The scan
+takes the phase's rule and knows nothing of schedules, phases or fixing:
+the auditor scans each replayed phase end with a stateless scan
+(first_eligible_move) on its state and the costs it passes in; the solver
+keeps the same scan up to date across moves.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
-from typing import IO, Container, Sequence
+from typing import IO, Callable, Container, Sequence
 
 from .errors import (
     AlreadyZeroError,
@@ -53,6 +54,9 @@ from .potential import alpha
 
 ALPHA_MOVE = "alpha_move"
 P_MOVE = "p_move"
+
+# A phase's eligibility rule, as Schedule.rule returns it: rule(u, cost)
+Rule = Callable[[int, int], "tuple[Fraction, str] | None"]
 
 
 def target_p(degree: int) -> int:
@@ -96,36 +100,32 @@ class Schedule:
         """The small improvement factor alpha + 1/p."""
         return Fraction(self.alpha * self.p + 1, self.p)
 
-    @cached_property
-    def _rules(self) -> tuple[tuple[Fraction, str], tuple[Fraction, str]]:
-        """classify's alpha-move and p-move answers, built once."""
-        return (self.alpha_threshold, ALPHA_MOVE), (Fraction(self.p), P_MOVE)
-
     @property
     def final_factor_ceiling(self) -> Fraction:
         """Guaranteed equilibrium factor of the final state:
         p * (1 + 3/p) / (1 - 2/p)."""
         return Fraction(self.p * (self.p + 3), self.p - 2)
 
-    def classify(
-        self, phase: int, cost, boundaries: Sequence
-    ) -> tuple[Fraction, str] | None:
-        """The phase's eligibility rule: the improvement factor a player of
-        this cost must beat to move, with the class of that move, or None
-        when the player may not move in the phase.
+    def rule(self, phase: int, bounds: Sequence, fixed: Container[int]) -> Rule:
+        """The phase's eligibility rule: rule(u, cost) is the improvement
+        factor player u, at this cost, must beat to move, with the class of
+        that move, or None when she is fixed or may not move in the phase.
 
-        ``boundaries`` are the schedule's boundaries in the scale of
-        ``cost``: the integer kernel passes them rounded up to its integer
-        costs, which keeps every comparison exact.
+        ``bounds`` are the schedule's boundaries in the scale of the costs:
+        the integer kernel passes them rounded up to its integer costs,
+        which keeps every comparison exact.
         """
-        alpha_rule, p_rule = self._rules
-        if phase == 0:
-            return alpha_rule if cost >= boundaries[1] else None
-        if cost >= boundaries[phase]:
-            return p_rule
-        if cost >= boundaries[phase + 1]:
-            return alpha_rule
-        return None
+        alpha_rule, p_rule = (self.alpha_threshold, ALPHA_MOVE), (Fraction(self.p), P_MOVE)
+        high, low = bounds[phase], bounds[phase + 1]
+
+        def rule(u: int, cost) -> tuple[Fraction, str] | None:
+            if u in fixed:
+                return None
+            if phase and cost >= high:
+                return p_rule
+            return alpha_rule if cost >= low else None
+
+        return rule
 
     def move_budget(self, phase: int) -> int:
         """Theoretical cap on moves in a phase; exceeding it means a bug."""
@@ -173,25 +173,18 @@ class IntState:
 
 
 def first_eligible_move(
-    state: IntState,
-    schedule: Schedule,
-    bounds: Sequence[int],
-    phase: int,
-    costs: Sequence[int],
-    fixed: Container[int],
+    state: IntState, costs: Sequence[int], rule: Rule
 ) -> tuple[int, int, int, int, str] | None:
-    """The phase's scan: the lowest-index non-fixed player whose best
-    response beats the improvement factor Schedule.classify sets for her
-    cost, as (player, best response, cost, best-response cost, move
-    class), costs scaled; None when no player may move.  ``costs`` are the
-    player costs of ``state`` and ``bounds`` the scaled boundaries."""
+    """The scan: the lowest-index player whose best response beats the
+    improvement factor the rule sets for her cost, as (player, best
+    response, cost, best-response cost, move class), costs scaled; None
+    when no player may move.  ``costs`` are the player costs of ``state``."""
     ig = state.ig
     for u, cost in enumerate(costs):
-        rule = None if u in fixed else schedule.classify(phase, cost, bounds)
-        if rule is not None:
+        if (answer := rule(u, cost)) is not None:
             br, best, now = ig.best_response(state.choices, state.x, state.rcosts, u)
-            if improves(now, best, rule[0]):
-                return u, br, cost, ig.weights[u] * best, rule[1]
+            if improves(now, best, answer[0]):
+                return u, br, cost, ig.weights[u] * best, answer[1]
     return None
 
 
@@ -199,21 +192,19 @@ class IncrementalScan(IntState):
     """The solver's scan: first_eligible_move kept up to date across moves.
 
     An IntState that also keeps the player costs, and caches each player's
-    best response (None when stale) and classify rule (None when fixed).
-    A move touches only the players with a strategy on a resource whose
-    load it changed: each loses her cached best response, and only the
-    mover and the players whose current strategy uses such a resource get
-    their cost and rule re-derived, as no other cost changed.  The touched
-    players with a rule are queued in a heap, lowest index on top.
-    next_move computes a stale best response only at the top, and pops a
-    player who does not beat her rule (or a copy queued earlier) until a
-    move or start queues her again."""
+    best response (None when stale) and the rule's answer for her (None
+    when she may not move).  A move touches only the players with a
+    strategy on a resource whose load it changed: each loses her cached
+    best response, and only the mover and the players whose current
+    strategy uses such a resource get their cost and answer re-derived, as
+    no other cost changed.  The touched players with an answer are queued
+    in a heap, lowest index on top.  next_move computes a stale best
+    response only at the top, and pops a player who does not beat her
+    answer (or a copy queued earlier) until a move or start queues her
+    again."""
 
-    def __init__(
-        self, ig: IntGame, schedule: Schedule, bounds: Sequence[int], choices: Sequence[int]
-    ) -> None:
+    def __init__(self, ig: IntGame, choices: Sequence[int]) -> None:
         super().__init__(ig, choices)
-        self.schedule, self.bounds = schedule, bounds
         self.costs = ig.player_costs(self.choices, self.rcosts)
         self.users: list[set[int]] = [set() for _ in self.x]  # a best response reads them all
         for u, strategies in enumerate(ig.strategies):
@@ -221,28 +212,23 @@ class IncrementalScan(IntState):
                 self.users[e].add(u)
         self.responses: list[tuple[int, int, int] | None] = [None] * len(self.choices)
 
-    def start(self, phase: int, fixed: Container[int]) -> None:
-        """Re-classify every player for the phase and the fixed set."""
-        self.phase, self.fixed = phase, fixed
-        self.rules = [self._rule(u) for u in range(len(self.choices))]
-        self.heap = [u for u, rule in enumerate(self.rules) if rule]
-
-    def _rule(self, u: int) -> tuple[Fraction, str] | None:
-        if u in self.fixed:
-            return None
-        return self.schedule.classify(self.phase, self.costs[u], self.bounds)
+    def start(self, rule: Rule) -> None:
+        """Take the rule and re-classify every player from the cached costs."""
+        self.rule = rule
+        self.answers = [rule(u, cost) for u, cost in enumerate(self.costs)]
+        self.heap = [u for u, answer in enumerate(self.answers) if answer]
 
     def next_move(self) -> tuple[int, int, int, int, str] | None:
         """What first_eligible_move returns at the current state."""
         heap = self.heap
         while heap:
             u = heap[0]
-            if (rule := self.rules[u]) is not None:
+            if (answer := self.answers[u]) is not None:
                 if self.responses[u] is None:
                     self.responses[u] = self.ig.best_response(self.choices, self.x, self.rcosts, u)
                 br, best, now = self.responses[u]
-                if improves(now, best, rule[0]):
-                    return u, br, self.costs[u], self.ig.weights[u] * best, rule[1]
+                if improves(now, best, answer[0]):
+                    return u, br, self.costs[u], self.ig.weights[u] * best, answer[1]
             heapq.heappop(heap)
         return None
 
@@ -250,13 +236,13 @@ class IncrementalScan(IntState):
         """IntState.move, then touch every player with a strategy on a
         resource it changed (see the class docstring)."""
         changed = super().move(u, k)
-        ig, choices, rules = self.ig, self.choices, self.rules
+        ig, choices, answers = self.ig, self.choices, self.answers
         for v in set().union(*map(self.users.__getitem__, changed)):
             self.responses[v] = None
             if v == u or not changed.isdisjoint(ig.strategies[v][choices[v]]):
                 self.costs[v] = ig.player_cost(choices, self.rcosts, v)
-                rules[v] = self._rule(v)
-            if rules[v] is not None:
+                answers[v] = self.rule(v, self.costs[v])
+            if answers[v] is not None:
                 heapq.heappush(self.heap, v)
         return changed
 
@@ -399,7 +385,7 @@ def run_algorithm(
     m = schedule.m
     bounds = tuple(ig.cost_ceil(b) for b in schedule.boundaries)
 
-    scan = IncrementalScan(ig, schedule, bounds, s_init.choices)
+    scan = IncrementalScan(ig, s_init.choices)
     choices = scan.choices
     fixed: set[int] = set()
     moves: list[MoveRecord] = []
@@ -411,7 +397,7 @@ def run_algorithm(
         budget = schedule.move_budget(phase)
         first_step = len(moves)
         movers: set[int] = set()
-        scan.start(phase, fixed)
+        scan.start(schedule.rule(phase, bounds, fixed))
         while (found := scan.next_move()) is not None:
             u, br, cost_before, cost_after, move_class = found
             if len(moves) - first_step == budget:

@@ -227,11 +227,6 @@ class State:
 
     choices: tuple[int, ...]
 
-    def with_choice(self, player: int, strategy: int) -> "State":
-        c = list(self.choices)
-        c[player] = strategy
-        return State(tuple(c))
-
 
 def validate_state(game: Game, state: State) -> None:
     if len(state.choices) != game.n:

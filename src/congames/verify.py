@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dynamics import (
     IntState,
-    MoveRecord,
     Trace,
     compute_schedule,
     first_eligible_move,
@@ -369,17 +368,18 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     do not raise; they are returned in the report with the offending
     phase or move named.
 
-    One walk: the moves are grouped by phase, then replayed in trace order
-    on an IntState of the compiled integer game: its loads, resource costs
-    and potential are computed from scratch at the initial state and then
-    updated by IntState.move, the solver's own update, so a move costs
-    O(size of the move); the mover's costs are read from the resource
-    costs.  Every player's cost is computed once per phase end that
-    follows a move, and the scan for an eligible move, the fixing rule and
-    the drift check all read it.  The walk keeps none of IncrementalScan's
-    bookkeeping (users, cached best responses, heap), but it applies the
-    solver's own rules to the states it replays (see dynamics) and reads
-    each cost with IntGame.player_cost.
+    One walk: the moves are read once, in trace order and phase by phase,
+    and replayed on an IntState of the compiled integer game: its loads,
+    resource costs and potential are computed from scratch at the initial
+    state and then updated by IntState.move, the solver's own update, so a
+    move costs O(size of the move); the mover's costs are read from the
+    resource costs.  Every player's cost is computed once per phase end
+    that follows a move, and the scan for an eligible move, the fixing rule
+    and the drift check all read it.  The walk keeps none of
+    IncrementalScan's bookkeeping (users, cached best responses, heap), but
+    it applies the solver's own rules to the states it replays (see
+    dynamics): the legality test and the scan both read the phase's
+    Schedule.rule.  It reads each cost with IntGame.player_cost.
     """
     _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
     _check_indices(game, trace)
@@ -424,19 +424,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     _check_same("phase count (movers)", len(trace.movers_per_phase), m)
     _check_same("fixed set count", len(trace.fixed_sets), m + 1)
 
-    # Group the moves by phase, in trace order.  The first move whose phase
-    # is below its predecessor's (or below 0), or not below m, ends the
-    # grouping.  It is raised where a replay in trace order meets it: after
-    # the moves of its predecessor's phase, or after the last phase.
-    by_phase: list[list[MoveRecord]] = [[] for _ in range(m)]
-    stray, last = None, 0
-    for mv in trace.moves:
-        if not last <= mv.phase < m:
-            stray = mv
-            break
-        by_phase[mv.phase].append(mv)
-        last = mv.phase
-
     move_audits: list[MoveAudit] = []
     phase_audits: list[PhaseAudit] = []
     fix_audits: list[FixAudit] = []
@@ -445,10 +432,14 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     choices, rcosts = replay.choices, replay.rcosts
     costs: list[int] | None = None  # every player's, from the first phase end after a move
     fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
+    read = 0  # the moves are read in trace order, once, phase by phase
 
-    for phase, moves in enumerate(by_phase):
-        start = tuple(choices)
-        for mv in moves:
+    for phase in range(m):
+        start, first = tuple(choices), read
+        rule = schedule.rule(phase, bounds, fixed)
+        while read < len(trace.moves) and trace.moves[read].phase == phase:
+            mv = trace.moves[read]
+            read += 1
             at = f"move {mv.step}"
             _check_same(f"{at} step order", mv.step, len(move_audits))
             u = mv.player
@@ -463,12 +454,11 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             _check_same(f"{at} potential_after", mv.potential_after,
                         ig.potential_value(replay.potential))
 
-            rule = schedule.classify(phase, cost, bounds)
+            answer = rule(u, cost)
             legal = (
-                u not in fixed
-                and rule is not None
-                and rule[1] == mv.move_class
-                and improves(cost, new_cost, rule[0])
+                answer is not None
+                and answer[1] == mv.move_class
+                and improves(cost, new_cost, answer[0])
             )
             if not legal:
                 failures.append(f"{at}: ineligible move recorded")
@@ -491,8 +481,9 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                 )
             )
 
-        if stray is not None and stray.phase < last == phase:
-            raise TraceMismatchError(f"move {stray.step}: phases not nondecreasing")
+        moves = trace.moves[first:read]
+        if read < len(trace.moves) and trace.moves[read].phase < phase:
+            raise TraceMismatchError(f"move {trace.moves[read].step}: phases not nondecreasing")
 
         state = State(tuple(choices))
         movers = frozenset(mv.player for mv in moves)
@@ -529,7 +520,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
 
         if moves or costs is None:
             costs = ig.player_costs(choices, rcosts)
-        settled = first_eligible_move(replay, schedule, bounds, phase, costs, fixed) is None
+        settled = first_eligible_move(replay, costs, rule) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 
@@ -555,8 +546,9 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
         fixed.update((u, (phase, costs[u])) for u in newly)
 
-    if stray is not None:
-        raise TraceMismatchError(f"move {stray.step}: phase {stray.phase} >= m = {m}")
+    if read < len(trace.moves):  # a move left over after phase m - 1
+        mv = trace.moves[read]
+        raise TraceMismatchError(f"move {mv.step}: phase {mv.phase} >= m = {m}")
 
     newly = newly_fixed(costs, fixed, bounds[m])
     _check_same("final fixed set", trace.fixed_sets[m], newly)

@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: deterministic random rationals,
-tiny game builders, and the kernel's potential of one polynomial."""
+"""Shared helpers for the test suite: the Hypothesis settings,
+deterministic random rationals, tiny game and state builders, and the
+kernel's potential of one polynomial."""
 
 from __future__ import annotations
 
@@ -8,8 +9,13 @@ from fractions import Fraction
 from typing import Callable
 
 import pytest
+from hypothesis import settings
 
 from congames import CostPolynomial, Game, State, make_player
+
+# Hypothesis settings of the property tests: no deadline, as a 2-vCPU
+# machine's timing is noisy, and no example database left on disk
+SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 
 def random_fraction(rng: random.Random, lo: int, hi: int, den: int = 8) -> Fraction:
@@ -62,6 +68,11 @@ def kernel_phi(poly: CostPolynomial) -> Callable[[Fraction], Fraction]:
 
 def random_state(rng: random.Random, game: Game) -> State:
     return State(tuple(rng.randrange(len(p.strategies)) for p in game.players))
+
+
+def with_choice(state: State, u: int, k: int) -> State:
+    """The state with player u switched to strategy k."""
+    return State(state.choices[:u] + (k,) + state.choices[u + 1:])
 
 
 @pytest.fixture

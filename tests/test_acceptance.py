@@ -40,6 +40,7 @@ from congames.game import player_costs, social_cost
 from congames.instances import rational_root_below
 
 import reference
+from conftest import with_choice
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -139,7 +140,7 @@ def test_criterion_05_lower_bound_family():
             s, s_star = bundle.equilibrium_state, bundle.optimal_state
             costs = reference.player_costs(bundle.game, s)
             for u in range(n):
-                deviation = reference.player_costs(bundle.game, s.with_choice(u, 0))[u]
+                deviation = reference.player_costs(bundle.game, with_choice(s, u, 0))[u]
                 ok = ok and abs(costs[u] / deviation / rho - 1) <= tol
             measured = social_cost(bundle.game, s) / social_cost(bundle.game, s_star)
             phi_pow = independent_root ** (d + 1)
@@ -340,7 +341,7 @@ def test_criterion_09_potential_sandwich_and_drop(rng):
         c = group_cost(game, s, group)
         part = partial_potential(game, s, group)
         ok = ok and c <= part <= alpha(d) * c
-        s2 = s.with_choice(u, rng.randrange(len(game.players[u].strategies)))
+        s2 = with_choice(s, u, rng.randrange(len(game.players[u].strategies)))
         drop = part - partial_potential(game, s2, group)
         ok = ok and drop >= player_costs(game, s)[u] - alpha(d) * player_costs(game, s2)[u]
     elapsed = time.perf_counter() - t0

@@ -49,9 +49,9 @@ from congames.verify import (
     min_equilibrium_factor,
 )
 
-from conftest import crafted_p_move_game
+from conftest import SETTINGS, crafted_p_move_game
 from test_golden import CASES
-from test_kernel import SETTINGS, _outcome, games, golden_case
+from test_kernel import _outcome, games, golden_case
 import test_verify
 
 
@@ -106,6 +106,7 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
 
     for phase, moves in enumerate(by_phase):
         start = tuple(choices)
+        rule = schedule.rule(phase, bounds, fixed)
         for mv in moves:
             at = f"move {mv.step}"
             _check_same(f"{at} step order", mv.step, len(move_audits))
@@ -120,12 +121,12 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
             new_cost = cost_of(u)
             _check_same(f"{at} cost_after", mv.cost_after, ig.cost_value(new_cost))
             _check_same(f"{at} potential_after", mv.potential_after, ig.potential_value(pot))
-            rule = schedule.classify(phase, cost, bounds)
+            answer = rule(u, cost)
             legal = (
                 u not in fixed
-                and rule is not None
-                and rule[1] == mv.move_class
-                and improves(cost, new_cost, rule[0])
+                and answer is not None
+                and answer[1] == mv.move_class
+                and improves(cost, new_cost, answer[0])
             )
             if not legal:
                 failures.append(f"{at}: ineligible move recorded")
@@ -168,7 +169,7 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
         scratch = IntState(ig, choices)
         settled = first_eligible_move(
-            scratch, schedule, bounds, phase, ig.player_costs(choices, scratch.rcosts), fixed
+            scratch, ig.player_costs(choices, scratch.rcosts), rule
         ) is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")

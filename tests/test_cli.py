@@ -429,6 +429,25 @@ class TestDigitLimit:
         ))
         assert not out.exists()
 
+    def test_solve_trace_output(self, tmp_path):
+        # m = 67 phases, so the trace's boundaries have 4,311-digit
+        # denominators; the files already at the output paths keep their bytes
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "degree": 4,
+            "resources": [{"coeffs": ["0", "1/8"]}, {"coeffs": [str(2**64)]}],
+            "players": [{"weight": "1", "strategies": [[e]]} for e in (0, 1)],
+            "initial_state": [0, 0],
+        }))
+        state, trace = tmp_path / "state.json", tmp_path / "trace.jsonl"
+        state.write_bytes(b'{"choices": [0, 0]}\n')
+        trace.write_bytes(b'{"an": "earlier trace"}\n')
+        self.assert_input_error(run_process(
+            "solve", "--input", str(game), "--output", str(state), "--trace", str(trace)
+        ))
+        assert state.read_bytes() == b'{"choices": [0, 0]}\n'
+        assert trace.read_bytes() == b'{"an": "earlier trace"}\n'
+
 
 class TestFactorPastTheFloatRange:
     """A factor above the largest float prints as the exact rational alone."""

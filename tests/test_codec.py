@@ -67,10 +67,8 @@ from congames.game import (
     validate_state,
 )
 
-from conftest import crafted_p_move_game
+from conftest import SETTINGS, crafted_p_move_game
 from test_game import MINIMAL
-
-SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congames import (
@@ -48,7 +48,14 @@ from congames.game import IntGame
 from congames.potential import alpha
 from congames.verify import audit_trace
 
-from conftest import crafted_p_move_game, random_game, random_state, single_player_game
+from conftest import (
+    SETTINGS,
+    crafted_p_move_game,
+    random_game,
+    random_state,
+    single_player_game,
+    with_choice,
+)
 
 
 class TestBestResponse:
@@ -75,11 +82,11 @@ class TestBestResponse:
             for u in range(3):
                 idx, cost = best_response(game, s, u)
                 brute = min(
-                    player_costs(game, s.with_choice(u, k))[u]
+                    player_costs(game, with_choice(s, u, k))[u]
                     for k in range(len(game.players[u].strategies))
                 )
                 assert cost == brute
-                assert player_costs(game, s.with_choice(u, idx))[u] == cost
+                assert player_costs(game, with_choice(s, u, idx))[u] == cost
 
 
 class TestRhoMove:
@@ -115,6 +122,7 @@ class TestRhoMove:
 
 
 class TestComputeSchedule:
+    @settings(SETTINGS, max_examples=100)
     @given(st.integers(1, 2**200), st.integers(1, 2**200))
     @example(1, 1)
     @example(2**64, 1)
@@ -190,12 +198,13 @@ class TestComputeSchedule:
         b = sched.boundaries
         below = Fraction(1, 10**6)
         alpha_rule = (sched.alpha_threshold, ALPHA_MOVE)
-        assert sched.classify(0, b[1], b) == alpha_rule
-        assert sched.classify(0, b[1] - below * b[1], b) is None
-        assert sched.classify(1, b[1], b) == (Fraction(4), P_MOVE)
-        assert sched.classify(1, b[1] - below * b[1], b) == alpha_rule
-        assert sched.classify(1, b[2], b) == alpha_rule
-        assert sched.classify(1, b[2] - below * b[2], b) is None
+        phase0, phase1 = (sched.rule(phase, b, frozenset()) for phase in (0, 1))
+        assert phase0(0, b[1]) == alpha_rule
+        assert phase0(0, b[1] - below * b[1]) is None
+        assert phase1(0, b[1]) == (Fraction(4), P_MOVE)
+        assert phase1(0, b[1] - below * b[1]) == alpha_rule
+        assert phase1(0, b[2]) == alpha_rule
+        assert phase1(0, b[2] - below * b[2]) is None
 
 
 def _two_escapees() -> tuple[Game, State]:
@@ -221,13 +230,11 @@ class TestScan:
         bounds = [ig.cost_ceil(b) for b in schedule.boundaries]
         state = IntState(ig, s0.choices)
         costs = ig.player_costs(s0.choices, state.rcosts)
-        scan = IncrementalScan(ig, schedule, bounds, s0.choices)
+        scan = IncrementalScan(ig, s0.choices)
         for fixed, mover in ((set(), 0), ({0}, 1), ({1}, 0), ({0, 1}, None)):
-            scan.start(phase, fixed)  # the same scan, re-classified from its cache
-            for found in (
-                first_eligible_move(state, schedule, bounds, phase, costs, fixed),
-                scan.next_move(),
-            ):
+            rule = schedule.rule(phase, bounds, fixed)
+            scan.start(rule)  # the same scan, re-classified from its cache
+            for found in (first_eligible_move(state, costs, rule), scan.next_move()):
                 if mover is None:
                     assert found is None
                 else:

@@ -31,7 +31,7 @@ from congames.errors import (
 )
 from congames.game import parse_rational
 
-from conftest import random_game, random_state
+from conftest import random_game, random_state, with_choice
 
 MINIMAL = """
 {
@@ -213,7 +213,7 @@ class TestNormalize:
                 for s in enumerate_states(game):
                     for u in range(game.n):
                         for k in range(len(game.players[u].strategies)):
-                            dev = s.with_choice(u, k)
+                            dev = with_choice(s, u, k)
                             before = player_costs(game, s)[u] > rho * player_costs(game, dev)[u]
                             after = player_costs(scaled, s)[u] > rho * player_costs(scaled, dev)[u]
                             assert before == after

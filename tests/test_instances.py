@@ -21,6 +21,7 @@ from congames.errors import MalformedInstanceError
 from congames.instances import SplitMix64, rational_root_below
 
 import reference
+from conftest import with_choice
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -77,7 +78,7 @@ class TestLowerBoundFamily:
         s = bundle.equilibrium_state
         for u in range(5):
             stay = reference.player_costs(bundle.game, s)[u]
-            leave = reference.player_costs(bundle.game, s.with_choice(u, 0))[u]
+            leave = reference.player_costs(bundle.game, with_choice(s, u, 0))[u]
             assert abs(stay / leave / rho - 1) <= tol
 
     def test_precision_floor(self):

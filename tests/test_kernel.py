@@ -13,11 +13,12 @@ costs, player costs and potential of a recomputation.  run_algorithm
 must produce the very trace of a from-scratch Fraction replay of the
 phased dynamics, and at every step of every phase the solver's
 IncrementalScan must answer what first_eligible_move answers on an
-IntState built from scratch.  The exhaustive PoA oracles,
-min_equilibrium_factor (of all players, of a group and of each player
-alone, which decides her rho-moves), group_cost, social_cost and
-compute_schedule must return the values, states and errors of their
-from-scratch Fraction versions kept here, also on lower-bound games.
+IntState built from scratch, as it must under a phase-free rule.  The
+exhaustive PoA oracles, min_equilibrium_factor (of all players, of a
+group and of each player alone, which decides her rho-moves), group_cost,
+social_cost and compute_schedule must return the values, states and
+errors of their from-scratch Fraction versions kept here, also on
+lower-bound games.
 game._scale and compile_game, which take each quotient of a common
 denominator from the next larger one's, must give the integers of
 dividing directly.  The product-order walk of the PoA oracles
@@ -96,10 +97,8 @@ from congames.verify import (
 )
 
 import reference
-from conftest import crafted_p_move_game
+from conftest import SETTINGS, crafted_p_move_game, with_choice
 from test_golden import CASES, _cli
-
-SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 8))
 weights = st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
@@ -183,13 +182,8 @@ def test_move_keeps_loads_and_potential(case, data):
     """IncrementalScan.move against a recomputation after every move."""
     game, state, _ = case
     ig = compile_game(game)
-    d = game.degree  # the rules do not matter here: everyone may move in phase 0
-    schedule = Schedule(
-        p=target_p(d), alpha=alpha(d), c_max=Fraction(1), c_min=Fraction(1), m=1, g=2,
-        boundaries=(Fraction(1), Fraction(1, 2)), n_players=game.n,
-    )
-    scan = IncrementalScan(ig, schedule, (0, 0), state.choices)
-    scan.start(0, frozenset())
+    scan = IncrementalScan(ig, state.choices)
+    scan.start(lambda u, cost: (Fraction(2), ALPHA_MOVE))  # the rule does not matter here
     for _ in range(3):
         u = data.draw(st.integers(0, game.n - 1))
         k = data.draw(st.integers(0, len(game.players[u].strategies) - 1))
@@ -431,7 +425,7 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
         movers = set()
         while (found := find_move(phase)) is not None:
             u, br, cost, br_cost, move_class = found
-            new_state = state.with_choice(u, br)
+            new_state = with_choice(state, u, br)
             moves.append(MoveRecord(
                 phase=phase, step=len(moves), player=u, from_strategy=state.choices[u],
                 to_strategy=br, cost_before=cost, cost_after=br_cost, move_class=move_class,
@@ -507,9 +501,7 @@ def scan_checked_against_oracle():
         for u, response in enumerate(scan.responses):
             if response is not None:
                 assert response == ig.best_response(scratch.choices, scratch.x, scratch.rcosts, u)
-        assert found == first_eligible_move(
-            scratch, scan.schedule, scan.bounds, scan.phase, costs, scan.fixed
-        )
+        assert found == first_eligible_move(scratch, costs, scan.rule)
         answers.append(found)
         return found
 
@@ -543,6 +535,22 @@ def test_incremental_scan_matches_scan_from_scratch(case, p_low):
 def test_incremental_scan_matches_scan_from_scratch_on_p_move_game():
     game, s0 = crafted_p_move_game()
     assert_scan_matches_oracle(game, s0, 4)
+
+
+@SETTINGS
+@given(games(zero_cost=True), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)]))
+def test_incremental_scan_under_phase_free_rule(case, threshold):
+    """Plain lowest-index threshold dynamics on the scan: one rule for
+    every player at every cost, with no schedule, phase or fixed set.  Each
+    answer must be first_eligible_move's from scratch.  The run stops after
+    20 moves, as plain dynamics need not converge for d >= 2."""
+    game, state, _ = case
+    scan = IncrementalScan(game.compiled, state.choices)
+    with scan_checked_against_oracle() as answers:
+        scan.start(lambda u, cost: (threshold, ALPHA_MOVE))
+        while len(answers) < 20 and (found := scan.next_move()) is not None:
+            scan.move(found[0], found[1])
+    assert None not in answers[:-1]
 
 
 def golden_case(name: str, tmp_path) -> tuple[Game, State, int | None]:

@@ -21,7 +21,14 @@ from congames import (
 from congames.game import group_cost, loads
 
 import reference
-from conftest import kernel_phi, random_fraction, random_game, random_polynomial, random_state
+from conftest import (
+    kernel_phi,
+    random_fraction,
+    random_game,
+    random_polynomial,
+    random_state,
+    with_choice,
+)
 
 
 def alone(poly: CostPolynomial, weight: Fraction) -> Fraction:
@@ -134,7 +141,7 @@ class TestSandwichProperties:
             s = random_state(rng, game)
             u = rng.randrange(4)
             k = rng.randrange(len(game.players[u].strategies))
-            s2 = s.with_choice(u, k)
+            s2 = with_choice(s, u, k)
             group = set(rng.sample(range(4), rng.randint(1, 4))) | {u}
             drop = partial_potential(game, s, group) - partial_potential(game, s2, group)
             assert drop >= player_costs(game, s)[u] - alpha(d) * player_costs(game, s2)[u]
@@ -148,7 +155,7 @@ class TestSandwichProperties:
             s = random_state(rng, game)
             u = rng.randrange(3)
             for k in range(len(game.players[u].strategies)):
-                s2 = s.with_choice(u, k)
+                s2 = with_choice(s, u, k)
                 if player_costs(game, s)[u] > alpha(d) * player_costs(game, s2)[u]:
                     assert potential(game, s2) < potential(game, s)
                     found += 1

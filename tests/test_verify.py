@@ -40,7 +40,13 @@ from congames.potential import alpha
 from congames.verify import _max_group_ratio, _rows, _Walk, enumerate_states
 
 import reference
-from conftest import crafted_p_move_game, random_game, random_state, single_player_game
+from conftest import (
+    crafted_p_move_game,
+    random_game,
+    random_state,
+    single_player_game,
+    with_choice,
+)
 from test_kernel import (
     _outcome,
     reference_brute_force_poa,
@@ -457,7 +463,7 @@ class TestAuditTrace:
         for phase in range(m):
             for mv in moves:
                 if mv.phase == phase:
-                    state = state.with_choice(mv.player, mv.to_strategy)
+                    state = with_choice(state, mv.player, mv.to_strategy)
             ends.append(state)
             movers.append(frozenset(mv.player for mv in moves if mv.phase == phase))
         # phase 0 fixes no one, phase i >= 1 fixes at b_i and the sweep
@@ -495,9 +501,9 @@ class TestAuditTrace:
         u = 0
         k = max(
             (k for k in range(len(game.players[u].strategies)) if k != before.choices[u]),
-            key=lambda k: reference.player_costs(game, before.with_choice(u, k))[u],
+            key=lambda k: reference.player_costs(game, with_choice(before, u, k))[u],
         )
-        after = before.with_choice(u, k)
+        after = with_choice(before, u, k)
         cost_before = reference.player_costs(game, before)[u]
         cost_after = reference.player_costs(game, after)[u]
         assert cost_after >= cost_before
@@ -616,7 +622,7 @@ class TestAuditHeaderMutations:
                 for other in range(len(game.players[u].strategies)):
                     if other != k:
                         states = list(trace.phase_end_states)
-                        states[i] = state.with_choice(u, other)
+                        states[i] = with_choice(state, u, other)
                         yield f"phase_end_states[{i}] player {u}", replace(
                             trace, phase_end_states=tuple(states)
                         )
