@@ -247,10 +247,12 @@ class IncrementalScan(IntState):
         return changed
 
 
-def newly_fixed(costs: Sequence[int], fixed: Container[int], boundary: int) -> frozenset[int]:
-    """The fixing rule: the players not yet fixed whose cost is at least
-    the boundary."""
-    return frozenset(u for u, cost in enumerate(costs) if u not in fixed and cost >= boundary)
+def newly_fixed(costs: Sequence[int], fixed: Container[int], bounds, phase: int) -> frozenset[int]:
+    """The fixing rule after phase i (the final sweep is phase m): nobody
+    after phase 0, else the players not yet fixed whose cost is >= bounds[i]."""
+    if not phase:
+        return frozenset()
+    return frozenset(u for u, cost in enumerate(costs) if u not in fixed and cost >= bounds[phase])
 
 
 Index = int  # an index in a move record, read as written (see _CODEC)
@@ -421,10 +423,10 @@ def run_algorithm(
             movers.add(u)
         movers_per_phase.append(frozenset(movers))
         phase_end_states.append(State(tuple(choices)))
-        fixed_sets.append(newly_fixed(scan.costs, fixed, bounds[phase]) if phase else frozenset())
+        fixed_sets.append(newly_fixed(scan.costs, fixed, bounds, phase))
         fixed |= fixed_sets[-1]
     # the state after the last phase is final: the sweep at b_m fixes the rest
-    fixed_sets.append(newly_fixed(scan.costs, fixed, bounds[m]))
+    fixed_sets.append(newly_fixed(scan.costs, fixed, bounds, m))
 
     trace = Trace(
         schedule=schedule,

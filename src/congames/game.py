@@ -482,14 +482,12 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise MalformedInstanceError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def parse_instance(
-    data: bytes | str, *, normalize_weights: bool = True
-) -> tuple[Game, State | None]:
+def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
     """Parse an instance file; returns the game and its optional initial state.
 
     Parsing is strict: unknown keys, non-string rationals and malformed
-    structure are rejected.  Weights below 1 are normalized away unless
-    ``normalize_weights`` is False.  Checked here, in document order: the
+    structure are rejected.  The game comes back normalized (weights below
+    1 scaled away, see normalize).  Checked here, in document order: the
     JSON types and keys, each rational string (each distinct string is
     parsed once per call), the coefficient count against the degree, and
     each strategy's indices, which must be integers and are deduplicated
@@ -577,9 +575,7 @@ def parse_instance(
         initial_state = State(tuple(entries))
         validate_state(game, initial_state)
 
-    if normalize_weights:
-        game = normalize(game)
-    return game, initial_state
+    return normalize(game), initial_state
 
 
 def _json_block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:

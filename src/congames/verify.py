@@ -542,7 +542,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
         )
 
-        newly = newly_fixed(costs, fixed, bounds[phase]) if phase else frozenset()
+        newly = newly_fixed(costs, fixed, bounds, phase)
         _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
         fixed.update((u, (phase, costs[u])) for u in newly)
 
@@ -550,7 +550,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         mv = trace.moves[read]
         raise TraceMismatchError(f"move {mv.step}: phase {mv.phase} >= m = {m}")
 
-    newly = newly_fixed(costs, fixed, bounds[m])
+    newly = newly_fixed(costs, fixed, bounds, m)
     _check_same("final fixed set", trace.fixed_sets[m], newly)
     fixed.update((u, (m, costs[u])) for u in newly)
     _check_same("all players fixed", frozenset(range(n)), frozenset(fixed))

@@ -42,8 +42,6 @@ from congames.instances import rational_root_below
 import reference
 from conftest import with_choice
 
-GOLDEN = (1 + 5**0.5) / 2
-
 
 def report(criterion: str, ok: bool, started: float, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"

@@ -24,19 +24,8 @@ from congames.analysis import (
     combination_constant,
 )
 
-
-def bisect_phi(d: int, rho: float) -> float:
-    """Plain interval-halving oracle for the root of rho*(x+1)^d = x^(d+1)."""
-    lo, hi = 0.0, 1.0
-    while rho * (hi + 1.0) ** d - hi ** (d + 1) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rho * (mid + 1.0) ** d - mid ** (d + 1) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from conftest import GOLDEN
+from reference import bisect_phi
 
 
 class TestLambertW:
@@ -59,7 +48,7 @@ class TestLambertW:
 
 class TestPhiRatio:
     def test_golden_ratio(self):
-        assert abs(phi_ratio(1, 1.0) - (1 + 5**0.5) / 2) < 1e-12
+        assert abs(phi_ratio(1, 1.0) - GOLDEN) < 1e-12
 
     def test_linear_closed_form(self):
         for rho in (1.0, 2.0, 5.0, 10.0):
@@ -87,7 +76,7 @@ class TestPhiRatio:
 class TestPoaBounds:
     def test_d1_rho1(self):
         r = poa_bounds(1, 1.0)
-        assert abs(r.poa_bound - ((1 + 5**0.5) / 2) ** 2) < 1e-10
+        assert abs(r.poa_bound - GOLDEN**2) < 1e-10
         assert r.poa_bound <= r.lambert_bound
 
     def test_lambert_bound_caps_at_4d(self):
@@ -102,8 +91,7 @@ class TestPoaBounds:
 
 class TestMuHat:
     def test_d1_rho1_value(self):
-        phi = (1 + 5**0.5) / 2
-        assert abs(smoothness_mu_hat(1, 1.0) - phi / (2 * (phi + 1))) < 1e-12
+        assert abs(smoothness_mu_hat(1, 1.0) - GOLDEN / (2 * (GOLDEN + 1))) < 1e-12
 
     def test_both_closed_forms_agree(self):
         for d in (1, 2, 3, 5):

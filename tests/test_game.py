@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -31,22 +30,8 @@ from congames.errors import (
 )
 from congames.game import parse_rational
 
-from conftest import random_game, random_state, with_choice
-
-MINIMAL = """
-{
-  "degree": 1,
-  "resources": [ {"coeffs": ["0", "1"]} ],
-  "players": [ {"weight": "1", "strategies": [[0]]} ]
-}
-"""
-
-
-def enumerate_states(game: Game):
-    import itertools
-
-    ranges = [range(len(p.strategies)) for p in game.players]
-    return [State(c) for c in itertools.product(*ranges)]
+from conftest import GOLDEN, MINIMAL, random_game, random_state, with_choice
+from reference import reference_states
 
 
 class TestParsing:
@@ -106,16 +91,16 @@ class TestParsing:
             parse_instance(bad)
 
     def test_lower_bound_round_trip_is_identity(self):
-        bundle = gen_lower_bound(1, Fraction(1), 2, 30)
-        text = serialize_instance(bundle.game)
-        reparsed = parse_instance(text, normalize_weights=False)[0]
-        assert reparsed == bundle.game
+        game = normalize(gen_lower_bound(1, Fraction(1), 2, 30).game)
+        text = serialize_instance(game)
+        reparsed = parse_instance(text)[0]
+        assert reparsed == game
         assert serialize_instance(reparsed) == text
 
     def test_random_games_round_trip(self, rng):
         for _ in range(25):
             game = random_game(rng, rng.randint(1, 4), rng.randint(1, 3), 5)
-            assert parse_instance(serialize_instance(game), normalize_weights=False)[0] == game
+            assert parse_instance(serialize_instance(game))[0] == normalize(game)
 
 
 class TestConstructionChecks:
@@ -210,7 +195,7 @@ class TestNormalize:
             scaled = normalize(game)
             assert scaled is not game
             for rho in (Fraction(1), Fraction(3, 2), Fraction(2)):
-                for s in enumerate_states(game):
+                for s in reference_states(game, 10**6):
                     for u in range(game.n):
                         for k in range(len(game.players[u].strategies)):
                             dev = with_choice(s, u, k)
@@ -280,8 +265,7 @@ class TestLoadsAndCosts:
         for u in range(3):
             assert player_costs(bundle.game, s)[u] == r**2
         assert group_cost(bundle.game, s, range(3)) == 3 * r**2
-        golden = (1 + 5**0.5) / 2
-        assert abs(float(r**2) - golden**2) < 1e-12
+        assert abs(float(r**2) - GOLDEN**2) < 1e-12
 
     def test_monotonicity_of_polynomials(self, rng):
         from conftest import random_fraction, random_polynomial

@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 
 from congames import (
-    CostPolynomial,
-    Game,
-    PlayerSpec,
     gen_lower_bound,
     gen_random,
     min_equilibrium_factor,
+    normalize,
     parse_instance,
     serialize_instance,
     social_cost,
@@ -21,9 +19,8 @@ from congames.errors import MalformedInstanceError
 from congames.instances import SplitMix64, rational_root_below
 
 import reference
-from conftest import with_choice
-
-GOLDEN = (1 + 5**0.5) / 2
+from conftest import GOLDEN, with_choice
+from reference import reference_lower_bound_game
 
 
 class TestRationalRoot:
@@ -94,19 +91,6 @@ class TestLowerBoundFamily:
             assert gen_lower_bound(d, rho, n, 30).game == reference_lower_bound_game(d, rho, n, 30)
 
 
-def reference_lower_bound_game(d: int, rho: Fraction, n: int, digits: int) -> Game:
-    """The lower-bound family's game, each coefficient r^((d+1)*j) and
-    weight r^(-i) computed as a power of its own."""
-    r = rational_root_below(d, rho, digits)
-    resources = [CostPolynomial((r ** (d + 2) / rho,) + (Fraction(0),) * d)]
-    for j in range(2, n + 2):
-        resources.append(CostPolynomial((Fraction(0),) * d + (r ** ((d + 1) * j),)))
-    players = tuple(
-        PlayerSpec(weight=(1 / r) ** i, strategies=((i - 1,), (i,))) for i in range(1, n + 1)
-    )
-    return Game(degree=d, resources=tuple(resources), players=players)
-
-
 class TestRandomGames:
     def test_seed_determinism(self):
         kwargs = dict(
@@ -132,7 +116,7 @@ class TestRandomGames:
     def test_round_trip(self):
         for seed in range(10):
             game = gen_random(3, 1, 4, 2, 2, seed=seed)
-            assert parse_instance(serialize_instance(game), normalize_weights=False)[0] == game
+            assert parse_instance(serialize_instance(game))[0] == normalize(game)
 
     def test_infeasible_parameters(self):
         with pytest.raises(MalformedInstanceError):

@@ -17,22 +17,19 @@ IntState built from scratch, as it must under a phase-free rule.  The
 exhaustive PoA oracles, min_equilibrium_factor (of all players, of a
 group and of each player alone, which decides her rho-moves), group_cost,
 social_cost and compute_schedule must return the values, states and
-errors of their from-scratch Fraction versions kept here, also on
-lower-bound games.
-game._scale and compile_game, which take each quotient of a common
-denominator from the next larger one's, must give the integers of
+errors of their from-scratch Fraction versions, also on lower-bound
+games.  game._scale and compile_game, which take each quotient of a
+common denominator from the next larger one's, must give the integers of
 dividing directly.  The product-order walk of the PoA oracles
 (verify._Walk) must give every state's loads, resource costs, social cost
 and potential from scratch, and verify._rows, which reads each player's
 costs from a deviation vector, the rows made from scratch state by
-state.
+state.  Every reference is in tests/reference.py.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import itertools
 import math
 from fractions import Fraction
 
@@ -57,81 +54,38 @@ from congames.dynamics import (
     P_MOVE,
     IncrementalScan,
     IntState,
-    MoveRecord,
-    Schedule,
-    Trace,
     compute_schedule,
     first_eligible_move,
-    improves,
     run_algorithm,
     target_p,
 )
-from congames.errors import (
-    AlreadyZeroError,
-    CongamesError,
-    MalformedInstanceError,
-    NoEquilibriumError,
-    StateSpaceTooLargeError,
-    ZeroMinCostError,
-)
-from congames.game import (
-    _horner,
-    _scale,
-    compile_game,
-    group_cost,
-    loads,
-    parse_instance,
-    social_cost,
-    validate_state,
-)
-from congames.potential import alpha
-from congames.verify import (
-    _Row,
-    _rows,
-    _Walk,
-    audit_trace,
-    brute_force_poa,
-    max_group_poa_ratio,
-    max_rho_stretch_ratio,
-    min_equilibrium_factor,
-)
+from congames.errors import AlreadyZeroError, ZeroMinCostError
+from congames.game import _horner, _scale, compile_game, group_cost, loads, social_cost
+from congames.verify import _rows, _Walk, audit_trace, min_equilibrium_factor
 
 import reference
-from conftest import SETTINGS, crafted_p_move_game, with_choice
-from test_golden import CASES, _cli
-
-rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 8))
-weights = st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
-
-
-@st.composite
-def games(draw, anchored: bool = False, zero_cost: bool = False) -> tuple[Game, State, list[int]]:
-    """A game, a state of it and a player group.  An anchored game adds a
-    player alone on a resource of constant cost 2^k, which stretches the
-    solver's schedule so that the others move in later phases.  With
-    zero_cost, a quarter of the resources cost nothing at any load."""
-    degree = draw(st.integers(1, 4))
-    num_resources = draw(st.integers(1, 5))
-    resources = [
-        CostPolynomial(
-            (Fraction(0),)
-            if zero_cost and draw(st.integers(0, 3)) == 3
-            else tuple(draw(st.lists(rationals, min_size=1, max_size=degree + 1)))
-        )
-        for _ in range(num_resources)
-    ]
-    subsets = st.lists(st.integers(0, num_resources - 1), min_size=1, max_size=3, unique=True)
-    players = [
-        make_player(draw(weights), draw(st.lists(subsets, min_size=1, max_size=3)))
-        for _ in range(draw(st.integers(1, 5)))
-    ]
-    if anchored:
-        resources.append(CostPolynomial((Fraction(2 ** draw(st.integers(0, 64))),)))
-        players.append(make_player(Fraction(1), [[num_resources]]))
-    game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
-    state = State(tuple(draw(st.integers(0, len(p.strategies) - 1)) for p in players))
-    group = draw(st.lists(st.integers(0, game.n - 1), unique=True))
-    return game, state, group
+from conftest import (
+    CASES,
+    SETTINGS,
+    assert_poa_oracles_match_references,
+    crafted_p_move_game,
+    exact,
+    exact_outcome,
+    games,
+    golden_case,
+    oracle_games,
+    rationals,
+)
+from reference import (
+    reference_compute_schedule,
+    reference_group_cost,
+    reference_min_equilibrium_factor,
+    reference_rows,
+    reference_run,
+    reference_scale,
+    reference_social_cost,
+    reference_states,
+)
 
 
 def assert_kernel_matches_oracle(game: Game, state: State, group) -> None:
@@ -139,7 +93,7 @@ def assert_kernel_matches_oracle(game: Game, state: State, group) -> None:
     ig = compile_game(game)
     x = ig.loads(state.choices)
     assert [Fraction(v, ig.W) for v in x] == list(reference.loads(game, state))
-    assert _exact(loads(game, state)) == _exact(reference.loads(game, state))
+    assert exact(loads(game, state)) == exact(reference.loads(game, state))
     x_group = [Fraction(v, ig.W) for v in ig.loads(state.choices, group)]
     assert x_group == list(reference.loads(game, state, group))
     for e, poly in enumerate(game.resources):  # d+2 values fix phi_e, of degree d+1
@@ -149,20 +103,20 @@ def assert_kernel_matches_oracle(game: Game, state: State, group) -> None:
     rcosts = ig.resource_costs(x)
     costs = reference.player_costs(game, state)
     assert [ig.cost_value(k) for k in ig.player_costs(state.choices, rcosts)] == list(costs)
-    assert _exact(player_costs(game, state)) == _exact(costs)
+    assert exact(player_costs(game, state)) == exact(costs)
     for u in range(game.n):
         k, cost, current = ig.best_response(state.choices, x, rcosts, u)
         w = ig.weights[u]  # the kernel's sums are unweighted
         expected = reference.best_response(game, state, u)
         assert (k, ig.cost_value(w * cost)) == expected
-        assert _exact(best_response(game, state, u)) == _exact(expected)
+        assert exact(best_response(game, state, u)) == exact(expected)
         assert ig.cost_value(w * current) == costs[u]
     expected = reference.potential(game, state)
     assert ig.potential_value(ig.potential(x)) == expected
-    assert _exact(potential(game, state)) == _exact(expected)
+    assert exact(potential(game, state)) == exact(expected)
     expected = reference.partial_potential(game, state, group)
     assert ig.potential_value(ig.partial_potential(state.choices, group)) == expected
-    assert _exact(partial_potential(game, state, group)) == _exact(expected)
+    assert exact(partial_potential(game, state, group)) == exact(expected)
 
 
 @SETTINGS
@@ -198,20 +152,6 @@ def test_move_keeps_loads_and_potential(case, data):
         )
 
 
-def reference_scale(polys, W: int):
-    """game._scale with every quotient L // a.denominator divided directly."""
-    top = max(len(coeffs) for coeffs in polys) - 1
-    L = math.lcm(*sorted({a.denominator for coeffs in polys for a in coeffs}))
-    powers = [W ** (top - v) for v in range(top + 1)]
-    return L * powers[0], tuple(
-        tuple(
-            a.numerator * (L // a.denominator) * powers[v] if a else 0
-            for v, a in reversed(tuple(enumerate(coeffs)))
-        )
-        for coeffs in polys
-    )
-
-
 def assert_scale_matches(game: Game) -> None:
     ig = compile_game(game)
     W = ig.W
@@ -237,101 +177,30 @@ def test_scale_matches_direct_division_on_lower_bound_games(d, n):
     assert_scale_matches(gen_lower_bound(d, Fraction(3, 2), n, 40).game)
 
 
-def _ratio(numer: Fraction, denom: Fraction):
-    if denom == 0:
-        return Fraction(1) if numer == 0 else math.inf
-    return numer / denom
-
-
 # --------------------------------------------------------------------------
-# From-scratch Fraction versions of the layers that run on the integer game
+# The layers that run on the integer game against their Fraction references
 # --------------------------------------------------------------------------
-
-
-def reference_group_cost(game: Game, state: State, players) -> Fraction:
-    x = reference.loads(game, state)
-    x_group = reference.loads(game, state, set(players))
-    total = Fraction(0)
-    for e in range(game.num_resources):
-        if x_group[e] != 0:
-            total += x_group[e] * game.resources[e](x[e])
-    return total
-
-
-def reference_social_cost(game: Game, state: State) -> Fraction:
-    return reference_group_cost(game, state, range(game.n))
-
-
-def reference_min_equilibrium_factor(game: Game, state: State, players=None):
-    costs = reference.player_costs(game, state)
-    group = range(game.n) if players is None else players
-    factors = [_ratio(costs[u], reference.best_response(game, state, u)[1]) for u in group]
-    return max([Fraction(1), *factors])
-
-
-def reference_empty_profile_best_cost(game: Game, u: int) -> Fraction:
-    player = game.players[u]
-    return min(
-        player.weight * sum((game.resources[e](player.weight) for e in strat), Fraction(0))
-        for strat in player.strategies
-    )
-
-
-def reference_compute_schedule(
-    game: Game, s_init: State, p_override: int | None = None
-) -> Schedule:
-    validate_state(game, s_init)
-    if not game.is_normalized:
-        raise MalformedInstanceError(
-            "player weights must be >= 1 for the solver; apply normalize() first"
-        )
-    c_max = max(reference.player_costs(game, s_init))
-    if c_max == 0:
-        raise AlreadyZeroError("all player costs are zero at the initial state")
-    c_min = min(reference_empty_profile_best_cost(game, u) for u in range(game.n))
-    if c_min == 0:
-        raise ZeroMinCostError("a player can reach cost zero; phase count undefined")
-    d = game.degree
-    p = target_p(d) if p_override is None else p_override
-    if p < alpha(d) + 1:
-        raise MalformedInstanceError(f"p must be >= {alpha(d) + 1} for degree {d}, got {p}")
-    m = 0
-    while 2**m < c_max / c_min:
-        m += 1
-    m = max(1, m)
-    g = game.n * p**3 * (1 + m * (1 + p)) ** d * d**d + 1
-    return Schedule(
-        p=p,
-        alpha=alpha(d),
-        c_max=c_max,
-        c_min=c_min,
-        m=m,
-        g=g,
-        boundaries=tuple(c_max * Fraction(1, g**i) for i in range(m + 1)),
-        n_players=game.n,
-        exact_constants=p == target_p(d),
-    )
 
 
 def assert_layers_match(game: Game, state: State, group) -> None:
     """The integer layers against their Fraction versions at one state,
-    compared exactly with their types (see _exact).  Each player's own
+    compared exactly with their types (see conftest.exact).  Each player's own
     factor decides her rho-moves: she has one exactly when it exceeds rho."""
     for players in (None, group, *([u] for u in range(game.n))):
-        assert _exact(min_equilibrium_factor(game, state, players)) == _exact(
+        assert exact(min_equilibrium_factor(game, state, players)) == exact(
             reference_min_equilibrium_factor(game, state, players)
         )
     # the group is walked twice, so a one-shot iterator must give the same answer
-    assert _exact(min_equilibrium_factor(game, state, iter(group))) == _exact(
+    assert exact(min_equilibrium_factor(game, state, iter(group))) == exact(
         min_equilibrium_factor(game, state, list(group))
     )
-    assert _exact(min_equilibrium_factor(game, state, None)) == _exact(
+    assert exact(min_equilibrium_factor(game, state, None)) == exact(
         min_equilibrium_factor(game, state, range(game.n))
     )
-    assert _exact(group_cost(game, state, group)) == _exact(
+    assert exact(group_cost(game, state, group)) == exact(
         reference_group_cost(game, state, group)
     )
-    assert _exact(social_cost(game, state)) == _exact(reference_social_cost(game, state))
+    assert exact(social_cost(game, state)) == exact(reference_social_cost(game, state))
 
 
 P_OVERRIDES = [None, "target", 0, 2, -1]  # offsets from d + 2; -1 is below the minimum
@@ -344,7 +213,7 @@ def assert_schedules_match(game: Game, state: State) -> None:
             else target_p(game.degree) if extra == "target"
             else game.degree + 2 + extra
         )
-        assert _outcome(compute_schedule, game, state, p_override) == _outcome(
+        assert exact_outcome(compute_schedule, game, state, p_override) == exact_outcome(
             reference_compute_schedule, game, state, p_override
         )
 
@@ -385,72 +254,6 @@ def test_layers_match_on_lower_bound_games(d):
             assert_kernel_matches_oracle(bundle.game, state, group)
             assert_layers_match(bundle.game, state, group)
             assert_schedules_match(normalize(bundle.game), state)
-
-
-def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
-    """The phased dynamics on Fractions alone, every value from scratch."""
-    schedule = reference_compute_schedule(game, s_init, p_override)
-    b = schedule.boundaries
-    state, fixed, moves = s_init, set(), []
-    phase_end_states, movers_per_phase, fixed_sets = [], [], []
-
-    def find_move(phase):
-        costs = reference.player_costs(game, state)
-        for u in range(game.n):
-            cost = costs[u]
-            if u in fixed:
-                continue
-            if phase == 0:
-                if cost < b[1]:
-                    continue
-                threshold, move_class = schedule.alpha_threshold, ALPHA_MOVE
-            elif cost >= b[phase]:
-                threshold, move_class = Fraction(schedule.p), P_MOVE
-            elif cost >= b[phase + 1]:
-                threshold, move_class = schedule.alpha_threshold, ALPHA_MOVE
-            else:
-                continue
-            br, br_cost = reference.best_response(game, state, u)
-            if cost > threshold * br_cost:
-                return u, br, cost, br_cost, move_class
-        return None
-
-    def fix(boundary):
-        costs = reference.player_costs(game, state)
-        newly = frozenset(u for u in range(game.n) if u not in fixed and costs[u] >= boundary)
-        fixed.update(newly)
-        fixed_sets.append(newly)
-
-    for phase in range(schedule.m):
-        movers = set()
-        while (found := find_move(phase)) is not None:
-            u, br, cost, br_cost, move_class = found
-            new_state = with_choice(state, u, br)
-            moves.append(MoveRecord(
-                phase=phase, step=len(moves), player=u, from_strategy=state.choices[u],
-                to_strategy=br, cost_before=cost, cost_after=br_cost, move_class=move_class,
-                potential_before=reference.potential(game, state),
-                potential_after=reference.potential(game, new_state),
-            ))
-            movers.add(u)
-            state = new_state
-        movers_per_phase.append(frozenset(movers))
-        phase_end_states.append(state)
-        if phase == 0:
-            fixed_sets.append(frozenset())
-        else:
-            fix(b[phase])
-    fix(b[schedule.m])
-    return Trace(
-        schedule=schedule,
-        initial_state=s_init,
-        final_state=state,
-        moves=tuple(moves),
-        phase_end_states=tuple(phase_end_states),
-        movers_per_phase=tuple(movers_per_phase),
-        fixed_sets=tuple(fixed_sets),
-        game_sha256=game.fingerprint,
-    )
 
 
 @settings(SETTINGS, max_examples=100)
@@ -553,20 +356,6 @@ def test_incremental_scan_under_phase_free_rule(case, threshold):
     assert None not in answers[:-1]
 
 
-def golden_case(name: str, tmp_path) -> tuple[Game, State, int | None]:
-    """A golden case's game, initial state and p override, as solve reads them."""
-    source, solve_flags = CASES[name]
-    if isinstance(source, list):
-        path = tmp_path / "game.json"
-        _cli([*source, "--out", str(path)])
-        game, s0 = parse_instance(path.read_bytes())
-    else:
-        game, s0 = source()
-        game = normalize(game)
-    p_override = int(solve_flags[1]) if solve_flags else None
-    return game, s0 or State((0,) * game.n), p_override
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_incremental_scan_matches_scan_from_scratch_on_golden_cases(name, tmp_path):
     assert_scan_matches_oracle(*golden_case(name, tmp_path))
@@ -585,116 +374,6 @@ def test_kernel_matches_fraction_oracle_on_golden_cases(name, tmp_path):
 # --------------------------------------------------------------------------
 
 
-def reference_states(game: Game, state_cap: int) -> list[State]:
-    if math.prod(len(p.strategies) for p in game.players) > state_cap:
-        raise StateSpaceTooLargeError(f"state space exceeds cap {state_cap}")
-    return [State(c) for c in itertools.product(*(range(len(p.strategies)) for p in game.players))]
-
-
-def reference_factors(game: Game, s: State) -> list:
-    """Each player's ratio of current cost to best-response cost."""
-    costs = reference.player_costs(game, s)
-    return [_ratio(costs[u], reference.best_response(game, s, u)[1]) for u in range(game.n)]
-
-
-def reference_brute_force_poa(game: Game, rho: Fraction, state_cap: int):
-    states = reference_states(game, state_cap)
-    costs = [reference_social_cost(game, s) for s in states]
-    opt_index = min(range(len(states)), key=lambda i: costs[i])
-    poa = worst_state = None
-    for s, c in zip(states, costs):
-        if max([Fraction(1), *reference_factors(game, s)]) > rho:
-            continue
-        r = _ratio(c, costs[opt_index])
-        if poa is None or r > poa:
-            poa, worst_state = r, s
-    if poa is None:
-        raise NoEquilibriumError(f"no {rho}-approximate equilibrium exists")
-    return poa, worst_state, states[opt_index]
-
-
-def reference_group_ratio(game: Game, rho: Fraction, state_cap: int, metric):
-    """Worst metric(s, R)/metric(s', R) over every pair of states in which
-    the complement of R plays alike and s is a rho-equilibrium for R."""
-    states = reference_states(game, state_cap)
-    n = game.n
-    factors = [reference_factors(game, s) for s in states]
-    worst = Fraction(0)
-    for group_size in range(1, n + 1):
-        for group in itertools.combinations(range(n), group_size):
-            complement = [u for u in range(n) if u not in group]
-            values = [metric(game, s, group) for s in states]
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for i, s in enumerate(states):
-                buckets.setdefault(tuple(s.choices[u] for u in complement), []).append(i)
-            for bucket in buckets.values():
-                eq = [i for i in bucket if max(factors[i][u] for u in group) <= rho]
-                for i in eq:
-                    for j in bucket:
-                        r = _ratio(values[i], values[j])
-                        if r > worst:
-                            worst = r
-    return worst
-
-
-def reference_rows(game: Game, rho: Fraction, state_cap: int, potential: bool):
-    """verify._rows with each state's loads, resource costs, potential and
-    best responses computed from scratch, in product order."""
-    ig, at_least_one = game.compiled, rho >= 1
-    for state in reference_states(game, state_cap):
-        choices = state.choices
-        rcosts = ig.resource_costs(x := ig.loads(choices))
-        costs, within = [], 0
-        for u in range(game.n):
-            _, best, now = ig.best_response(choices, x, rcosts, u)
-            costs.append(ig.weights[u] * now)
-            within |= (at_least_one and not improves(now, best, rho)) << u
-        yield _Row(choices, costs, ig.potential(x) if potential else None, within)
-
-
-@st.composite
-def oracle_games(draw) -> Game:
-    """A game of 2-4 players with 2-3 strategies each over 2-4 resources;
-    some resources cost nothing at any load."""
-    degree = draw(st.integers(1, 4))
-    num_resources = draw(st.integers(2, 4))
-    resources = tuple(
-        CostPolynomial(
-            (Fraction(0),)  # a quarter of the resources cost nothing at any load
-            if draw(st.integers(0, 3)) == 3
-            else tuple(draw(st.lists(rationals, min_size=1, max_size=degree + 1)))
-        )
-        for _ in range(num_resources)
-    )
-    subsets = st.lists(st.integers(0, num_resources - 1), min_size=1, max_size=2, unique=True)
-    players = tuple(
-        make_player(draw(weights), draw(st.lists(subsets, min_size=2, max_size=3)))
-        for _ in range(draw(st.integers(2, 4)))
-    )
-    return Game(degree=degree, resources=resources, players=players)
-
-
-def _exact(value):
-    """The value with the type of each of its parts, for an exact == that
-    never passes a Fraction for an int or a float and, unlike repr, writes
-    no number in decimal: a schedule's boundaries can exceed the int/str
-    digit limit."""
-    if isinstance(value, tuple):
-        return tuple(map(_exact, value))
-    if dataclasses.is_dataclass(value):
-        return type(value), _exact(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
-    return type(value), value
-
-
-def _outcome(fn, *args):
-    """A call's result as _exact gives it, or the type and message of the
-    congames error it raised."""
-    try:
-        return _exact(fn(*args))
-    except CongamesError as exc:
-        return type(exc), str(exc)
-
-
 @settings(SETTINGS, max_examples=50)
 @given(
     oracle_games(),
@@ -702,16 +381,7 @@ def _outcome(fn, *args):
     st.sampled_from([10**6, 8]),
 )
 def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
-    got = _outcome(brute_force_poa, game, rho, state_cap)
-    expected = _outcome(reference_brute_force_poa, game, rho, state_cap)
-    assert got == expected  # same values, same types (Fraction or inf), same states
-    for oracle, metric in (
-        (max_group_poa_ratio, reference_group_cost),
-        (max_rho_stretch_ratio, reference.partial_potential),
-    ):
-        got = _outcome(oracle, game, rho, state_cap)
-        expected = _outcome(reference_group_ratio, game, rho, state_cap, metric)
-        assert got == expected
+    assert_poa_oracles_match_references(game, rho, state_cap)
 
 
 @settings(SETTINGS, max_examples=50)
@@ -722,8 +392,8 @@ def test_poa_oracles_match_fraction_reference(game, rho, state_cap):
     st.booleans(),
 )
 def test_rows_of_the_walk_match_rows_from_scratch(game, rho, state_cap, potential):
-    got = _outcome(lambda: tuple(_rows(_Walk(game, state_cap, potential), rho)))
-    expected = _outcome(lambda: tuple(reference_rows(game, rho, state_cap, potential)))
+    got = exact_outcome(lambda: tuple(_rows(_Walk(game, state_cap, potential), rho)))
+    expected = exact_outcome(lambda: tuple(reference_rows(game, rho, state_cap, potential)))
     assert got == expected  # field by field, types included, or the same cap error
 
 

@@ -29,7 +29,7 @@ from congames import (
 )
 from congames import game as game_module
 from congames import verify
-from congames.dynamics import ALPHA_MOVE, P_MOVE, MoveRecord, Trace
+from congames.dynamics import ALPHA_MOVE, MoveRecord, Trace
 from congames.errors import (
     NoEquilibriumError,
     StateSpaceTooLargeError,
@@ -41,18 +41,18 @@ from congames.verify import _max_group_ratio, _rows, _Walk, enumerate_states
 
 import reference
 from conftest import (
+    assert_poa_oracles_match_references,
     crafted_p_move_game,
+    exact_outcome,
+    header_mutations,
+    mutation_traces,
     random_game,
     random_state,
+    record_mutations,
     single_player_game,
     with_choice,
 )
-from test_kernel import (
-    _outcome,
-    reference_brute_force_poa,
-    reference_group_cost,
-    reference_group_ratio,
-)
+from reference import reference_brute_force_poa, reference_group_ratio
 
 
 class TestMinEquilibriumFactor:
@@ -234,20 +234,6 @@ class TestCostFirstBruteForce:
     the worst equilibrium cost found so far; each case must give the
     answers, states and errors of the from-scratch references."""
 
-    @staticmethod
-    def assert_matches_references(game: Game, rho: Fraction) -> None:
-        cap = 10**6
-        assert _outcome(brute_force_poa, game, rho) == _outcome(
-            reference_brute_force_poa, game, rho, cap
-        )
-        for oracle, metric in (
-            (max_group_poa_ratio, reference_group_cost),
-            (max_rho_stretch_ratio, reference.partial_potential),
-        ):
-            assert _outcome(oracle, game, rho) == _outcome(
-                reference_group_ratio, game, rho, cap, metric
-            )
-
     def test_best_response_count(self, monkeypatch):
         # A gate on a count, not a time: testing every player of every
         # state would take n * |S| = 4 * 4^4 = 1024 best responses.
@@ -261,14 +247,14 @@ class TestCostFirstBruteForce:
             return best_response(self, *args)
 
         monkeypatch.setattr(IntGame, "best_response", counting)
-        got = _outcome(brute_force_poa, game, rho)
+        got = exact_outcome(brute_force_poa, game, rho)
         assert calls == 166 < game.n * len(enumerate_states(game))
-        assert got == _outcome(reference_brute_force_poa, game, rho, 10**6)
+        assert got == exact_outcome(reference_brute_force_poa, game, rho, 10**6)
 
     def test_horner_count(self, monkeypatch):
         # A gate on a count, not a time: the walk reads c_e(X) and Phi_e(X)
         # from tables, so each polynomial is evaluated once per (resource,
-        # load) pair; test_kernel.reference_rows evaluates every resource at
+        # load) pair; reference.reference_rows evaluates every resource at
         # every state.  Both modules' names are counted.
         game, rho = gen_random(4, 2, 6, 3, 3, seed=0), Fraction(3)
         calls = []
@@ -280,7 +266,7 @@ class TestCostFirstBruteForce:
 
         monkeypatch.setattr(verify, "_horner", counting)
         monkeypatch.setattr(game_module, "_horner", counting)
-        got = _outcome(max_rho_stretch_ratio, game, rho)
+        got = exact_outcome(max_rho_stretch_ratio, game, rho)
         monkeypatch.undo()
         ig, players = game.compiled, range(game.n)
         pairs = {  # (resource, load of any group of players at any state)
@@ -293,21 +279,23 @@ class TestCostFirstBruteForce:
         assert len(calls) == 120
         for length in (game.degree + 1, game.degree + 2):  # cost rows, then potential rows
             assert calls.count(length) <= len(pairs) == 60
-        assert got == _outcome(reference_group_ratio, game, rho, 10**6, reference.partial_potential)
+        assert got == exact_outcome(
+            reference_group_ratio, game, rho, 10**6, reference.partial_potential
+        )
 
     def test_equal_cost_equilibria_return_the_first(self):
         # At rho = 2 both players on one link (cost 4) are equilibria, as
         # (0, 0) and as (1, 1); the optimum splits them (cost 2).
         game, rho = two_link_game((0, 1), (0, 1)), Fraction(2)
         assert brute_force_poa(game, rho) == (2, State((0, 0)), State((0, 1)))
-        self.assert_matches_references(game, rho)
+        assert_poa_oracles_match_references(game, rho, 10**6)
 
     def test_costliest_state_first_is_no_equilibrium(self):
         # (0, 0) costs 12 and comes first, but either player gains by
         # leaving; the worst equilibrium is (1, 1) at 6 against 5.
         game, rho = two_link_game((0, 3), (1, 1)), Fraction(1)
         assert brute_force_poa(game, rho) == (Fraction(6, 5), State((1, 1)), State((0, 1)))
-        self.assert_matches_references(game, rho)
+        assert_poa_oracles_match_references(game, rho, 10**6)
 
     def test_optimum_costs_zero(self):
         # Link 1 is free: (1, 1) costs 0 and is the only equilibrium, 0/0 = 1.
@@ -316,14 +304,14 @@ class TestCostFirstBruteForce:
             poa, worst, opt = brute_force_poa(game, rho)
             assert (poa, worst, opt) == (1, State((1, 1)), State((1, 1)))
             assert type(poa) is Fraction
-            self.assert_matches_references(game, rho)
+            assert_poa_oracles_match_references(game, rho, 10**6)
 
     def test_rho_below_one(self):
         game, rho = two_link_game((0, 3), (1, 1)), Fraction(1, 2)
         with pytest.raises(NoEquilibriumError):
             brute_force_poa(game, rho)
         assert max_group_poa_ratio(game, rho) == max_rho_stretch_ratio(game, rho) == 0
-        self.assert_matches_references(game, rho)
+        assert_poa_oracles_match_references(game, rho, 10**6)
 
 
 class TestAuditTrace:
@@ -529,61 +517,24 @@ class TestAuditTrace:
         assert not report.moves[-1].drop_ok and not report.moves[-1].legal
 
 
-def _index_mutations(v, size: int) -> list:
-    return [v + 1, v - 1, -1, size, (v + 1) % size, float(v), str(v)]
-
-
-def _value_mutations(v: Fraction) -> list:
-    return [v + Fraction(1, 7919), v * 2, Fraction(0)]
-
-
 class TestAuditMutations:
     """Every single-field perturbation of every move record must make the
     audit raise TraceMismatchError or report a failure; none may pass."""
 
-    @staticmethod
-    def mutations(game: Game, mv: MoveRecord):
-        strategies = len(game.players[mv.player].strategies)
-        yield "phase", [mv.phase + 1, mv.phase - 1, float(mv.phase), str(mv.phase)]
-        yield "step", [mv.step + 1, mv.step - 1, float(mv.step), str(mv.step)]
-        yield "player", _index_mutations(mv.player, game.n)
-        yield "from_strategy", _index_mutations(mv.from_strategy, strategies)
-        yield "to_strategy", _index_mutations(mv.to_strategy, strategies) + [99]
-        for name in ("cost_before", "cost_after", "potential_before", "potential_after"):
-            yield name, _value_mutations(getattr(mv, name))
-        other = P_MOVE if mv.move_class == ALPHA_MOVE else ALPHA_MOVE
-        yield "move_class", [other, "bogus"]
-
-    @staticmethod
-    def traces():
-        game, s0 = crafted_p_move_game()  # alpha and p moves, phases 0 and 1
-        yield game, run_algorithm(game, s0, p_override=4)[1]
-        game = gen_random(6, 2, 5, 3, 2, (Fraction(1, 4), Fraction(2)), seed=14)
-        yield game, run_algorithm(game, State((0,) * 6))[1]
-
     def test_every_field_of_every_move(self):
         tried = 0
-        for game, trace in self.traces():
+        for game, trace in mutation_traces():
             assert audit_trace(game, trace).passed
             assert trace.moves
-            for i, mv in enumerate(trace.moves):
-                for name, values in self.mutations(game, mv):
-                    original = getattr(mv, name)
-                    for value in values:
-                        if value == original and type(value) is type(original):
-                            continue
-                        moves = list(trace.moves)
-                        moves[i] = replace(mv, **{name: value})
-                        tampered = replace(trace, moves=tuple(moves))
-                        try:
-                            report = audit_trace(game, tampered)
-                        except TraceMismatchError:
-                            pass
-                        else:
-                            assert not report.passed, (i, name, value)
-                        tried += 1
+            for label, tampered in record_mutations(game, trace):
+                try:
+                    report = audit_trace(game, tampered)
+                except TraceMismatchError:
+                    pass
+                else:
+                    assert not report.passed, label
+                tried += 1
         assert tried > 100
-
 
 
 class TestAuditHeaderMutations:
@@ -591,47 +542,11 @@ class TestAuditHeaderMutations:
     raise TraceMismatchError or report a failure: each schedule constant
     and boundary, each fixed set, each movers set and each phase end state."""
 
-    @staticmethod
-    def header_mutations(game: Game, trace: Trace):
-        """(label, tampered trace) for every perturbation."""
-        schedule = trace.schedule
-        for name in ("p", "alpha", "m", "g", "n_players"):
-            v = getattr(schedule, name)
-            for value in (v + 1, v - 1):
-                yield name, replace(trace, schedule=replace(schedule, **{name: value}))
-        for name in ("c_max", "c_min"):
-            for value in _value_mutations(getattr(schedule, name)):
-                yield name, replace(trace, schedule=replace(schedule, **{name: value}))
-        yield "exact_constants", replace(
-            trace, schedule=replace(schedule, exact_constants=not schedule.exact_constants)
-        )
-        for i, b in enumerate(schedule.boundaries):
-            for value in _value_mutations(b):
-                boundaries = schedule.boundaries[:i] + (value,) + schedule.boundaries[i + 1:]
-                yield f"boundary {i}", replace(
-                    trace, schedule=replace(schedule, boundaries=boundaries)
-                )
-        for field_name in ("fixed_sets", "movers_per_phase"):
-            sets = getattr(trace, field_name)
-            for i, players in enumerate(sets):
-                for u in range(game.n):  # add or remove each player in turn
-                    tampered = sets[:i] + (players ^ {u},) + sets[i + 1:]
-                    yield f"{field_name}[{i}] ^ {u}", replace(trace, **{field_name: tampered})
-        for i, state in enumerate(trace.phase_end_states):
-            for u, k in enumerate(state.choices):
-                for other in range(len(game.players[u].strategies)):
-                    if other != k:
-                        states = list(trace.phase_end_states)
-                        states[i] = with_choice(state, u, other)
-                        yield f"phase_end_states[{i}] player {u}", replace(
-                            trace, phase_end_states=tuple(states)
-                        )
-
     def test_every_header_field(self):
         labels = set()
-        for game, trace in TestAuditMutations.traces():
+        for game, trace in mutation_traces():
             assert audit_trace(game, trace).passed
-            for label, tampered in self.header_mutations(game, trace):
+            for label, tampered in header_mutations(game, trace):
                 try:
                     report = audit_trace(game, tampered)
                 except TraceMismatchError:
