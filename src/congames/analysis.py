@@ -37,12 +37,12 @@ TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a grid inequality check.
-
-    ``worst_slack`` is the minimum over the grid of (rhs - lhs) / scale,
-    signed: negative values are violations.  ``passed`` applies TOLERANCE
-    to that minimum.
-    """
+    """Outcome of a grid inequality check: ``worst_slack``, the least
+    (rhs - lhs) / scale over the grid (negative: violated), the first
+    ``worst_point`` with it, and ``passed``, that least slack against
+    TOLERANCE.  Every passing smoothness or combination check reports 0.0
+    at (0, 0.0, 0.0), where x = y = 0 makes both sides 0, so its slack
+    carries no margin."""
 
     passed: bool
     worst_slack: float

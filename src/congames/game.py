@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -366,21 +366,22 @@ class IntGame:
         return [self.player_cost(choices, rcosts, u) for u in range(len(choices))]
 
     def best_response(
-        self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int
+        self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int,
+        evaluate: Callable[[tuple[int, ...], int], int] | None = None,
     ) -> tuple[int, int, int]:
         """Best strategy index of player u with its cost, and u's current
         cost, which the loop sums at her own strategy; ties go to the lowest
         index.  Costs are scaled but unweighted: weights[u] times each is
         the scaled cost, and their ratio does not depend on the weight.
-        ``x`` and ``rcosts`` belong to ``choices``."""
-        w = self.weights[u]
-        own = choices[u]
-        current = self.strategies[u][own]
+        ``x`` and ``rcosts`` belong to ``choices``; any other resource's
+        cost is evaluate(cost row, load), by default _horner."""
+        w, evaluate = self.weights[u], evaluate or _horner
+        own, current = choices[u], self.strategies[u][choices[u]]
         best_idx, best = 0, None
         for k, strat in enumerate(self.strategies[u]):
             total = 0
             for e in strat:
-                total += rcosts[e] if e in current else _horner(self.costs[e], x[e] + w)
+                total += rcosts[e] if e in current else evaluate(self.costs[e], x[e] + w)
             if k == own:
                 now = total
             if best is None or total < best:

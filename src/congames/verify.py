@@ -9,12 +9,13 @@ the solver's update of the loads, resource costs and potential, and
 applies the solver's rules to the states it replays with the stateless
 scan first_eligible_move.  The PoA oracles walk the states in product
 order, updating loads and costs only where a player's turn changes them,
-from (resource, load) tables; brute force tests a state's players only if
-its cost could change the answer, and the group oracles read player costs
-from a deviation vector per player and choice of the others.  The
-enumerations are capped and fail loudly rather than truncating, since their
-whole value is oracle status.  A player with positive cost but a zero-cost
-deviation gets the explicit infinite factor (math.inf).
+and take every best response from IntGame.best_response through the
+walk's memo of _horner: brute force only at a state whose cost could
+change the answer, the group oracles once per player and choice of the
+others.  The enumerations are capped and fail loudly rather than
+truncating, since their whole value is oracle status.  A player with
+positive cost but a zero-cost deviation gets the explicit infinite
+factor (math.inf).
 """
 
 from __future__ import annotations
@@ -94,10 +95,10 @@ class _Walk:
     its choices, loads and resource costs (lists updated in place), social
     cost and potential (None unless asked for).  A turn updates them on
     the resources the player leaves or joins, reading c_e(X) and Phi_e(X)
-    from tables keyed by (resource, load): one _horner per distinct pair.
-    It does not move a dynamics.IntState: its per-call tables and steps
-    precomputed per strategy are what make the oracles fast, and walking an
-    IntState instead measured about 1.5 times slower per 4^4-state game."""
+    from (resource, load) tables over ``horner``, the per-call memo of
+    _horner by (row, load) that the oracles hand IntGame.best_response.
+    These and the steps precomputed per strategy make the oracles fast: a
+    dynamics.IntState walk measured 1.5 times slower per 4^4-state game."""
 
     def __init__(self, game: Game, state_cap: int, potential: bool = False) -> None:
         self.ig = ig = game.compiled
@@ -105,8 +106,9 @@ class _Walk:
         if math.prod(self.sizes) > state_cap:
             raise StateSpaceTooLargeError(f"state space exceeds cap {state_cap}")
         self.strides = [math.prod(self.sizes[u + 1:]) for u in range(len(self.sizes))]
-        self.cost = functools.cache(lambda e, X: _horner(ig.costs[e], X))
-        self.phi = functools.cache(lambda e, X: _horner(ig.potentials[e], X)) if potential else None
+        self.horner = horner = functools.cache(_horner)
+        self.cost = functools.cache(lambda e, X: horner(ig.costs[e], X))
+        self.phi = functools.cache(lambda e, X: horner(ig.potentials[e], X)) if potential else None
 
     def __iter__(self) -> Iterator[tuple[list[int], list[int], list[int], int, int | None]]:
         ig, cost_of, phi = self.ig, self.cost, self.phi
@@ -152,25 +154,21 @@ class _Row(NamedTuple):
 
 
 def _rows(walk: _Walk, rho: Fraction) -> Iterator[_Row]:
-    """Every state's row, in product order.  Player u's bit is set when
-    rho >= 1 and her best response improves on her cost by at most rho
-    (0/0 counts as 1, K/0 for K > 0 as infinite).  Both are read from her
-    deviation vector, her (cost, bit) at each strategy against the others'
-    loads, made at the first state of each choice of the others."""
+    """Every state's row, in product order: each player's IntGame.player_cost,
+    and her bit set when rho >= 1 and her best response improves on her
+    cost by at most rho (0/0 counts as 1, K/0 for K > 0 as infinite).  Her
+    best response (the kernel's, through the walk's memo) is taken at the
+    first state of each choice of the others, where she plays 0."""
     ig, strides, at_least_one = walk.ig, walk.strides, rho >= 1
-    vectors: list[dict[int, list[tuple[int, int]]]] = [{} for _ in strides]
-    for i, (choices, x, _, _, pot) in enumerate(walk):
+    best: list[dict[int, int]] = [{} for _ in strides]  # u's, weighted, by the first state's index
+    for i, (choices, x, rcosts, _, pot) in enumerate(walk):
+        costs, within = ig.player_costs(choices, rcosts), 0
         for u, k in enumerate(choices):
             if k == 0:  # the first state in product order of the others' choices
-                w, own = ig.weights[u], ig.strategies[u][0]
-                now = [sum(walk.cost(e, x[e] if e in own else x[e] + w) for e in strategy)
-                       for strategy in ig.strategies[u]]
-                best = min(now)
-                vectors[u][i] = [
-                    (w * c, (at_least_one and not improves(c, best, rho)) << u) for c in now
-                ]
-        costs, bits = zip(*(vectors[u][i - k * strides[u]][k] for u, k in enumerate(choices)))
-        yield _Row(tuple(choices), list(costs), pot, sum(bits))
+                best[u][i] = ig.weights[u] * ig.best_response(choices, x, rcosts, u, walk.horner)[1]
+            br = best[u][i - k * strides[u]]
+            within |= (at_least_one and not improves(costs[u], br, rho)) << u
+        yield _Row(tuple(choices), costs, pot, within)
 
 
 def brute_force_poa(
@@ -183,16 +181,17 @@ def brute_force_poa(
     and always for rho < 1).  Walks the states cost first: only a state
     costlier than the worst equilibrium so far can change the answer, so
     only its players are tested, up to the first one not within rho."""
-    ig, at_least_one = game.compiled, rho >= 1
+    walk, at_least_one = _Walk(game, state_cap), rho >= 1
+    best_response, memo = walk.ig.best_response, walk.horner
     opt_cost, worst_cost = math.inf, -1
-    for choices, x, rcosts, cost, _ in _Walk(game, state_cap):
+    for choices, x, rcosts, cost, _ in walk:
         if cost < opt_cost:
             opt_cost, optimum = cost, tuple(choices)
         # Ranking by cost ranks the ratios even when the optimum costs 0:
         # then every player has a zero-cost strategy, so every equilibrium costs 0.
         if cost > worst_cost and at_least_one and all(
             not improves(now, best, rho)
-            for _, best, now in (ig.best_response(choices, x, rcosts, u) for u in range(game.n))
+            for _, best, now in (best_response(choices, x, rcosts, u, memo) for u in range(game.n))
         ):
             worst_cost, worst = cost, tuple(choices)
     if worst_cost < 0:

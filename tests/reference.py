@@ -13,8 +13,11 @@ MoveRecord, Trace, the move classes and the errors):
   phi is written term by term off its definition.
 - Scaling: game._scale, each quotient divided directly.  Nothing.
 - Schedule and dynamics: dynamics.compute_schedule and run_algorithm's
-  trace.  Calls validate_state, the input check; alpha, target_p, every
-  threshold and the fixing rule are written here.
+  trace, whose phase end states, movers, fixed sets and final state
+  reference_trace derives from the moves (the audit tests build their
+  traces of chosen moves with it).  Calls validate_state, the input
+  check; alpha, target_p, every threshold and the fixing rule
+  (reference_fix) are written here.
 - PoA oracles: verify.brute_force_poa, max_group_poa_ratio,
   max_rho_stretch_ratio, the states of verify._Walk, and verify._rows.
   Types only, but for reference_rows, which calls the kernel on purpose.
@@ -263,14 +266,52 @@ def reference_compute_schedule(
     )
 
 
+def reference_fix(game: Game, state: State, fixed, boundaries, phase: int) -> frozenset[int]:
+    """The players fixed when the phase ends at the state: nobody after
+    phase 0, then every player not yet fixed whose cost is at least b_i
+    after phase i; phase m is the final sweep, at b_m."""
+    costs = player_costs(game, state)
+    return frozenset(
+        u for u in range(game.n) if phase and u not in fixed and costs[u] >= boundaries[phase]
+    )
+
+
+def reference_trace(game: Game, schedule: Schedule, s_init: State, moves) -> Trace:
+    """The trace of these moves under the schedule: its phase end states,
+    movers, fixed sets and final state re-derived from the moves, phase
+    by phase, with reference_fix."""
+    state, fixed = s_init, set()
+    phase_end_states, movers_per_phase, fixed_sets = [], [], []
+    for phase in range(schedule.m):
+        for mv in moves:
+            if mv.phase == phase:
+                u = mv.player
+                state = State(state.choices[:u] + (mv.to_strategy,) + state.choices[u + 1:])
+        phase_end_states.append(state)
+        movers_per_phase.append(frozenset(mv.player for mv in moves if mv.phase == phase))
+        fixed_sets.append(reference_fix(game, state, fixed, schedule.boundaries, phase))
+        fixed |= fixed_sets[-1]
+    fixed_sets.append(reference_fix(game, state, fixed, schedule.boundaries, schedule.m))
+    return Trace(
+        schedule=schedule,
+        initial_state=s_init,
+        final_state=state,
+        moves=tuple(moves),
+        phase_end_states=tuple(phase_end_states),
+        movers_per_phase=tuple(movers_per_phase),
+        fixed_sets=tuple(fixed_sets),
+        game_sha256=game.fingerprint,
+    )
+
+
 def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
     """The phased dynamics on Fractions alone, every value from scratch;
-    it calls no rule of the package."""
+    it calls no rule of the package.  The trace is reference_trace of the
+    moves made."""
     schedule = reference_compute_schedule(game, s_init, p_override)
     b, p = schedule.boundaries, schedule.p
     alpha_threshold = schedule.alpha + Fraction(1, p)
     state, fixed, moves = s_init, set(), []
-    phase_end_states, movers_per_phase, fixed_sets = [], [], []
 
     def find_move(phase):
         costs = player_costs(game, state)
@@ -293,16 +334,7 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
                 return u, br, cost, br_cost, move_class
         return None
 
-    def fix(phase):  # nobody is fixed after phase 0; phase m is the final sweep
-        costs = player_costs(game, state)
-        newly = frozenset(
-            u for u in range(game.n) if phase and u not in fixed and costs[u] >= b[phase]
-        )
-        fixed.update(newly)
-        fixed_sets.append(newly)
-
     for phase in range(schedule.m):
-        movers = set()
         while (found := find_move(phase)) is not None:
             u, br, cost, br_cost, move_class = found
             new_state = State(state.choices[:u] + (br,) + state.choices[u + 1:])
@@ -312,22 +344,9 @@ def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
                 potential_before=potential(game, state),
                 potential_after=potential(game, new_state),
             ))
-            movers.add(u)
             state = new_state
-        movers_per_phase.append(frozenset(movers))
-        phase_end_states.append(state)
-        fix(phase)
-    fix(schedule.m)
-    return Trace(
-        schedule=schedule,
-        initial_state=s_init,
-        final_state=state,
-        moves=tuple(moves),
-        phase_end_states=tuple(phase_end_states),
-        movers_per_phase=tuple(movers_per_phase),
-        fixed_sets=tuple(fixed_sets),
-        game_sha256=game.fingerprint,
-    )
+        fixed |= reference_fix(game, state, fixed, b, phase)
+    return reference_trace(game, schedule, s_init, moves)
 
 
 # --------------------------------------------------------------------------
@@ -384,8 +403,9 @@ def reference_group_ratio(game: Game, rho: Fraction, state_cap: int, metric):
 def reference_rows(game: Game, rho: Fraction, state_cap: int, potential: bool):
     """verify._rows with each state's loads, resource costs, potential and
     best responses computed from scratch, in product order.  It checks how
-    _rows reads a player's costs from a deviation vector, so it calls the
-    kernel on purpose: IntGame.loads, resource_costs, best_response and
+    _rows reuses one best response per choice of the others and reads the
+    walk's memo and tables, so it calls the kernel on purpose:
+    IntGame.loads, resource_costs, best_response (through _horner) and
     potential at each state, and dynamics.improves."""
     ig, at_least_one = game.compiled, rho >= 1
     for state in reference_states(game, state_cap):

@@ -22,8 +22,10 @@ games.  game._scale and compile_game, which take each quotient of a
 common denominator from the next larger one's, must give the integers of
 dividing directly.  The product-order walk of the PoA oracles
 (verify._Walk) must give every state's loads, resource costs, social cost
-and potential from scratch, and verify._rows, which reads each player's
-costs from a deviation vector, the rows made from scratch state by
+and potential from scratch; at each of its states IntGame.best_response
+must answer the same through the walk's memo as through _horner; and
+verify._rows, which reads each player's within-rho bit from one best
+response per choice of the others, the rows made from scratch state by
 state.  Every reference is in tests/reference.py.
 """
 
@@ -395,6 +397,19 @@ def test_rows_of_the_walk_match_rows_from_scratch(game, rho, state_cap, potentia
     got = exact_outcome(lambda: tuple(_rows(_Walk(game, state_cap, potential), rho)))
     expected = exact_outcome(lambda: tuple(reference_rows(game, rho, state_cap, potential)))
     assert got == expected  # field by field, types included, or the same cap error
+
+
+@settings(SETTINGS, max_examples=50)
+@given(oracle_games(), st.booleans())
+def test_best_response_through_the_walks_memo(game, potential):
+    """At every state of the walk, IntGame.best_response reading the
+    walk's memo (which the potential walk also fills with potential rows)
+    answers what it answers through _horner."""
+    ig, walk = game.compiled, _Walk(game, 10**6, potential)
+    for choices, x, rcosts, _, _ in walk:
+        for u in range(game.n):
+            got = ig.best_response(choices, x, rcosts, u, walk.horner)
+            assert got == ig.best_response(choices, x, rcosts, u)
 
 
 @settings(SETTINGS, max_examples=50)

@@ -52,7 +52,7 @@ from conftest import (
     single_player_game,
     with_choice,
 )
-from reference import reference_brute_force_poa, reference_group_ratio
+from reference import reference_brute_force_poa, reference_group_ratio, reference_trace
 
 
 class TestMinEquilibriumFactor:
@@ -283,6 +283,27 @@ class TestCostFirstBruteForce:
             reference_group_ratio, game, rho, 10**6, reference.partial_potential
         )
 
+    def test_brute_force_horner_count(self, monkeypatch):
+        # A gate on a count, not a time: the best responses read deviation
+        # costs through the walk's memo, so brute force evaluates each cost
+        # row once per load, as the walk's own table does; through _horner
+        # directly they made 392 evaluations.  Both modules' names are counted.
+        game, rho = gen_random(4, 2, 6, 3, 3, seed=0), Fraction(3)
+        calls = 0
+        horner = game_module._horner
+
+        def counting(coeffs, x):
+            nonlocal calls
+            calls += 1
+            return horner(coeffs, x)
+
+        monkeypatch.setattr(verify, "_horner", counting)
+        monkeypatch.setattr(game_module, "_horner", counting)
+        got = exact_outcome(brute_force_poa, game, rho)
+        monkeypatch.undo()
+        assert calls == 60
+        assert got == exact_outcome(reference_brute_force_poa, game, rho, 10**6)
+
     def test_equal_cost_equilibria_return_the_first(self):
         # At rho = 2 both players on one link (cost 4) are equilibria, as
         # (0, 0) and as (1, 1); the optimum splits them (cost 2).
@@ -442,40 +463,10 @@ class TestAuditTrace:
         assert len(trace.moves) == 3
         return game, trace
 
-    @staticmethod
-    def with_moves(game: Game, trace: Trace, moves: tuple[MoveRecord, ...]) -> Trace:
-        """The trace with these moves, and its phase end states, movers,
-        fixed sets and final state re-derived from them on Fractions."""
-        b, m = trace.schedule.boundaries, trace.schedule.m
-        state, ends, movers = trace.initial_state, [], []
-        for phase in range(m):
-            for mv in moves:
-                if mv.phase == phase:
-                    state = with_choice(state, mv.player, mv.to_strategy)
-            ends.append(state)
-            movers.append(frozenset(mv.player for mv in moves if mv.phase == phase))
-        # phase 0 fixes no one, phase i >= 1 fixes at b_i and the sweep
-        # after the last phase at b_m
-        fixed, fixed_sets = set(), [frozenset()]
-        for i in range(1, m + 1):
-            costs = reference.player_costs(game, ends[min(i, m - 1)])
-            fixed_sets.append(
-                frozenset(u for u in range(game.n) if u not in fixed and costs[u] >= b[i])
-            )
-            fixed |= fixed_sets[-1]
-        return replace(
-            trace,
-            moves=moves,
-            final_state=state,
-            phase_end_states=tuple(ends),
-            movers_per_phase=tuple(movers),
-            fixed_sets=tuple(fixed_sets),
-        )
-
     def test_unsettled_phase_is_reported_not_raised(self):
         game, trace = self.solved()
-        assert self.with_moves(game, trace, trace.moves) == trace
-        cut = self.with_moves(game, trace, trace.moves[:-1])
+        assert reference_trace(game, trace.schedule, trace.initial_state, trace.moves) == trace
+        cut = reference_trace(game, trace.schedule, trace.initial_state, trace.moves[:-1])
         report = audit_trace(game, cut)
         assert not report.passed
         assert "phase 0: ended while an eligible move remained" in report.failures
@@ -507,7 +498,8 @@ class TestAuditTrace:
             potential_before=reference.potential(game, before),
             potential_after=reference.potential(game, after),
         )
-        report = audit_trace(game, self.with_moves(game, trace, (*trace.moves, worse)))
+        tampered = reference_trace(game, trace.schedule, trace.initial_state, (*trace.moves, worse))
+        report = audit_trace(game, tampered)
         assert not report.passed
         assert any(
             f.startswith(f"move {worse.step}: potential drop") and "below floor" in f
