@@ -20,22 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, dynamics, instances, verify
-from .errors import (
-    CongamesError,
-    DigitLimitError,
-    InstanceError,
-    MalformedInstanceError,
-    NoEquilibriumError,
-    TraceMismatchError,
-)
-from .game import (
-    State,
-    format_rational,
-    parse_instance,
-    parse_rational,
-    serialize_instance,
-    validate_state,
-)
+from .codec import format_rational, parse_rational, read_state, write_state
+from .errors import CongamesError, InstanceError, NoEquilibriumError, TraceMismatchError
+from .game import State, parse_instance, serialize_instance, validate_state
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,19 +42,6 @@ def _read_instance(path: str):
     return parse_instance(Path(path).read_bytes())
 
 
-def _read_state(path: str) -> State:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
-        raise MalformedInstanceError(f"{path}: invalid state JSON: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the int/str digit limit
-        raise DigitLimitError(f"integer too long in state file: {exc}") from exc
-    choices = doc.get("choices") if isinstance(doc, dict) else None
-    if not isinstance(choices, list) or not all(type(k) is int for k in choices):
-        raise InstanceError(f"{path}: state file must be {{\"choices\": [<integer>, ...]}}")
-    return State(tuple(choices))
-
-
 def _factor_str(factor) -> str:
     if factor == float("inf"):
         return "inf"
@@ -83,13 +57,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     final, trace = dynamics.run_algorithm(game, state, p_override=args.p_override)
     # Both files are formatted before either is written, so that one that
     # cannot be formatted (exit 3) leaves both as they were.
-    texts = {args.output: json.dumps({"choices": list(final.choices)}) + "\n"}
+    buffers = {args.output: io.StringIO()}
+    write_state(final.choices, buffers[args.output])
     if args.trace:
-        buffer = io.StringIO()
-        dynamics.write_trace(trace, buffer)
-        texts[args.trace] = buffer.getvalue()
-    for path, text in texts.items():
-        Path(path).write_text(text)
+        buffers[args.trace] = io.StringIO()
+        dynamics.write_trace(trace, buffers[args.trace])
+    for path, buffer in buffers.items():
+        Path(path).write_text(buffer.getvalue())
     factor = verify.min_equilibrium_factor(game, final)
     print(f"moves: {len(trace.moves)}")
     if trace.schedule is not None:
@@ -101,7 +75,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     game, _ = _read_instance(args.game)
-    state = _read_state(args.state)
+    state = State(read_state(args.state))
     validate_state(game, state)
     group = None
     if args.group:

@@ -33,23 +33,12 @@ from functools import cached_property
 from fractions import Fraction
 from typing import IO, Callable, Container, Sequence
 
+from .codec import format_rational, parse_rational, read_json
 from .errors import (
-    AlreadyZeroError,
-    DigitLimitError,
-    MalformedInstanceError,
-    MalformedTraceError,
-    MoveBudgetExceededError,
+    AlreadyZeroError, MalformedInstanceError, MalformedTraceError, MoveBudgetExceededError,
     ZeroMinCostError,
 )
-from .game import (
-    Game,
-    IntGame,
-    State,
-    _horner,
-    format_rational,
-    parse_rational,
-    validate_state,
-)
+from .game import Game, IntGame, State, _horner, validate_state
 from .potential import alpha
 
 ALPHA_MOVE = "alpha_move"
@@ -544,12 +533,7 @@ def read_trace(fp: IO[str]) -> Trace:
     for a malformed rational, DigitLimitError for a number past the
     int/str digit limit).
     """
-    try:
-        docs = [json.loads(line) for line in fp.read().splitlines() if line.strip()]
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
-        raise MalformedTraceError(f"invalid trace JSON: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the int/str digit limit
-        raise DigitLimitError(f"integer too long in trace: {exc}") from exc
+    docs = read_json(fp, MalformedTraceError, "invalid trace JSON", "trace", lines=True)
     if not docs:
         raise MalformedTraceError("empty trace file")
     moves = tuple(

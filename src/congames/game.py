@@ -39,61 +39,31 @@ Instance file format (JSON, UTF-8, strict — unknown keys are rejected)::
 Rationals are written as "p/q" or integer strings, always in lowest terms.
 The canonical bytes of an instance, which Game.fingerprint hashes, are
 those of json.dumps(doc, indent=2, sort_keys=True) + "\n";
-serialize_instance writes them directly, without the json encoder.  An
-integer past the interpreter's int/str digit limit (4,300 digits by
-default) raises DigitLimitError when read or written.
+serialize_instance writes them directly, without the json encoder.  The
+rational form and the JSON decoding, with its mapping of the int/str
+digit limit, are those of the codec module.  A degree above MAX_DEGREE
+is rejected before any coefficient is padded.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import operator
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .codec import format_rational, parse_rational, read_json
 from .errors import (
-    DegreeMismatchError,
-    DigitLimitError,
-    EmptyStrategyError,
-    MalformedInstanceError,
-    NegativeCoefficientError,
+    DegreeMismatchError, EmptyStrategyError, MalformedInstanceError, NegativeCoefficientError,
     ResourceIndexError,
 )
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a strict "p/q" or integer string into an exact Fraction.
-
-    Decimal notation is deliberately rejected: exact quantities never pass
-    through floating point.
-    """
-    match = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
-    if match is None:
-        raise MalformedInstanceError(f"not a rational 'p/q' string: {text!r}")
-    numerator, denominator = match.groups("1")
-    try:
-        return Fraction(int(numerator), int(denominator))
-    except ZeroDivisionError as exc:
-        raise MalformedInstanceError(f"zero denominator in {text!r}") from exc
-    except ValueError as exc:
-        raise DigitLimitError(f"rational string too long: {exc}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError as exc:
-        raise DigitLimitError(f"rational too long to write: {exc}") from exc
+# The largest degree parse_instance accepts: every resource is padded to
+# degree + 1 coefficients, so a degree of 10^9 would allocate gigabytes.
+MAX_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -509,20 +479,17 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
             value = rationals[text] = parse_rational(text)
         return value
 
-    try:
-        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
-        raise MalformedInstanceError(f"invalid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the int/str digit limit
-        raise DigitLimitError(f"integer too long in instance: {exc}") from exc
+    raw = read_json(data, MalformedInstanceError, "invalid JSON", "instance")
     if not isinstance(raw, dict):
         raise MalformedInstanceError("top level must be an object")
     _require_keys(raw, {"degree", "resources", "players", "initial_state"}, "instance")
 
-    # json.loads makes every integer an exact int, so type() rejects bools
+    # read_json makes every integer an exact int, so type() rejects bools
     degree = raw.get("degree")
     if type(degree) is not int or degree < 1:
         raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
+    if degree > MAX_DEGREE:
+        raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
     if not isinstance(raw.get("resources"), list):
         raise MalformedInstanceError("'resources' must be a list")

@@ -329,9 +329,11 @@ class AuditReport:
 
 def _check_same(label: str, recorded, recomputed) -> None:
     if recorded != recomputed:
-        raise TraceMismatchError(
-            f"{label}: recorded {recorded!r} disagrees with recomputation {recomputed!r}"
-        )
+        try:
+            detail = f"recorded {recorded!r} disagrees with recomputation {recomputed!r}"
+        except ValueError:  # an integer past the int/str digit limit has no repr
+            detail = "recorded value disagrees with recomputation, one past the int/str digit limit"
+        raise TraceMismatchError(f"{label}: {detail}")
 
 
 def _check_indices(game: Game, trace: Trace) -> None:

@@ -12,22 +12,25 @@ MoveRecord, Trace, the move classes and the errors):
   verify.min_equilibrium_factor.  Types only: loads are summed here, and
   phi is written term by term off its definition.
 - Scaling: game._scale, each quotient divided directly.  Nothing.
-- Schedule and dynamics: dynamics.compute_schedule and run_algorithm's
-  trace, whose phase end states, movers, fixed sets and final state
-  reference_trace derives from the moves (the audit tests build their
-  traces of chosen moves with it).  Calls validate_state, the input
-  check; alpha, target_p, every threshold and the fixing rule
-  (reference_fix) are written here.
+- Schedule and dynamics: dynamics.compute_schedule, the Schedule's
+  final_factor_ceiling and move_budget, and run_algorithm's trace, whose
+  phase end states, movers, fixed sets and final state reference_trace
+  derives from the moves (the audit tests build their traces of chosen
+  moves with it).  Calls validate_state, the input check; alpha,
+  target_p, every threshold, the fixing rule (reference_fix), and the
+  ceiling and budgets, from the inequalities the audit checks, are
+  written here.
 - PoA oracles: verify.brute_force_poa, max_group_poa_ratio,
   max_rho_stretch_ratio, the states of verify._Walk, and verify._rows.
   Types only, but for reference_rows, which calls the kernel on purpose.
 - Auditor: verify.audit_trace.  reference_audit_trace calls the kernel
-  and the solver's rules on purpose.
-- Codecs: game.serialize_instance, parse_rational and parse_instance, as
-  the json.dumps writer and the two-pass parser; dynamics.write_trace and
-  read_trace, with the header listed by hand.  Calls format_rational,
-  make_player, normalize and validate_state, and the trace reader
-  parse_rational.
+  and the solver's rules on purpose, but takes the ceiling and the move
+  budgets from this module.
+- Codecs: game.serialize_instance, codec.parse_rational and
+  game.parse_instance, as the json.dumps writer and the two-pass parser;
+  dynamics.write_trace and read_trace, with the header listed by hand.
+  Calls codec.format_rational, make_player, normalize and validate_state,
+  and the trace reader codec.parse_rational.
 - Lower-bound family: instances.gen_lower_bound's game, each power taken
   on its own.  Calls rational_root_below.
 - Analysis: analysis.phi_ratio, by bisection.  Nothing.
@@ -43,6 +46,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable
 
+from congames.codec import format_rational, parse_rational
 from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
@@ -68,14 +72,13 @@ from congames.errors import (
     ZeroMinCostError,
 )
 from congames.game import (
+    MAX_DEGREE,
     CostPolynomial,
     Game,
     PlayerSpec,
     State,
-    format_rational,
     make_player,
     normalize,
-    parse_rational,
     social_cost,
     validate_state,
 )
@@ -264,6 +267,26 @@ def reference_compute_schedule(
         n_players=game.n,
         exact_constants=p == target,
     )
+
+
+def reference_final_factor_ceiling(p: int) -> Fraction:
+    """The paper's guarantee for the final state: p * (1 + 3/p) / (1 - 2/p)."""
+    p = Fraction(p)
+    return p * (1 + 3 / p) / (1 - 2 / p)
+
+
+def reference_move_budget(schedule: Schedule, phase: int) -> int:
+    """A phase's move cap from the inequalities the audit checks: every move
+    of the phase drops the potential by at least its mover's cost over
+    alpha*p + 1, and that cost is at least b_{phase+1}; the potential the
+    phase starts from is at most alpha*n*c_max in phase 0 (the potential
+    is within alpha of the social cost) and the movers' n*p*b_i in a phase
+    i >= 1 (the key bound)."""
+    a, p, b, n = schedule.alpha, schedule.p, schedule.boundaries, schedule.n_players
+    start = a * n * schedule.c_max if phase == 0 else n * p * b[phase]
+    budget = start / (b[phase + 1] / (a * p + 1))
+    assert budget.denominator == 1, budget  # b_i / b_{i+1} is the integer g
+    return budget.numerator
 
 
 def reference_fix(game: Game, state: State, fixed, boundaries, phase: int) -> frozenset[int]:
@@ -540,7 +563,7 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
                 f"phase {phase}: movers' end potential {end_partial} exceeds "
                 f"alpha-weighted last-move costs {reveal_bound}"
             )
-        budget = schedule.move_budget(phase)
+        budget = reference_move_budget(schedule, phase)
         if len(moves) > budget:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
         scratch = IntState(ig, choices)
@@ -581,7 +604,7 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
             player=u, fixed_after_phase=j, cost_at_fix=cost_at_fix, final_cost=final_cost, ok=ok,
         ))
     final_factor = min_equilibrium_factor(game, trace.final_state)
-    ceiling = schedule.final_factor_ceiling
+    ceiling = reference_final_factor_ceiling(p)
     factor_ok = final_factor <= ceiling
     if not factor_ok:
         failures.append(f"final factor {final_factor} exceeds ceiling {ceiling}")
@@ -642,6 +665,8 @@ def reference_parse_instance(data):
     degree = raw.get("degree")
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
+    if degree > MAX_DEGREE:
+        raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
     if not isinstance(raw.get("resources"), list):
         raise MalformedInstanceError("'resources' must be a list")

@@ -11,7 +11,10 @@ p-move run and on gen_random runs.  After every move the solver makes
 and every move the auditor replays, both on IntState.move, the loads,
 resource costs and potential must equal their values from scratch and
 the resources it returns the mover's strategy change, on the golden
-cases, the crafted p-move run and hypothesis games.
+cases, the crafted p-move run and hypothesis games.  The schedule's
+final-factor ceiling and move budgets, and the audit report's, must equal
+the references derived from the paper's inequalities, with p down to
+alpha + 1.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from congames import State, gen_random, normalize, run_algorithm
 from congames.dynamics import IntState
 from congames.errors import ZeroMinCostError
 from congames.game import Game
+from congames.potential import alpha
 from congames.verify import audit_trace
 
 from conftest import (
@@ -41,7 +45,11 @@ from conftest import (
     mutation_traces,
     record_mutations,
 )
-from reference import reference_audit_trace
+from reference import (
+    reference_audit_trace,
+    reference_final_factor_ceiling,
+    reference_move_budget,
+)
 
 
 # --------------------------------------------------------------------------
@@ -88,6 +96,36 @@ def test_single_fault_traces_match_reference():
             )
             tried += 1
     assert tried > 1500
+
+
+# --------------------------------------------------------------------------
+# The ceiling and the move budgets, from the inequalities the audit checks
+# --------------------------------------------------------------------------
+
+
+def schedule_cases():
+    """Solved gen_random runs of degree 1 to 3, each with the paper's p and
+    with p overridden down to alpha + 1, the least p compute_schedule
+    takes; and the crafted p-move run."""
+    for seed, n, d in ((1, 6, 1), (2, 5, 2), (3, 4, 3)):
+        game = gen_random(n, d, 5, 3, 2, (Fraction(1, 4), Fraction(2)), seed=seed)
+        for p_override in (None, alpha(d) + 1, alpha(d) + 2, 7 * d + 11):
+            yield game, run_algorithm(game, State((0,) * n), p_override)[1]
+    game, s0 = crafted_p_move_game()
+    yield game, run_algorithm(game, s0, p_override=4)[1]
+
+
+@pytest.mark.parametrize("game, trace", list(schedule_cases()))
+def test_ceiling_and_budgets_match_reference(game, trace):
+    schedule = trace.schedule
+    ceiling = reference_final_factor_ceiling(schedule.p)
+    budgets = [reference_move_budget(schedule, phase) for phase in range(schedule.m)]
+    assert schedule.final_factor_ceiling == ceiling
+    assert [schedule.move_budget(phase) for phase in range(schedule.m)] == budgets
+    report = audit_trace(game, trace)
+    assert report.passed, report.failures
+    assert report.factor_ceiling == ceiling
+    assert [ph.move_budget for ph in report.phases] == budgets
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from congames.cli import build_parser, main
+from congames.game import MAX_DEGREE
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -447,6 +448,38 @@ class TestDigitLimit:
         ))
         assert state.read_bytes() == b'{"choices": [0, 0]}\n'
         assert trace.read_bytes() == b'{"an": "earlier trace"}\n'
+
+
+@pytest.mark.parametrize("p, detail", [
+    (10**100, f"recorded Schedule(p={10**100}, "),
+    (10**300, "recorded value disagrees with recomputation, one past the int/str digit limit"),
+])
+def test_audit_of_a_schedule_with_a_huge_p(tmp_path, capsys, p, detail):
+    """A p whose recomputed boundaries pass the int/str digit limit fails
+    the audit (exit 2) naming the schedule, like any other p, and with no
+    traceback; under the limit the message shows both schedules."""
+    game, trace = tmp_path / "game.json", tmp_path / "trace.jsonl"
+    run(capsys, "gen-random", "--seed", "1", "--n", "6", "--d", "2", "--resources", "4",
+        "--out", str(game))
+    run(capsys, "solve", "--input", str(game), "--output", str(tmp_path / "state.json"),
+        "--trace", str(trace))
+    edit_trace_line(trace, 0, lambda doc: doc["schedule"].update(p=p, exact_constants=False))
+    proc = run_process("audit", "--game", str(game), "--trace", str(trace))
+    assert (proc.returncode, "Traceback" in proc.stderr) == (2, False), proc.stderr
+    assert proc.stderr.startswith(f"check failed: schedule: {detail}")
+
+
+@pytest.mark.parametrize("degree", [10**20, MAX_DEGREE + 1])
+def test_solve_rejects_a_degree_above_the_limit(tmp_path, degree):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "degree": degree,
+        "resources": [{"coeffs": ["0", "1"]}],
+        "players": [{"weight": "1", "strategies": [[0]]}],
+    }))
+    proc = run_process("solve", "--input", str(game), "--output", str(tmp_path / "state.json"))
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False), proc.stderr
+    assert f"input error: degree {degree} is above MAX_DEGREE = {MAX_DEGREE}" in proc.stderr
 
 
 class TestFactorPastTheFloatRange:

@@ -43,9 +43,10 @@ from congames import (
     run_algorithm,
 )
 from congames import game as game_module
+from congames.codec import format_rational, parse_rational
 from congames.dynamics import read_trace, write_trace
 from congames.errors import DigitLimitError, MalformedTraceError
-from congames.game import format_rational, parse_instance, parse_rational, serialize_instance
+from congames.game import parse_instance, serialize_instance
 
 from conftest import MINIMAL, SETTINGS, crafted_p_move_game
 from reference import (

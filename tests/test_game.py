@@ -28,7 +28,8 @@ from congames.errors import (
     NegativeCoefficientError,
     ResourceIndexError,
 )
-from congames.game import parse_rational
+from congames.codec import parse_rational
+from congames.game import MAX_DEGREE
 
 from conftest import GOLDEN, MINIMAL, random_game, random_state, with_choice
 from reference import reference_states
@@ -75,6 +76,12 @@ class TestParsing:
         two = MINIMAL.replace('[[0]]', '[[0, 0]]')
         with pytest.raises(MalformedInstanceError):
             parse_instance(two)
+
+    @pytest.mark.parametrize("degree", [10**20, MAX_DEGREE + 1])
+    def test_degree_above_the_limit(self, degree):
+        # rejected before any coefficient is padded to degree + 1 entries
+        with pytest.raises(MalformedInstanceError, match="above MAX_DEGREE"):
+            parse_instance(MINIMAL.replace('"degree": 1', f'"degree": {degree}'))
 
     def test_malformed_json(self):
         with pytest.raises(MalformedInstanceError):

@@ -1,7 +1,9 @@
 """The layout of the test suite: every from-scratch oracle, a function
 named reference_* or _reference_*, is defined in tests/reference.py, and
 no test module imports another.  The one exception is conftest, which
-reads the golden cases, CASES and _cli, from test_golden."""
+reads the golden cases, CASES and _cli, from test_golden.  And one rule of
+the package's: JSON is decoded, and the int/str digit limit mapped to
+DigitLimitError, only in src/congames/codec.py."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import ast
 from pathlib import Path
 
 TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "congames"
 ALLOWED = {("conftest", "test_golden", "CASES"), ("conftest", "test_golden", "_cli")}
 
 
@@ -26,3 +29,23 @@ def test_one_reference_layer():
                     misplaced.append(f"{path.name}::{node.name}")
     assert borrowed <= ALLOWED, sorted(borrowed - ALLOWED, key=str)
     assert not misplaced, misplaced
+
+
+def _name(node: ast.expr) -> str:
+    """The dotted name a call or a raise refers to: json.loads, DigitLimitError."""
+    if isinstance(node, ast.Attribute):
+        return f"{_name(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_one_codec():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _name(node.func) in ("json.loads", "loads"):
+                found.append(f"{path.name}:{node.lineno} calls json.loads")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _name(exc).split(".")[-1] == "DigitLimitError":
+                    found.append(f"{path.name}:{node.lineno} raises DigitLimitError")
+    assert found and all(site.startswith("codec.py:") for site in found), found
