@@ -61,9 +61,15 @@ from .errors import (
     ResourceIndexError,
 )
 
-# The largest degree parse_instance accepts: every resource is padded to
+# The largest degree a game may have: every resource is padded to
 # degree + 1 coefficients, so a degree of 10^9 would allocate gigabytes.
 MAX_DEGREE = 1000
+
+
+def check_degree(degree: int) -> None:
+    """Reject a degree above MAX_DEGREE, before anything is built to it."""
+    if degree > MAX_DEGREE:
+        raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,10 @@ def make_player(weight: Fraction, strategies: Iterable[Iterable[int]]) -> Player
 class Game:
     """An immutable weighted congestion game of some fixed degree.
 
-    Invariants checked at construction: degree >= 1, at least one player,
-    every polynomial fits the degree (padded to exactly degree+1
-    coefficients), and every strategy points at existing resources.
+    Invariants checked at construction: 1 <= degree <= MAX_DEGREE, at
+    least one player, every polynomial fits the degree (padded to exactly
+    degree+1 coefficients), and every strategy points at existing
+    resources.
     """
 
     degree: int
@@ -151,6 +158,7 @@ class Game:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise MalformedInstanceError(f"degree must be >= 1, got {self.degree}")
+        check_degree(self.degree)
         if not self.players:
             raise MalformedInstanceError("game needs at least one player")
         if not self.resources:
@@ -488,8 +496,7 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
     degree = raw.get("degree")
     if type(degree) is not int or degree < 1:
         raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
-    if degree > MAX_DEGREE:
-        raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+    check_degree(degree)
 
     if not isinstance(raw.get("resources"), list):
         raise MalformedInstanceError("'resources' must be a list")

@@ -22,6 +22,7 @@ platforms and languages.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedInstanceError, PrecisionTooLowError
-from .game import CostPolynomial, Game, PlayerSpec, State
+from .game import CostPolynomial, Game, PlayerSpec, State, check_degree
 
 
 def rational_root_below(d: int, rho: Fraction, digits: int) -> Fraction:
@@ -87,8 +88,11 @@ def gen_lower_bound(
     scale-invariant and the verifier works on ratios only.
 
     Raises PrecisionTooLowError if the built instance cannot certify every
-    improvement ratio within 10^(2-digits) relative of rho.
+    improvement ratio within 10^(2-digits) relative of rho, and
+    MalformedInstanceError for a degree above game.MAX_DEGREE before any
+    power of the root is taken.
     """
+    check_degree(d)
     rho = Fraction(rho)
     if n < 1:
         raise MalformedInstanceError(f"need n >= 1, got {n}")
@@ -190,8 +194,13 @@ def gen_random(
     given ranges; every coefficient slot 0..d is sampled
     independently.  Strategies are distinct random resource subsets of size
     1..max_strategy_size; after 8 repeated draws, the first unused subset
-    in (size, lexicographic) order.
+    in (size, lexicographic) order.  A draw takes its size
+    1 + below(max_strategy_size), then its resources one at a time: for
+    k = 0, 1, ... it takes j = below(num_resources - k) and picks the j-th
+    (from 0) of the resources not yet picked, in increasing index order.
+    A degree above game.MAX_DEGREE is rejected before anything is drawn.
     """
+    check_degree(d)
     if n < 1 or d < 1 or num_resources < 1 or strategies_per_player < 1:
         raise MalformedInstanceError("all sizes must be positive")
     if not 1 <= max_strategy_size <= num_resources:
@@ -223,11 +232,15 @@ def gen_random(
         for _ in range(strategies_per_player):
             for _attempt in range(8):
                 size = 1 + rng.below(max_strategy_size)
-                pool = list(range(num_resources))
-                picked = []
-                for _k in range(size):
-                    picked.append(pool.pop(rng.below(len(pool))))
-                strat = tuple(sorted(picked))
+                picked: list[int] = []  # increasing
+                for k in range(size):
+                    e = rng.below(num_resources - k)
+                    for f in picked:  # step past each picked index up to e
+                        if f > e:
+                            break
+                        e += 1
+                    bisect.insort(picked, e)
+                strat = tuple(picked)
                 if strat not in strategies:
                     break
             else:

@@ -12,10 +12,12 @@ order, updating loads and costs only where a player's turn changes them,
 and take every best response from IntGame.best_response through the
 walk's memo of _horner: brute force only at a state whose cost could
 change the answer, the group oracles once per player and choice of the
-others.  The enumerations are capped and fail loudly rather than
-truncating, since their whole value is oracle status.  A player with
-positive cost but a zero-cost deviation gets the explicit infinite
-factor (math.inf).
+others.  Brute force tests the last player who refuted a state first;
+the order cannot change the answer, since a state that is not refuted
+has had every player tested.  The enumerations are capped and fail
+loudly rather than truncating, since their whole value is oracle
+status.  A player with positive cost but a zero-cost deviation gets the
+explicit infinite factor (math.inf).
 """
 
 from __future__ import annotations
@@ -180,20 +182,30 @@ def brute_force_poa(
     NoEquilibriumError when no state qualifies (possible in weighted games,
     and always for rho < 1).  Walks the states cost first: only a state
     costlier than the worst equilibrium so far can change the answer, so
-    only its players are tested, up to the first one not within rho."""
+    only its players are tested, up to the first one not within rho.  They
+    are tested in move-to-front order: a player who refutes a state moves
+    to the front, since states next to each other in product order are
+    mostly refuted by the same player.  The order cannot change the
+    answer: a state is refuted if any one player is not within rho, and a
+    state that is not refuted has had every player tested."""
     walk, at_least_one = _Walk(game, state_cap), rho >= 1
     best_response, memo = walk.ig.best_response, walk.horner
     opt_cost, worst_cost = math.inf, -1
+    order = list(range(game.n))  # move-to-front: the last refuting player first
     for choices, x, rcosts, cost, _ in walk:
         if cost < opt_cost:
             opt_cost, optimum = cost, tuple(choices)
         # Ranking by cost ranks the ratios even when the optimum costs 0:
         # then every player has a zero-cost strategy, so every equilibrium costs 0.
-        if cost > worst_cost and at_least_one and all(
-            not improves(now, best, rho)
-            for _, best, now in (best_response(choices, x, rcosts, u, memo) for u in range(game.n))
-        ):
-            worst_cost, worst = cost, tuple(choices)
+        if cost > worst_cost and at_least_one:
+            for u in order:
+                _, best, now = best_response(choices, x, rcosts, u, memo)
+                if improves(now, best, rho):
+                    order.remove(u)
+                    order.insert(0, u)
+                    break
+            else:
+                worst_cost, worst = cost, tuple(choices)
     if worst_cost < 0:
         raise NoEquilibriumError(f"no {rho}-approximate equilibrium exists")
     return _ratio(worst_cost, opt_cost), State(worst), State(optimum)

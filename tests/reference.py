@@ -33,6 +33,9 @@ MoveRecord, Trace, the move classes and the errors):
   and the trace reader codec.parse_rational.
 - Lower-bound family: instances.gen_lower_bound's game, each power taken
   on its own.  Calls rational_root_below.
+- Random games: instances.gen_random, each resource subset drawn by
+  popping from a list of the resources not yet picked.  Calls SplitMix64
+  and instances._sample_fraction, which define the stream.
 - Analysis: analysis.phi_ratio, by bisection.  Nothing.
 """
 
@@ -82,7 +85,7 @@ from congames.game import (
     social_cost,
     validate_state,
 )
-from congames.instances import rational_root_below
+from congames.instances import SplitMix64, _sample_fraction, rational_root_below
 from congames.potential import alpha
 from congames.verify import (
     AuditReport,
@@ -863,6 +866,48 @@ def reference_lower_bound_game(d: int, rho: Fraction, n: int, digits: int) -> Ga
         PlayerSpec(weight=(1 / r) ** i, strategies=((i - 1,), (i,))) for i in range(1, n + 1)
     )
     return Game(degree=d, resources=tuple(resources), players=players)
+
+
+# --------------------------------------------------------------------------
+# Random games
+# --------------------------------------------------------------------------
+
+
+def reference_gen_random(
+    n: int, d: int, num_resources: int, strategies_per_player: int, max_strategy_size: int,
+    coeff_range=(Fraction(0), Fraction(2)), weight_range=(Fraction(1), Fraction(3)), seed: int = 0,
+) -> Game:
+    """instances.gen_random for valid arguments: each resource of a
+    subset is popped from the list of those not yet picked, at the
+    stream's index into it."""
+    rng = SplitMix64(seed)
+    resources = tuple(
+        CostPolynomial(tuple(_sample_fraction(rng, *map(Fraction, coeff_range), 4)
+                             for _ in range(d + 1)))
+        for _ in range(num_resources)
+    )
+    players = []
+    for _ in range(n):
+        weight = _sample_fraction(rng, *map(Fraction, weight_range), 4)
+        strategies: list[tuple[int, ...]] = []
+        for _ in range(strategies_per_player):
+            for _attempt in range(8):
+                pool = list(range(num_resources))
+                picked = [pool.pop(rng.below(len(pool)))
+                          for _ in range(1 + rng.below(max_strategy_size))]
+                strat = tuple(sorted(picked))
+                if strat not in strategies:
+                    break
+            else:
+                strat = next(
+                    s
+                    for size in range(1, max_strategy_size + 1)
+                    for s in itertools.combinations(range(num_resources), size)
+                    if s not in strategies
+                )
+            strategies.append(strat)
+        players.append(PlayerSpec(weight=weight, strategies=tuple(strategies)))
+    return Game(degree=d, resources=resources, players=tuple(players))
 
 
 # --------------------------------------------------------------------------

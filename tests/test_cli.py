@@ -482,6 +482,19 @@ def test_solve_rejects_a_degree_above_the_limit(tmp_path, degree):
     assert f"input error: degree {degree} is above MAX_DEGREE = {MAX_DEGREE}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-random", "--seed", "0", "--n", "2", "--resources", "3"],
+    ["gen-lb", "--n", "2", "--rho", "3/2"],
+])
+def test_generators_reject_a_degree_above_the_limit(tmp_path, command):
+    # at once: both used to run without bound on this degree
+    degree, out = 10**20, tmp_path / "game.json"
+    proc = run_process(*command, "--d", str(degree), "--out", str(out))
+    assert (proc.returncode, "Traceback" in proc.stderr) == (3, False), proc.stderr
+    assert f"input error: degree {degree} is above MAX_DEGREE = {MAX_DEGREE}" in proc.stderr
+    assert not out.exists()
+
+
 class TestFactorPastTheFloatRange:
     """A factor above the largest float prints as the exact rational alone."""
 

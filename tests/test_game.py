@@ -160,6 +160,15 @@ class TestConstructionChecks:
         assert not below.is_normalized
         assert [p.weight for p in normalize(below).players] == [Fraction(8, 7), Fraction(1)]
 
+    @pytest.mark.parametrize("degree", [10**20, MAX_DEGREE + 1])
+    def test_degree_above_the_limit(self, degree):
+        # rejected before any coefficient is padded to degree + 1 entries
+        resources = (CostPolynomial((Fraction(1),)),)
+        Game(MAX_DEGREE, resources, (make_player(Fraction(1), [[0]]),))
+        with pytest.raises(MalformedInstanceError,
+                           match=f"^degree {degree} is above MAX_DEGREE = {MAX_DEGREE}$"):
+            Game(degree, resources, (make_player(Fraction(1), [[0]]),))
+
     def test_padding_keeps_a_full_polynomial(self):
         poly = CostPolynomial((Fraction(1), Fraction(2)))
         assert poly.padded(1) is poly

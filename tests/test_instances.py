@@ -16,11 +16,12 @@ from congames import (
     social_cost,
 )
 from congames.errors import MalformedInstanceError
+from congames.game import MAX_DEGREE
 from congames.instances import SplitMix64, rational_root_below
 
 import reference
 from conftest import GOLDEN, with_choice
-from reference import reference_lower_bound_game
+from reference import reference_gen_random, reference_lower_bound_game
 
 
 class TestRationalRoot:
@@ -138,6 +139,32 @@ class TestRandomGames:
             game = gen_random(n=4, d=1, num_resources=3, strategies_per_player=6,
                               max_strategy_size=2, seed=seed)
             assert all(len(set(p.strategies)) == 6 for p in game.players)
+
+    @pytest.mark.parametrize("args", [
+        (5, 2, 200, 3, 3),  # many more resources than a subset holds
+        (4, 1, 3, 3, 3),  # subsets as large as the resources
+        (6, 2, 5, 3, 5),
+        (7, 1, 3, 7, 3),  # every subset taken: the first unused one, mostly
+        (3, 3, 1, 1, 1),
+    ])
+    def test_matches_the_pool_draw(self, args):
+        for seed in range(20):
+            assert gen_random(*args, seed=seed) == reference_gen_random(*args, seed=seed)
+
+    def test_matches_the_pool_draw_at_n2000(self):
+        ranges = (Fraction(1, 4), Fraction(2)), (Fraction(1), Fraction(3))
+        args = (2000, 2, 500, 3, 3, *ranges)
+        assert gen_random(*args, seed=5) == reference_gen_random(*args, seed=5)
+
+    @pytest.mark.parametrize("generate", [
+        lambda d: gen_random(2, d, 3, 2, 2),
+        lambda d: gen_lower_bound(d, Fraction(3, 2), 2, 20),
+    ])
+    def test_degree_above_the_limit(self, generate):
+        # rejected before any coefficient or power of the root is computed
+        for d in (10**20, MAX_DEGREE + 1):
+            with pytest.raises(MalformedInstanceError, match=f"^degree {d} is above MAX_DEGREE"):
+                generate(d)
 
     def test_splitmix_reference_values(self):
         # first outputs for seed 0 of the standard splitmix64 stream

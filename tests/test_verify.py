@@ -234,10 +234,9 @@ class TestCostFirstBruteForce:
     the worst equilibrium cost found so far; each case must give the
     answers, states and errors of the from-scratch references."""
 
-    def test_best_response_count(self, monkeypatch):
-        # A gate on a count, not a time: testing every player of every
-        # state would take n * |S| = 4 * 4^4 = 1024 best responses.
-        game, rho = gen_random(4, 2, 6, 4, 2, seed=0), Fraction(3)
+    @staticmethod
+    def best_responses(monkeypatch, game: Game, rho: Fraction) -> tuple[int, object]:
+        """brute_force_poa's outcome and how many best responses it took."""
         calls = 0
         best_response = IntGame.best_response
 
@@ -248,7 +247,26 @@ class TestCostFirstBruteForce:
 
         monkeypatch.setattr(IntGame, "best_response", counting)
         got = exact_outcome(brute_force_poa, game, rho)
-        assert calls == 166 < game.n * len(enumerate_states(game))
+        monkeypatch.undo()
+        return calls, got
+
+    def test_best_response_count(self, monkeypatch):
+        # A gate on a count, not a time: testing every player of every
+        # state would take n * |S| = 4 * 4^4 = 1024 best responses.  Testing
+        # each admitted state's players in index order took 166.
+        game, rho = gen_random(4, 2, 6, 4, 2, seed=0), Fraction(3)
+        calls, got = self.best_responses(monkeypatch, game, rho)
+        assert calls == 157 < game.n * len(enumerate_states(game))
+        assert got == exact_outcome(reference_brute_force_poa, game, rho, 10**6)
+
+    def test_last_refuter_first(self, monkeypatch):
+        # A gate on a count, not a time: states next to each other in
+        # product order are mostly refuted by the same player, so she is
+        # tested first.  Testing the players in index order took 1,432
+        # best responses here.
+        game, rho = gen_random(6, 2, 8, 3, 2, seed=1), Fraction(3)
+        calls, got = self.best_responses(monkeypatch, game, rho)
+        assert calls == 830 < 1432
         assert got == exact_outcome(reference_brute_force_poa, game, rho, 10**6)
 
     def test_horner_count(self, monkeypatch):
