@@ -290,8 +290,11 @@ class IntGame:
     highest degree first, of D*c_e(X/W) and Dp*phi_e(X/W); Dp and the
     potentials are derived from the cost rows on first use.  ``choices``
     arguments are strategy indices per player, as in State.choices.  The
-    package's one cost kernel: tests/reference.py keeps from-scratch
-    Fraction player costs, best responses and potentials as its oracle.
+    package's one cost kernel: a player's cost on each of her strategies,
+    the others' choices fixed, is written once, in strategy_costs, and
+    best_response is their argmin.  tests/reference.py keeps from-scratch
+    Fraction player costs, strategy costs, best responses and potentials
+    as its oracle.
     """
 
     W: int
@@ -332,7 +335,7 @@ class IntGame:
 
     def own_costs(self, choices: Sequence[int], x: Sequence[int], u: int) -> dict[int, int]:
         """D * c_e(X_e/W) for the resources of player u's strategy only:
-        all that best_response reads of ``rcosts`` for u."""
+        all that strategy_costs reads of ``rcosts`` for u."""
         return {e: _horner(self.costs[e], x[e]) for e in self.strategies[u][choices[u]]}
 
     def player_cost(self, choices: Sequence[int], rcosts: Sequence[int], u: int) -> int:
@@ -343,28 +346,37 @@ class IntGame:
         """Scaled cost of every player (player_cost)."""
         return [self.player_cost(choices, rcosts, u) for u in range(len(choices))]
 
+    def strategy_costs(
+        self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int,
+        evaluate: Callable[[tuple[int, ...], int], int] | None = None,
+    ) -> list[int]:
+        """Scaled, unweighted cost of player u on each of her strategies,
+        the others' choices fixed: the package's one strategy-cost loop.
+        weights[u] times each is her scaled cost at that state.  ``x`` and
+        ``rcosts`` belong to ``choices``: her own resources' costs are read
+        from ``rcosts``, any other resource's is evaluate(cost row, load
+        with her), by default _horner."""
+        w, evaluate = self.weights[u], evaluate or _horner
+        current, costs = self.strategies[u][choices[u]], self.costs
+        totals = []
+        for strat in self.strategies[u]:
+            total = 0
+            for e in strat:
+                total += rcosts[e] if e in current else evaluate(costs[e], x[e] + w)
+            totals.append(total)
+        return totals
+
     def best_response(
         self, choices: Sequence[int], x: Sequence[int], rcosts: Sequence[int], u: int,
         evaluate: Callable[[tuple[int, ...], int], int] | None = None,
     ) -> tuple[int, int, int]:
         """Best strategy index of player u with its cost, and u's current
-        cost, which the loop sums at her own strategy; ties go to the lowest
-        index.  Costs are scaled but unweighted: weights[u] times each is
-        the scaled cost, and their ratio does not depend on the weight.
-        ``x`` and ``rcosts`` belong to ``choices``; any other resource's
-        cost is evaluate(cost row, load), by default _horner."""
-        w, evaluate = self.weights[u], evaluate or _horner
-        own, current = choices[u], self.strategies[u][choices[u]]
-        best_idx, best = 0, None
-        for k, strat in enumerate(self.strategies[u]):
-            total = 0
-            for e in strat:
-                total += rcosts[e] if e in current else evaluate(self.costs[e], x[e] + w)
-            if k == own:
-                now = total
-            if best is None or total < best:
-                best_idx, best = k, total
-        return best_idx, best, now
+        cost: the argmin of strategy_costs, ties going to the lowest index.
+        Costs are scaled but unweighted, so their ratio does not depend on
+        the weight."""
+        totals = self.strategy_costs(choices, x, rcosts, u, evaluate)
+        best = min(totals)
+        return totals.index(best), best, totals[choices[u]]
 
     def alone_cost(self, u: int) -> int:
         """Scaled cost of player u's cheapest strategy when she is alone on

@@ -9,15 +9,17 @@ the solver's update of the loads, resource costs and potential, and
 applies the solver's rules to the states it replays with the stateless
 scan first_eligible_move.  The PoA oracles walk the states in product
 order, updating loads and costs only where a player's turn changes them,
-and take every best response from IntGame.best_response through the
-walk's memo of _horner: brute force only at a state whose cost could
-change the answer, the group oracles once per player and choice of the
-others.  Brute force tests the last player who refuted a state first;
-the order cannot change the answer, since a state that is not refuted
-has had every player tested.  The enumerations are capped and fail
-loudly rather than truncating, since their whole value is oracle
-status.  A player with positive cost but a zero-cost deviation gets the
-explicit infinite factor (math.inf).
+and read a player's strategy costs from IntGame.strategy_costs through
+the walk's memo of _horner: brute force through IntGame.best_response,
+their argmin, and only at a state whose cost could change the answer;
+the group oracles once per player and choice of the others, which gives
+her cost at each state of that choice and her best response there.
+Brute force tests the last player who refuted a state first; the order
+cannot change the answer, since a state that is not refuted has had
+every player tested.  The enumerations are capped and fail loudly
+rather than truncating, since their whole value is oracle status.  A
+player with positive cost but a zero-cost deviation gets the explicit
+infinite factor (math.inf).
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class _Walk:
     cost and potential (None unless asked for).  A turn updates them on
     the resources the player leaves or joins, reading c_e(X) and Phi_e(X)
     from (resource, load) tables over ``horner``, the per-call memo of
-    _horner by (row, load) that the oracles hand IntGame.best_response.
+    _horner by (row, load) that the oracles hand IntGame.strategy_costs.
     These and the steps precomputed per strategy make the oracles fast: a
     dynamics.IntState walk measured 1.5 times slower per 4^4-state game."""
 
@@ -156,20 +158,28 @@ class _Row(NamedTuple):
 
 
 def _rows(walk: _Walk, rho: Fraction) -> Iterator[_Row]:
-    """Every state's row, in product order: each player's IntGame.player_cost,
-    and her bit set when rho >= 1 and her best response improves on her
-    cost by at most rho (0/0 counts as 1, K/0 for K > 0 as infinite).  Her
-    best response (the kernel's, through the walk's memo) is taken at the
-    first state of each choice of the others, where she plays 0."""
-    ig, strides, at_least_one = walk.ig, walk.strides, rho >= 1
-    best: list[dict[int, int]] = [{} for _ in strides]  # u's, weighted, by the first state's index
+    """Every state's row, in product order: each player's scaled cost, and
+    her bit set when rho >= 1 and her best response improves on her cost
+    by at most rho (0/0 counts as 1, K/0 for K > 0 as infinite).  A
+    player's costs are read once per choice of the others (a block of
+    states), at its first state, where she plays 0: IntGame.strategy_costs,
+    through the walk's memo, gives her cost on each of her strategies,
+    which are her costs at the block's states, and their minimum is her
+    best response at each of them.  Her weighted cost and bit on each
+    strategy are kept by the block's first index, the bit as t*b <= a*min
+    for rho = a/b, and every row reads its costs and bits from there."""
+    ig, strides, a, b = walk.ig, walk.strides, rho.numerator, rho.denominator
+    blocks = [{} for _ in strides]  # u's (cost, bit) per strategy, by her block's first index
     for i, (choices, x, rcosts, _, pot) in enumerate(walk):
-        costs, within = ig.player_costs(choices, rcosts), 0
+        costs, within = [], 0
         for u, k in enumerate(choices):
-            if k == 0:  # the first state in product order of the others' choices
-                best[u][i] = ig.weights[u] * ig.best_response(choices, x, rcosts, u, walk.horner)[1]
-            br = best[u][i - k * strides[u]]
-            within |= (at_least_one and not improves(costs[u], br, rho)) << u
+            if k == 0:
+                totals = ig.strategy_costs(choices, x, rcosts, u, walk.horner)
+                low = a * min(totals)  # t * b <= low: not improves(t, min(totals), rho)
+                blocks[u][i] = [(ig.weights[u] * t, (a >= b and t * b <= low) << u) for t in totals]
+            cost, bit = blocks[u][i - k * strides[u]][k]
+            costs.append(cost)
+            within |= bit
         yield _Row(tuple(choices), costs, pot, within)
 
 
@@ -397,7 +407,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
     _check_indices(game, trace)
 
-    failures: list[str] = []
+    failures = []
 
     if trace.schedule is None:
         if social_cost(game, trace.initial_state) != 0:  # costs are nonnegative
@@ -437,9 +447,9 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     _check_same("phase count (movers)", len(trace.movers_per_phase), m)
     _check_same("fixed set count", len(trace.fixed_sets), m + 1)
 
-    move_audits: list[MoveAudit] = []
-    phase_audits: list[PhaseAudit] = []
-    fix_audits: list[FixAudit] = []
+    move_audits = []
+    phase_audits = []
+    fix_audits = []
 
     replay = IntState(ig, trace.initial_state.choices)
     choices, rcosts = replay.choices, replay.rcosts

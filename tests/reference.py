@@ -5,12 +5,12 @@ the two.  The sections, what each checks, and what it takes from the
 package besides types (Game, State, CostPolynomial, PlayerSpec, Schedule,
 MoveRecord, Trace, the move classes and the errors):
 
-- Kernel: loads, player costs, best responses, potentials, group and
-  social costs and equilibrium factors on Fractions, for game.IntGame and
-  its views game.loads, player_costs, group_cost and social_cost,
-  dynamics.best_response, the potentials of potential.py and
-  verify.min_equilibrium_factor.  Types only: loads are summed here, and
-  phi is written term by term off its definition.
+- Kernel: loads, player costs, strategy costs, best responses,
+  potentials, group and social costs and equilibrium factors on
+  Fractions, for game.IntGame and its views game.loads, player_costs,
+  group_cost and social_cost, dynamics.best_response, the potentials of
+  potential.py and verify.min_equilibrium_factor.  Types only: loads are
+  summed here, and phi is written term by term off its definition.
 - Scaling: game._scale, each quotient divided directly.  Nothing.
 - Schedule and dynamics: dynamics.compute_schedule, the Schedule's
   final_factor_ceiling and move_budget, and run_algorithm's trace, whose
@@ -133,6 +133,16 @@ def player_costs(game: Game, state: State) -> tuple[Fraction, ...]:
             total += game.resources[e](x[e])
         out.append(player.weight * total)
     return tuple(out)
+
+
+def reference_strategy_costs(game: Game, state: State, u: int) -> list[Fraction]:
+    """Player u's cost after switching to each of her strategies, the
+    others' choices fixed, with the loads recomputed from scratch."""
+    choices = state.choices
+    return [
+        player_costs(game, State(choices[:u] + (k,) + choices[u + 1:]))[u]
+        for k in range(len(game.players[u].strategies))
+    ]
 
 
 def best_response(game: Game, state: State, u: int) -> tuple[int, Fraction]:
@@ -429,10 +439,12 @@ def reference_group_ratio(game: Game, rho: Fraction, state_cap: int, metric):
 def reference_rows(game: Game, rho: Fraction, state_cap: int, potential: bool):
     """verify._rows with each state's loads, resource costs, potential and
     best responses computed from scratch, in product order.  It checks how
-    _rows reuses one best response per choice of the others and reads the
-    walk's memo and tables, so it calls the kernel on purpose:
-    IntGame.loads, resource_costs, best_response (through _horner) and
-    potential at each state, and dynamics.improves."""
+    _rows reads every state's player costs and bits from one
+    IntGame.strategy_costs call per player and choice of the others, and
+    the walk's memo and tables, so it calls the kernel on purpose:
+    IntGame.loads, resource_costs, best_response (the argmin of
+    strategy_costs, through _horner) and potential at each state, and
+    dynamics.improves."""
     ig, at_least_one = game.compiled, rho >= 1
     for state in reference_states(game, state_cap):
         choices = state.choices

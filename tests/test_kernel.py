@@ -23,9 +23,12 @@ common denominator from the next larger one's, must give the integers of
 dividing directly.  The product-order walk of the PoA oracles
 (verify._Walk) must give every state's loads, resource costs, social cost
 and potential from scratch; at each of its states IntGame.best_response
-must answer the same through the walk's memo as through _horner; and
-verify._rows, which reads each player's within-rho bit from one best
-response per choice of the others, the rows made from scratch state by
+must answer the same through the walk's memo as through _horner;
+IntGame.strategy_costs, through either, must give each player's cost
+after switching to each of her strategies, recomputed from scratch, and
+best_response must be their lowest argmin; and verify._rows, which reads
+each player's costs and within-rho bits from one strategy_costs call per
+choice of the others, must give the rows made from scratch state by
 state.  Every reference is in tests/reference.py.
 """
 
@@ -87,6 +90,7 @@ from reference import (
     reference_scale,
     reference_social_cost,
     reference_states,
+    reference_strategy_costs,
 )
 
 
@@ -130,6 +134,29 @@ def test_kernel_matches_fraction_oracle(case, bound):
     ig = compile_game(game)
     ceil = ig.cost_ceil(bound)
     assert ig.cost_value(ceil) >= bound > ig.cost_value(ceil - 1)
+
+
+@SETTINGS
+@given(st.one_of(games(), games(zero_cost=True)))
+def test_strategy_costs_match_switching_from_scratch(case):
+    """IntGame.strategy_costs, weighted and scaled back, is each player's
+    cost after switching to each of her strategies, recomputed from
+    scratch, through _horner and through the walk's memo (called twice,
+    so the second call reads what the first stored); best_response is
+    their lowest argmin, their minimum and the current one."""
+    game, state, _ = case
+    ig, choices = game.compiled, state.choices
+    x = ig.loads(choices)
+    rcosts, memo = ig.resource_costs(x), _Walk(game, 10**6).horner
+    for u in range(game.n):
+        expected = reference_strategy_costs(game, state, u)
+        best = min(expected)
+        for evaluate in (None, memo, memo):
+            totals = ig.strategy_costs(choices, x, rcosts, u, evaluate)
+            assert [ig.cost_value(ig.weights[u] * t) for t in totals] == expected
+            k, low, now = ig.best_response(choices, x, rcosts, u, evaluate)
+            assert (k, low, now) == (totals.index(low), min(totals), totals[choices[u]])
+            assert expected.index(best) == k and ig.cost_value(ig.weights[u] * low) == best
 
 
 @SETTINGS

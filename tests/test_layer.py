@@ -1,18 +1,24 @@
 """The layout of the test suite: every from-scratch oracle, a function
 named reference_* or _reference_*, is defined in tests/reference.py, and
 no test module imports another.  The one exception is conftest, which
-reads the golden cases, CASES and _cli, from test_golden.  And one rule of
-the package's: JSON is decoded, and the int/str digit limit mapped to
-DigitLimitError, only in src/congames/codec.py."""
+reads the golden cases, CASES and _cli, from test_golden.  And two rules
+of the package's: JSON is decoded, and the int/str digit limit mapped to
+DigitLimitError, only in src/congames/codec.py; and every module stays
+under PARSER_TOKENS tokens."""
 
 from __future__ import annotations
 
 import ast
+import tokenize
 from pathlib import Path
 
 TESTS = Path(__file__).parent
 PACKAGE = TESTS.parent / "src" / "congames"
 ALLOWED = {("conftest", "test_golden", "CASES"), ("conftest", "test_golden", "_cli")}
+# CPython 3.11's parser doubles its token array when a module reaches this
+# many tokens, which raises the memory peak of compiling it by about a
+# quarter of a megabyte; every fresh import of the package compiles it.
+PARSER_TOKENS = 4096
 
 
 def test_one_reference_layer():
@@ -49,3 +55,14 @@ def test_one_codec():
                 if _name(exc).split(".")[-1] == "DigitLimitError":
                     found.append(f"{path.name}:{node.lineno} raises DigitLimitError")
     assert found and all(site.startswith("codec.py:") for site in found), found
+
+
+def test_modules_under_the_parser_token_doubling():
+    """Tokens counted as the parser sees them: tokenize's, without
+    comments, blank-line NL tokens and the encoding token."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    counts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open("rb") as f:
+            counts[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(f.readline))
+    assert counts and max(counts.values()) < PARSER_TOKENS, counts

@@ -147,6 +147,31 @@ class TestGroupEnumerations:
                 ) + Fraction(1, 10**6)
                 assert max_rho_stretch_ratio(game, rho) <= bound
 
+    @pytest.mark.parametrize("oracle, metric", [
+        (max_group_poa_ratio, reference.reference_group_cost),
+        (max_rho_stretch_ratio, reference.partial_potential),
+    ])
+    def test_kernel_call_count(self, monkeypatch, oracle, metric):
+        # A gate on a count, not a time: a player's strategy costs are read
+        # once per player and choice of the others, 4 * 3^3 = 108 calls on
+        # this 3^4-state game, and every row reads its player costs and
+        # within-rho bits from them.  A player cost per player per state
+        # and a best response per player and choice of the others took 324
+        # player_cost sums and 108 best responses.
+        game, rho = gen_random(4, 2, 6, 3, 3, seed=0), Fraction(3)
+        counts = dict.fromkeys(["strategy_costs", "player_cost", "player_costs", "best_response"], 0)
+        for name in counts:
+            def counting(self, *args, name=name, method=getattr(IntGame, name)):
+                counts[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(IntGame, name, counting)
+        got = exact_outcome(oracle, game, rho)
+        monkeypatch.undo()
+        assert counts == {
+            "strategy_costs": 108, "player_cost": 0, "player_costs": 0, "best_response": 0,
+        }
+        assert got == exact_outcome(reference_group_ratio, game, rho, 10**6, metric)
 
     def test_group_ratio_measures_against_non_equilibria(self):
         # Pigou-like: a shared road of cost x and a bypass of cost 5/2.  The
