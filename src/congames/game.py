@@ -41,8 +41,10 @@ The canonical bytes of an instance, which Game.fingerprint hashes, are
 those of json.dumps(doc, indent=2, sort_keys=True) + "\n";
 serialize_instance writes them directly, without the json encoder.  The
 rational form and the JSON decoding, with its mapping of the int/str
-digit limit, are those of the codec module.  A degree above MAX_DEGREE
-is rejected before any coefficient is padded.
+digit limit, are those of the codec module.  parse_instance checks the
+JSON shape only; the values are judged by the constructors, for files
+and library callers alike.  Game rejects a degree above MAX_DEGREE before
+it pads any coefficient.
 """
 
 from __future__ import annotations
@@ -134,10 +136,11 @@ class PlayerSpec:
 
 
 def make_player(weight: Fraction, strategies: Iterable[Iterable[int]]) -> PlayerSpec:
-    """Build a PlayerSpec, canonicalizing each strategy to a sorted tuple."""
+    """Build a PlayerSpec, canonicalizing each strategy to a sorted tuple;
+    PlayerSpec rejects a duplicate resource."""
     return PlayerSpec(
         weight=Fraction(weight),
-        strategies=tuple(tuple(sorted(set(s))) for s in strategies),
+        strategies=tuple(tuple(sorted(s)) for s in strategies),
     )
 
 
@@ -294,7 +297,8 @@ class IntGame:
     the others' choices fixed, is written once, in strategy_costs, and
     best_response is their argmin.  tests/reference.py keeps from-scratch
     Fraction player costs, strategy costs, best responses and potentials
-    as its oracle.
+    as its oracle.  alone_cost sums the same costs in a loop of its own,
+    at empty loads, for compute_schedule's c_min.
     """
 
     W: int
@@ -351,7 +355,7 @@ class IntGame:
         evaluate: Callable[[tuple[int, ...], int], int] | None = None,
     ) -> list[int]:
         """Scaled, unweighted cost of player u on each of her strategies,
-        the others' choices fixed: the package's one strategy-cost loop.
+        the others' choices fixed (alone_cost sums them at empty loads).
         weights[u] times each is her scaled cost at that state.  ``x`` and
         ``rcosts`` belong to ``choices``: her own resources' costs are read
         from ``rcosts``, any other resource's is evaluate(cost row, load
@@ -478,16 +482,13 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
 
     Parsing is strict: unknown keys, non-string rationals and malformed
     structure are rejected.  The game comes back normalized (weights below
-    1 scaled away, see normalize).  Checked here, in document order: the
-    JSON types and keys, each rational string (each distinct string is
-    parsed once per call), the coefficient count against the degree, and
-    each strategy's indices, which must be integers and are deduplicated
-    and sorted once, a duplicate showing as a shorter result; coefficients
-    are padded here.  The constructors then check what they check for any
-    caller, part of it again: CostPolynomial the signs, PlayerSpec the
-    weight's sign, that each strategy is nonempty and strictly increasing
-    (so free of duplicates), and Game the index ranges; validate_state
-    checks the initial state.
+    1 scaled away, see normalize).  Checked here, in document order, is the
+    JSON shape only: the types and keys, each rational string (each
+    distinct string is parsed once per call), integer resource indices and
+    an initial state of integers.  Each strategy is handed over sorted.
+    The values are judged by the constructors, as for any caller:
+    CostPolynomial, PlayerSpec and Game (see their checks), and
+    validate_state for the initial state.
     """
     rationals: dict[str, Fraction] = {}
 
@@ -506,9 +507,8 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
 
     # read_json makes every integer an exact int, so type() rejects bools
     degree = raw.get("degree")
-    if type(degree) is not int or degree < 1:
-        raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
-    check_degree(degree)
+    if type(degree) is not int:
+        raise MalformedInstanceError(f"degree must be an integer, got {degree!r}")
 
     if not isinstance(raw.get("resources"), list):
         raise MalformedInstanceError("'resources' must be a list")
@@ -518,14 +518,9 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
             raise MalformedInstanceError(f"resource {i} must be an object")
         _require_keys(entry, {"coeffs"}, f"resource {i}")
         coeffs = entry.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a nonempty list")
-        if len(coeffs) > degree + 1:
-            raise DegreeMismatchError(
-                f"resource {i}: {len(coeffs)} coefficients exceed degree {degree}"
-            )
-        padding = (Fraction(0),) * (degree + 1 - len(coeffs))
-        resources.append(CostPolynomial(tuple(map(rational, coeffs)) + padding))
+        if not isinstance(coeffs, list):
+            raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a list")
+        resources.append(CostPolynomial(tuple(map(rational, coeffs))))
 
     if not isinstance(raw.get("players"), list):
         raise MalformedInstanceError("'players' must be a list")
@@ -536,8 +531,8 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
         _require_keys(entry, {"weight", "strategies"}, f"player {i}")
         weight = rational(entry.get("weight"))
         strategies = entry.get("strategies")
-        if not isinstance(strategies, list) or not strategies:
-            raise EmptyStrategyError(f"player {i}: 'strategies' must be a nonempty list")
+        if not isinstance(strategies, list):
+            raise MalformedInstanceError(f"player {i}: 'strategies' must be a list")
         canonical = []
         for strat in strategies:
             if not isinstance(strat, list):
@@ -547,9 +542,7 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
                     raise MalformedInstanceError(
                         f"player {i}: resource index {e!r} must be an integer"
                     )
-            canonical.append(tuple(sorted(set(strat))))
-            if len(canonical[-1]) != len(strat):
-                raise MalformedInstanceError(f"player {i}: duplicate resource in {strat}")
+            canonical.append(tuple(sorted(strat)))
         players.append(PlayerSpec(weight, tuple(canonical)))
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))

@@ -29,8 +29,10 @@ MoveRecord, Trace, the move classes and the errors):
 - Codecs: game.serialize_instance, codec.parse_rational and
   game.parse_instance, as the json.dumps writer and the two-pass parser;
   dynamics.write_trace and read_trace, with the header listed by hand.
-  Calls codec.format_rational, make_player, normalize and validate_state,
-  and the trace reader codec.parse_rational.
+  The instance parser checks the JSON shape itself and leaves the values
+  to the constructors it builds through, as parse_instance does.  Calls
+  codec.format_rational, make_player, normalize and validate_state, and
+  the trace reader codec.parse_rational.
 - Lower-bound family: instances.gen_lower_bound's game, each power taken
   on its own.  Calls rational_root_below.
 - Random games: instances.gen_random, each resource subset drawn by
@@ -64,9 +66,7 @@ from congames.dynamics import (
 )
 from congames.errors import (
     AlreadyZeroError,
-    DegreeMismatchError,
     DigitLimitError,
-    EmptyStrategyError,
     MalformedInstanceError,
     MalformedTraceError,
     NoEquilibriumError,
@@ -75,7 +75,6 @@ from congames.errors import (
     ZeroMinCostError,
 )
 from congames.game import (
-    MAX_DEGREE,
     CostPolynomial,
     Game,
     PlayerSpec,
@@ -678,10 +677,8 @@ def reference_parse_instance(data):
     _require_keys(raw, {"degree", "resources", "players", "initial_state"}, "instance")
 
     degree = raw.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise MalformedInstanceError(f"degree must be an integer >= 1, got {degree!r}")
-    if degree > MAX_DEGREE:
-        raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise MalformedInstanceError(f"degree must be an integer, got {degree!r}")
 
     if not isinstance(raw.get("resources"), list):
         raise MalformedInstanceError("'resources' must be a list")
@@ -691,12 +688,8 @@ def reference_parse_instance(data):
             raise MalformedInstanceError(f"resource {i} must be an object")
         _require_keys(entry, {"coeffs"}, f"resource {i}")
         coeffs = entry.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a nonempty list")
-        if len(coeffs) > degree + 1:
-            raise DegreeMismatchError(
-                f"resource {i}: {len(coeffs)} coefficients exceed degree {degree}"
-            )
+        if not isinstance(coeffs, list):
+            raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a list")
         resources.append(CostPolynomial(tuple(reference_parse_rational(c) for c in coeffs)))
 
     if not isinstance(raw.get("players"), list):
@@ -708,9 +701,8 @@ def reference_parse_instance(data):
         _require_keys(entry, {"weight", "strategies"}, f"player {i}")
         weight = reference_parse_rational(entry.get("weight"))
         strategies = entry.get("strategies")
-        if not isinstance(strategies, list) or not strategies:
-            raise EmptyStrategyError(f"player {i}: 'strategies' must be a nonempty list")
-        parsed_strategies = []
+        if not isinstance(strategies, list):
+            raise MalformedInstanceError(f"player {i}: 'strategies' must be a list")
         for strat in strategies:
             if not isinstance(strat, list):
                 raise MalformedInstanceError(f"player {i}: strategy must be a list")
@@ -719,10 +711,7 @@ def reference_parse_instance(data):
                     raise MalformedInstanceError(
                         f"player {i}: resource index {e!r} must be an integer"
                     )
-            if len(set(strat)) != len(strat):
-                raise MalformedInstanceError(f"player {i}: duplicate resource in {strat}")
-            parsed_strategies.append(strat)
-        players.append(make_player(weight, parsed_strategies))
+        players.append(make_player(weight, strategies))
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
 

@@ -14,7 +14,17 @@ the resources it returns the mover's strategy change, on the golden
 cases, the crafted p-move run and hypothesis games.  The schedule's
 final-factor ceiling and move budgets, and the audit report's, must equal
 the references derived from the paper's inequalities, with p down to
-alpha + 1.
+alpha + 1.  Each property the audit reports rather than raises fails on
+a crafted trace whose every record replays exactly: the move budget, the
+key bound, a fixed player's drift and the final-factor ceiling, each
+with the reference's report.  The cost-reveal bound cannot fail on such
+a trace.  The movers' end partial potential is the sum, over the movers
+in the order of their last moves, of the potential each adds on top of
+the non-movers and the movers before her, all at their final
+strategies.  By the potential's sandwich
+(weights are at least 1) that is at most alpha times her cost at loads
+no higher than at her last move, so at most alpha times her last-move
+cost, as costs are nondecreasing.
 """
 
 from __future__ import annotations
@@ -27,28 +37,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames import State, gen_random, normalize, run_algorithm
-from congames.dynamics import IntState
+from congames import CostPolynomial, State, gen_random, make_player, normalize, run_algorithm
+from congames.dynamics import (
+    ALPHA_MOVE, P_MOVE, IntState, MoveRecord, Trace, compute_schedule,
+)
 from congames.errors import ZeroMinCostError
 from congames.game import Game
 from congames.potential import alpha
-from congames.verify import audit_trace
+from congames.verify import AuditReport, FixAudit, audit_trace
+
+import reference
 
 from conftest import (
     CASES,
     SETTINGS,
     crafted_p_move_game,
+    exact,
     exact_outcome,
     games,
     golden_case,
     header_mutations,
     mutation_traces,
     record_mutations,
+    with_choice,
 )
 from reference import (
     reference_audit_trace,
     reference_final_factor_ceiling,
     reference_move_budget,
+    reference_trace,
 )
 
 
@@ -191,3 +208,110 @@ def test_replay_matches_scratch_on_random_games(case, p_low):
     game, state, _ = case
     game = normalize(game)
     assert_replay_matches_scratch(game, state, game.degree + 2 if p_low else None)
+
+
+# --------------------------------------------------------------------------
+# Property failures: crafted traces whose every record replays exactly
+# --------------------------------------------------------------------------
+
+
+def chosen_trace(game: Game, s0: State, p: int, chosen) -> Trace:
+    """The trace of the chosen moves, (phase, player, strategy, class) in
+    order, under the schedule with this p: each record's costs and
+    potentials are the replay's, from scratch, so every recorded value
+    matches and only the paper's inequalities can fail; the header is
+    reference_trace's."""
+    state, moves, records = s0, [], {}
+    for phase, u, k, move_class in chosen:
+        key = (state, u, k)
+        if key not in records:  # a toggling trace repeats two records
+            after = with_choice(state, u, k)
+            records[key] = after, dict(
+                from_strategy=state.choices[u], to_strategy=k,
+                cost_before=reference.player_costs(game, state)[u],
+                cost_after=reference.player_costs(game, after)[u],
+                potential_before=reference.potential(game, state),
+                potential_after=reference.potential(game, after),
+            )
+        state, fields = records[key]
+        moves.append(MoveRecord(
+            phase=phase, step=len(moves), player=u, move_class=move_class, **fields
+        ))
+    return reference_trace(game, compute_schedule(game, s0, p), s0, tuple(moves))
+
+
+def failed_audit(game: Game, trace: Trace, failure: str) -> AuditReport:
+    """The audit of the trace: equal to the reference's, not passed, and
+    with the failure among its failures."""
+    report = audit_trace(game, trace)
+    assert exact(report) == exact_outcome(reference_audit_trace, game, trace)
+    assert report.passed is False
+    assert failure in report.failures, report.failures
+    return report
+
+
+def constant(c) -> CostPolynomial:
+    return CostPolynomial((Fraction(c),))
+
+
+LINEAR = CostPolynomial((Fraction(0), Fraction(1)))
+P = 3  # alpha + 1 at d = 1, the least p compute_schedule takes
+
+
+def stranded_game() -> Game:
+    """Player 0 sits on a cost-100 resource beside a cost-1 one; player 1
+    has one cost-1 strategy.  c_max = 100 and c_min = 1 give m = 7 and
+    g = 2 * 3^3 * (1 + 7 * 4) + 1 = 1567 at p = 3."""
+    players = (make_player(1, [[0], [1]]), make_player(1, [[2]]))
+    return Game(1, (constant(100), constant(1), constant(1)), players)
+
+
+def test_move_budget_failure():
+    """Two players, each with two unit-cost singletons: m = 1, g = 271 and
+    a phase-0 budget of n*alpha*g*(alpha*p + 1) = 7,588 moves.  No legal
+    move exists, as every cost is 1, so a trace can exceed the budget only
+    by moves that the audit also flags as ineligible."""
+    game = Game(1, (constant(1),) * 4, (make_player(1, [[0], [1]]), make_player(1, [[2], [3]])))
+    toggles = [(0, 0, (i + 1) % 2, ALPHA_MOVE) for i in range(7589)]
+    trace = chosen_trace(game, State((0, 0)), P, toggles)
+    assert (trace.schedule.m, trace.schedule.g) == (1, 271)
+    report = failed_audit(game, trace, "phase 0: 7589 moves exceed budget 7588")
+    assert not report.phases[0].budget_ok and report.phases[0].move_budget == 7588
+
+
+def test_key_slack_failure():
+    """Player 0, at c_max = 100, waits until phase 1 to move: her start
+    partial potential, 100, exceeds n*p*b_1 = 6 * 100/1567."""
+    game = stranded_game()
+    trace = chosen_trace(game, State((0, 0)), P, [(1, 0, 1, P_MOVE)])
+    assert (trace.schedule.m, trace.schedule.g) == (7, 1567)
+    report = failed_audit(
+        game, trace, "phase 1: movers' start potential 100 exceeds n*p*b_1 = 600/1567"
+    )
+    assert not report.phases[1].key_ok and report.phases[1].key_slack == Fraction(600, 1567) - 100
+    assert report.moves[0].legal  # a p-move: she is at b_1 or above and improves 100-fold
+
+
+def test_fixed_player_drift_failure():
+    """A 2^20 anchor makes m = 20 (g = 6562 with n = 3).  Player 1, alone
+    on an x-cost resource at cost 1, is fixed after phase 2; in the last
+    phase the weight-3 player 2 joins her resource, which takes her cost
+    from 1 to 4, beyond the factor 1 + 3/p = 2."""
+    players = (make_player(1, [[0]]), make_player(1, [[1]]), make_player(3, [[2], [1]]))
+    game = Game(1, (constant(2**20), LINEAR, constant(1)), players)
+    trace = chosen_trace(game, State((0, 0, 0)), P, [(19, 2, 1, ALPHA_MOVE)])
+    assert (trace.schedule.m, trace.schedule.g) == (20, 6562)
+    report = failed_audit(
+        game, trace, "player 1: cost grew from 1 at fixing (phase 2) to 4, beyond factor 1 + 3/p"
+    )
+    assert report.fixes[1] == FixAudit(1, 2, Fraction(1), Fraction(4), False)
+
+
+def test_final_factor_failure():
+    """No move at all: player 0 ends at cost 100 beside a cost-1 strategy,
+    a factor of 100 against the ceiling p(p+3)/(p-2) = 18."""
+    game = stranded_game()
+    report = failed_audit(
+        game, chosen_trace(game, State((0, 0)), P, []), "final factor 100 exceeds ceiling 18"
+    )
+    assert (report.final_factor, report.factor_ceiling, report.factor_ok) == (100, 18, False)

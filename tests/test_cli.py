@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import pytest
 
 from congames.cli import build_parser, main
 from congames.game import MAX_DEGREE
+
+from conftest import MINIMAL
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -480,6 +484,43 @@ def test_solve_rejects_a_degree_above_the_limit(tmp_path, degree):
     proc = run_process("solve", "--input", str(game), "--output", str(tmp_path / "state.json"))
     assert (proc.returncode, "Traceback" in proc.stderr) == (3, False), proc.stderr
     assert f"input error: degree {degree} is above MAX_DEGREE = {MAX_DEGREE}" in proc.stderr
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("[[0]]", "5"), "player 0: 'strategies' must be a list"),
+    (("[[0]]", "[]"), "player has no strategies"),
+    (("[[0]]", "[[0, 0]]"), "duplicate resource in strategy (0, 0)"),
+    (('["0", "1"]', '["0", "1", "0"]'), "3 coefficients exceed degree 1"),
+    (('"degree": 1', '"degree": 0'), "degree must be >= 1, got 0"),
+])
+def test_solve_rejects_a_malformed_instance(tmp_path, capsys, edit, message):
+    # the constructors judge the values a file holds; each is an input error
+    game, out = tmp_path / "game.json", tmp_path / "state.json"
+    game.write_text(MINIMAL.replace(*edit))
+    code, _, err = run(capsys, "solve", "--input", str(game), "--output", str(out))
+    assert (code, err) == (3, f"input error: {message}\n")
+    assert not out.exists()
+
+
+def test_readme_synopsis_matches_the_parser():
+    """The README's CLI block lists exactly the parser's subcommands, each
+    with exactly its long options; an indented line continues the command
+    above it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    listed: dict[str, set[str]] = {}
+    for line in filter(str.strip, block.splitlines()):
+        if not line[0].isspace():
+            command = line.split()[1]
+        listed.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == defined
 
 
 @pytest.mark.parametrize("command", [

@@ -83,6 +83,24 @@ class TestParsing:
         with pytest.raises(MalformedInstanceError, match="above MAX_DEGREE"):
             parse_instance(MINIMAL.replace('"degree": 1', f'"degree": {degree}'))
 
+    @pytest.mark.parametrize("strategies", ["5", '"[[0]]"', "{}", "null"])
+    def test_strategies_not_a_list(self, strategies):
+        # a shape error, not an empty strategy list
+        with pytest.raises(MalformedInstanceError, match="^player 0: 'strategies' must be a list$"):
+            parse_instance(MINIMAL.replace("[[0]]", strategies))
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (('"degree": 1', '"degree": 0'), MalformedInstanceError, "degree must be >= 1, got 0"),
+        (('["0", "1"]', '["0", "1", "0"]'), DegreeMismatchError, "3 coefficients exceed degree 1"),
+        (('["0", "1"]', "[]"), MalformedInstanceError, "cost polynomial needs >= 1 coefficient"),
+        (("[[0]]", "[]"), EmptyStrategyError, "player has no strategies"),
+        (("[[0]]", "[[0, 0]]"), MalformedInstanceError, r"duplicate resource in strategy \(0, 0\)"),
+    ])
+    def test_values_are_judged_by_the_constructors(self, edit, error, message):
+        # with the constructors' own messages, as for a library caller
+        with pytest.raises(error, match=f"^{message}$"):
+            parse_instance(MINIMAL.replace(*edit))
+
     def test_malformed_json(self):
         with pytest.raises(MalformedInstanceError):
             parse_instance("{not json")
@@ -150,6 +168,11 @@ class TestConstructionChecks:
     def test_parse_index_checks(self, strategies, error):
         with pytest.raises(error):
             parse_instance(MINIMAL.replace("[[0]]", strategies))
+
+    def test_make_player_rejects_a_duplicate_resource(self):
+        assert make_player(Fraction(1), [[2, 0], [1]]).strategies == ((0, 2), (1,))
+        with pytest.raises(MalformedInstanceError, match=r"^duplicate resource in strategy \(0, 1, 1\)$"):
+            make_player(Fraction(1), [[0], [1, 0, 1]])
 
     def test_weights_at_one_are_normalized(self):
         resources = (CostPolynomial((Fraction(1),)),)
