@@ -59,8 +59,8 @@ from typing import Callable, Iterable, Sequence
 
 from .codec import format_rational, parse_rational, read_json
 from .errors import (
-    DegreeMismatchError, EmptyStrategyError, MalformedInstanceError, NegativeCoefficientError,
-    ResourceIndexError,
+    DegreeMismatchError, EmptyStrategyError, InstanceError, MalformedInstanceError,
+    NegativeCoefficientError, ResourceIndexError,
 )
 
 # The largest degree a game may have: every resource is padded to
@@ -72,6 +72,16 @@ def check_degree(degree: int) -> None:
     """Reject a degree above MAX_DEGREE, before anything is built to it."""
     if degree > MAX_DEGREE:
         raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _at(kind: str, i: int, build: Callable, *args):
+    """build(*args), with an InstanceError it raises prefixed by the index
+    of what it builds ("resource 3: ", "player 0: "), which build does not
+    know; the error keeps its class."""
+    try:
+        return build(*args)
+    except InstanceError as exc:
+        raise type(exc)(f"{kind} {i}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,7 @@ class Game:
     Invariants checked at construction: 1 <= degree <= MAX_DEGREE, at
     least one player, every polynomial fits the degree (padded to exactly
     degree+1 coefficients), and every strategy points at existing
-    resources.
+    resources; those two errors name the resource or player at fault.
     """
 
     degree: int
@@ -166,15 +176,15 @@ class Game:
             raise MalformedInstanceError("game needs at least one player")
         if not self.resources:
             raise MalformedInstanceError("game needs at least one resource")
-        object.__setattr__(
-            self, "resources", tuple(p.padded(self.degree) for p in self.resources)
-        )
+        object.__setattr__(self, "resources", tuple(
+            _at("resource", i, p.padded, self.degree) for i, p in enumerate(self.resources)
+        ))
         m = len(self.resources)
-        for player in self.players:
+        for u, player in enumerate(self.players):
             for strat in player.strategies:
                 if strat[0] < 0 or strat[-1] >= m:  # a strategy is sorted
                     e = next(e for e in strat if not 0 <= e < m)
-                    raise ResourceIndexError(f"resource index {e} out of range")
+                    raise ResourceIndexError(f"player {u}: resource index {e} out of range")
 
     @property
     def n(self) -> int:
@@ -488,7 +498,8 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
     an initial state of integers.  Each strategy is handed over sorted.
     The values are judged by the constructors, as for any caller:
     CostPolynomial, PlayerSpec and Game (see their checks), and
-    validate_state for the initial state.
+    validate_state for the initial state; an error of a CostPolynomial or
+    PlayerSpec built here is prefixed with its resource or player index.
     """
     rationals: dict[str, Fraction] = {}
 
@@ -520,7 +531,7 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list):
             raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a list")
-        resources.append(CostPolynomial(tuple(map(rational, coeffs))))
+        resources.append(_at("resource", i, CostPolynomial, tuple(map(rational, coeffs))))
 
     if not isinstance(raw.get("players"), list):
         raise MalformedInstanceError("'players' must be a list")
@@ -543,7 +554,7 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
                         f"player {i}: resource index {e!r} must be an integer"
                     )
             canonical.append(tuple(sorted(strat)))
-        players.append(PlayerSpec(weight, tuple(canonical)))
+        players.append(_at("player", i, PlayerSpec, weight, tuple(canonical)))
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
 

@@ -302,12 +302,11 @@ class MoveAudit:
 
 @dataclass(frozen=True)
 class PhaseAudit:
-    """Per-phase summary.
-
-    ``key_slack`` is n*p*b_i - partial potential of the phase's movers at
-    the phase-start state (phases >= 1 only); nonnegative slack is the
-    phase-potential bound the runtime argument rests on.  ``settled`` means
-    no eligible player remained when the phase ended.
+    """Per-phase summary of the three per-phase checks: the key bound,
+    ``key_slack`` = n*p*b_i minus the movers' partial potential at the
+    phase start (phases >= 1 only; nonnegative slack is the bound the
+    runtime argument rests on); the move budget; and ``settled``, no
+    eligible player left when the phase ended.
     """
 
     phase: int
@@ -316,9 +315,6 @@ class PhaseAudit:
     start_partial_potential: Fraction
     key_slack: Fraction | None
     key_ok: bool
-    last_move_costs_bound: Fraction      # alpha * sum of movers' last-move costs
-    end_partial_potential: Fraction
-    cost_reveal_ok: bool
     move_count: int
     move_budget: int
     budget_ok: bool
@@ -385,11 +381,12 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     Recorded values (costs, potentials, states, schedule, fingerprint) must
     match exact recomputation; disagreement raises TraceMismatchError, as
     does an index outside the game.
-    Property violations — potential drops below the per-move floor, a
-    phase-start partial potential above n*p*b_i, cost inflation of a fixed
-    player beyond 1 + 3/p, busted move budgets, an excessive final factor —
-    do not raise; they are returned in the report with the offending
-    phase or move named.
+    Property violations are returned in the report, not raised, with the
+    move, phase or player named: per move, an ineligible move or a drop
+    below the floor; per phase, the movers' start partial potential above
+    n*p*b_i (phases >= 1), moves beyond the budget, or an eligible move
+    left at the end; a fixed player's cost growth beyond 1 + 3/p; a final
+    factor above the ceiling.
 
     One walk: the moves are read once, in trace order and phase by phase,
     and replayed on an IntState of the compiled integer game: its loads,
@@ -514,7 +511,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         _check_same(f"phase {phase} movers", trace.movers_per_phase[phase], movers)
 
         start_partial = ig.potential_value(ig.partial_potential(start, movers))
-        end_partial = ig.potential_value(ig.partial_potential(choices, movers))
 
         key_slack: Fraction | None = None
         key_ok = True
@@ -526,15 +522,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                     f"phase {phase}: movers' start potential {start_partial} "
                     f"exceeds n*p*b_{phase} = {n * p * b[phase]}"
                 )
-
-        last_costs = {mv.player: mv.cost_after for mv in moves}  # the last per mover
-        reveal_bound = a * sum(last_costs.values(), Fraction(0))
-        cost_reveal_ok = end_partial <= reveal_bound
-        if not cost_reveal_ok:
-            failures.append(
-                f"phase {phase}: movers' end potential {end_partial} exceeds "
-                f"alpha-weighted last-move costs {reveal_bound}"
-            )
 
         budget = schedule.move_budget(phase)
         budget_ok = len(moves) <= budget
@@ -555,9 +542,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
                 start_partial_potential=start_partial,
                 key_slack=key_slack,
                 key_ok=key_ok,
-                last_move_costs_bound=reveal_bound,
-                end_partial_potential=end_partial,
-                cost_reveal_ok=cost_reveal_ok,
                 move_count=len(moves),
                 move_budget=budget,
                 budget_ok=budget_ok,

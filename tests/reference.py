@@ -67,6 +67,7 @@ from congames.dynamics import (
 from congames.errors import (
     AlreadyZeroError,
     DigitLimitError,
+    InstanceError,
     MalformedInstanceError,
     MalformedTraceError,
     NoEquilibriumError,
@@ -560,7 +561,6 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
         _check_same(f"phase {phase} end state", trace.phase_end_states[phase], state)
         _check_same(f"phase {phase} movers", trace.movers_per_phase[phase], movers)
         start_partial = ig.potential_value(ig.partial_potential(start, movers))
-        end_partial = ig.potential_value(ig.partial_potential(choices, movers))
         key_slack, key_ok = None, True
         if phase >= 1:
             key_slack = n * p * b[phase] - start_partial
@@ -570,13 +570,6 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
                     f"phase {phase}: movers' start potential {start_partial} "
                     f"exceeds n*p*b_{phase} = {n * p * b[phase]}"
                 )
-        last_costs = {mv.player: mv.cost_after for mv in moves}
-        reveal_bound = a * sum(last_costs.values(), Fraction(0))
-        if end_partial > reveal_bound:
-            failures.append(
-                f"phase {phase}: movers' end potential {end_partial} exceeds "
-                f"alpha-weighted last-move costs {reveal_bound}"
-            )
         budget = reference_move_budget(schedule, phase)
         if len(moves) > budget:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
@@ -588,10 +581,8 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
             failures.append(f"phase {phase}: ended while an eligible move remained")
         phase_audits.append(PhaseAudit(
             phase=phase, movers=movers, boundary=b[phase], start_partial_potential=start_partial,
-            key_slack=key_slack, key_ok=key_ok, last_move_costs_bound=reveal_bound,
-            end_partial_potential=end_partial, cost_reveal_ok=end_partial <= reveal_bound,
-            move_count=len(moves), move_budget=budget, budget_ok=len(moves) <= budget,
-            settled=settled,
+            key_slack=key_slack, key_ok=key_ok, move_count=len(moves), move_budget=budget,
+            budget_ok=len(moves) <= budget, settled=settled,
         ))
         costs = ig.player_costs(choices, ig.resource_costs(x))
         newly = newly_fixed(costs, fixed, bounds, phase)
@@ -690,7 +681,11 @@ def reference_parse_instance(data):
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list):
             raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a list")
-        resources.append(CostPolynomial(tuple(reference_parse_rational(c) for c in coeffs)))
+        coeffs = tuple(reference_parse_rational(c) for c in coeffs)
+        try:
+            resources.append(CostPolynomial(coeffs))
+        except InstanceError as exc:
+            raise type(exc)(f"resource {i}: {exc}") from exc
 
     if not isinstance(raw.get("players"), list):
         raise MalformedInstanceError("'players' must be a list")
@@ -711,7 +706,10 @@ def reference_parse_instance(data):
                     raise MalformedInstanceError(
                         f"player {i}: resource index {e!r} must be an integer"
                     )
-        players.append(make_player(weight, strategies))
+        try:
+            players.append(make_player(weight, strategies))
+        except InstanceError as exc:
+            raise type(exc)(f"player {i}: {exc}") from exc
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
 

@@ -17,14 +17,38 @@ the references derived from the paper's inequalities, with p down to
 alpha + 1.  Each property the audit reports rather than raises fails on
 a crafted trace whose every record replays exactly: the move budget, the
 key bound, a fixed player's drift and the final-factor ceiling, each
-with the reference's report.  The cost-reveal bound cannot fail on such
-a trace.  The movers' end partial potential is the sum, over the movers
+with the reference's report.
+
+Two inequalities of the analysis hold on every trace whose records
+replay exactly, and are tested here as properties of such traces, solver
+traces and random crafted ones.  Both rest on the potential's sandwich,
+w*c_e(y + w) <= Phi_e(y + w) - Phi_e(y) <= alpha*w*c_e(y + w) for a
+weight w >= 1 (compute_schedule rejects an unnormalized game), and on
+costs that are nondecreasing in the load.
+
+Cost reveal: in each phase, the movers' partial potential at the phase
+end is at most alpha times the sum of each mover's cost after her last
+move in the phase.  That partial potential is the sum, over the movers
 in the order of their last moves, of the potential each adds on top of
 the non-movers and the movers before her, all at their final
-strategies.  By the potential's sandwich
-(weights are at least 1) that is at most alpha times her cost at loads
-no higher than at her last move, so at most alpha times her last-move
-cost, as costs are nondecreasing.
+strategies.  Those players were already there at her last move, and the
+later movers only add load then, so by the sandwich's upper half her
+term is at most alpha times her cost after her last move.  The audit
+checks this bound no longer: it cannot fail once the audit's exact
+replay has passed.  Equality holds when, at d = 1, a weight-1 mover ends
+alone on an x-cost resource: Phi(1) = 2 = alpha * 1.
+
+Drop floor: a legal move drops the potential by more than
+cost_before/(alpha*p + 1), so its MoveAudit has drop_ok.  On the
+resources the mover leaves, the sandwich's lower half gives at least her
+cost there before the move; on those she joins, the upper half gives at
+most alpha times her cost there after it; on those she keeps, loads and
+costs do not change.  As alpha >= 1, the drop is at least
+cost_before - alpha*cost_after.  A legal move beats a factor
+t >= alpha + 1/p (a p-move's t = p is at least alpha + 1), so
+cost_after < cost_before/t <= cost_before*p/(alpha*p + 1) and the drop
+exceeds cost_before*(1 - alpha*p/(alpha*p + 1)) = cost_before/(alpha*p + 1).
+The audit keeps this check and reports each move's drop and floor.
 """
 
 from __future__ import annotations
@@ -34,14 +58,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congames import CostPolynomial, State, gen_random, make_player, normalize, run_algorithm
 from congames.dynamics import (
     ALPHA_MOVE, P_MOVE, IntState, MoveRecord, Trace, compute_schedule,
 )
-from congames.errors import ZeroMinCostError
+from congames.errors import AlreadyZeroError, ZeroMinCostError
 from congames.game import Game
 from congames.potential import alpha
 from congames.verify import AuditReport, FixAudit, audit_trace
@@ -59,6 +83,7 @@ from conftest import (
     header_mutations,
     mutation_traces,
     record_mutations,
+    weights,
     with_choice,
 )
 from reference import (
@@ -315,3 +340,121 @@ def test_final_factor_failure():
         game, chosen_trace(game, State((0, 0)), P, []), "final factor 100 exceeds ceiling 18"
     )
     assert (report.final_factor, report.factor_ceiling, report.factor_ok) == (100, 18, False)
+
+
+# --------------------------------------------------------------------------
+# Properties of exact traces: cost reveal and the drop floor
+# --------------------------------------------------------------------------
+
+
+def reveal_bounds(game: Game, trace: Trace) -> list[tuple[Fraction, Fraction]]:
+    """Per phase: the movers' partial potential at the phase end, and alpha
+    times the sum of each mover's cost after her last move in the phase."""
+    ig, a = game.compiled, alpha(game.degree)
+    bounds = []
+    for phase, end in enumerate(trace.phase_end_states):
+        last = {mv.player: mv.cost_after for mv in trace.moves if mv.phase == phase}
+        partial = ig.potential_value(ig.partial_potential(end.choices, last))
+        bounds.append((partial, a * sum(last.values(), Fraction(0))))
+    return bounds
+
+
+@st.composite
+def crafted_traces(draw) -> tuple[Game, Trace]:
+    """A normalized game of degree 1-3 with 2-4 players, 2-3 strategies
+    each over 2-4 resources with coefficients 0 or 2^-4 to 2^8, p from
+    alpha + 1 to alpha + 4, and the chosen_trace of 1-12 moves in
+    nondecreasing phases, half of them drawn as phase 0: each a random
+    player's move to a random strategy, or the move that cuts its mover's
+    cost by the largest factor, with the class the phase's rule gives her
+    cost."""
+    degree = draw(st.integers(1, 3))
+    spread = st.just(Fraction(0)) | st.builds(Fraction(2).__pow__, st.integers(-4, 8))
+    resources = tuple(
+        CostPolynomial(tuple(draw(st.lists(spread, min_size=1, max_size=degree + 1))))
+        for _ in range(draw(st.integers(2, 4)))
+    )
+    subsets = st.lists(st.integers(0, len(resources) - 1), min_size=1, max_size=2, unique=True)
+    players = tuple(
+        make_player(draw(weights), draw(st.lists(subsets, min_size=2, max_size=3)))
+        for _ in range(draw(st.integers(2, 4)))
+    )
+    game = normalize(Game(degree, resources, players))
+    state = State(tuple(draw(st.integers(0, len(pl.strategies) - 1)) for pl in players))
+    p = alpha(degree) + draw(st.integers(1, 4))
+    try:
+        schedule = compute_schedule(game, state, p)
+    except (AlreadyZeroError, ZeroMinCostError):
+        assume(False)
+    s0, b, chosen = state, schedule.boundaries, []
+    count = draw(st.integers(1, 12))
+    phases = st.one_of(st.just(0), st.integers(0, schedule.m - 1))
+    for phase in sorted(draw(st.lists(phases, min_size=count, max_size=count))):
+        costs = reference.player_costs(game, state)
+        moves = [(u, k) for u, pl in enumerate(game.players) for k in range(len(pl.strategies))]
+
+        def cut(move):  # the factor by which the move cuts its mover's cost
+            u, k = move
+            after = reference.player_costs(game, with_choice(state, u, k))[u]
+            return (after == 0 < costs[u], costs[u] / after if after else 0)
+
+        u, k = draw(st.sampled_from(moves)) if draw(st.booleans()) else max(moves, key=cut)
+        chosen.append((phase, u, k, P_MOVE if phase and costs[u] >= b[phase] else ALPHA_MOVE))
+        state = with_choice(state, u, k)
+    return game, chosen_trace(game, s0, p, chosen)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(games(anchored=True), st.integers(1, 4))
+def test_cost_reveal_on_solver_traces(case, extra):
+    game, state, _ = case
+    game = normalize(game)
+    try:
+        _, trace = run_algorithm(game, state, alpha(game.degree) + extra)
+    except ZeroMinCostError:
+        return
+    for partial, bound in reveal_bounds(game, trace):
+        assert partial <= bound
+
+
+@settings(SETTINGS, max_examples=100)
+@given(crafted_traces())
+def test_cost_reveal_on_crafted_traces(case):
+    game, trace = case
+    for partial, bound in reveal_bounds(game, trace):
+        assert partial <= bound
+
+
+def test_cost_reveal_reaches_equality():
+    """At d = 1, player 0 (weight 1) leaves a cost-5 resource to be alone
+    on an x-cost one: her end partial potential is Phi(1) = 2, and alpha
+    times her cost after the move is 2 * 1."""
+    players = (make_player(1, [[0], [1]]), make_player(1, [[2]]))
+    game = Game(1, (constant(5), LINEAR, constant(1)), players)
+    trace = chosen_trace(game, State((0, 0)), P, [(0, 0, 1, ALPHA_MOVE)])
+    assert reveal_bounds(game, trace)[0] == (2, 2)
+    report = audit_trace(game, trace)
+    assert report.passed, report.failures
+
+
+def test_reveal_bound_takes_each_movers_last_move():
+    """Player 0 moves twice in phase 0, to cost 44 and then back down to
+    32: her last move, cost 32, counts in the bound, not her first."""
+    game = gen_random(3, 1, 4, 3, 2, (Fraction(0), Fraction(4)),
+                      weight_range=(Fraction(1), Fraction(9)), seed=20)
+    _, trace = run_algorithm(game, State((0,) * 3))
+    assert [(mv.phase, mv.player) for mv in trace.moves] == [(0, 0), (0, 1), (0, 2), (0, 0)]
+    assert (trace.moves[0].cost_after, trace.moves[3].cost_after) == (44, 32)
+    partial, bound = reveal_bounds(game, trace)[0]
+    last = 32 + trace.moves[1].cost_after + trace.moves[2].cost_after
+    assert bound == trace.schedule.alpha * last and partial <= bound
+    phase = audit_trace(game, trace).phases[0]
+    assert phase.move_count == 4 and phase.movers == {0, 1, 2}
+
+
+@settings(SETTINGS, max_examples=100)
+@given(crafted_traces())
+def test_drop_floor_follows_from_legality(case):
+    game, trace = case
+    for mv in audit_trace(game, trace).moves:
+        assert mv.drop_ok or not mv.legal, mv

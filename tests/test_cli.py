@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
 import re
 import shutil
@@ -12,11 +16,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congames.cli import build_parser, main
+from congames.dynamics import read_trace
 from congames.game import MAX_DEGREE
 
-from conftest import MINIMAL
+from conftest import MINIMAL, SETTINGS
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -321,6 +328,70 @@ class TestInputErrors:
         assert "input error" in err and "cost zero" in err
 
 
+# One JSON value, as text: an int, a negative or huge one (the last past
+# the int/str digit limit), a string, a bad or a good rational, a float, a
+# bool, null, a list or an object
+JSON_VALUES = st.one_of(
+    st.integers(-5, 12).map(str),
+    st.sampled_from([
+        str(10**30), "9" * 5000, '"x"', '""', '"1/0"', '"1/2/3"', '"-1/2"', '"7/4"',
+        "0.5", "1.0", "-0.0", "1e400", "true", "false", "null", "[]", "[0, 1]", "{}", '{"p": 1}',
+    ]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_case(tmp_path_factory):
+    """A 4-player game solved with a trace of three moves: the game's
+    path, the trace file's lines and the trace as read back."""
+    root = tmp_path_factory.mktemp("fuzz")
+    game, trace = root / "game.json", root / "trace.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*GEN[:2], "4", "--n", "4", *GEN[5:], "--out", str(game)]) == 0
+        assert main(["solve", "--input", str(game), "--output", str(root / "state.json"),
+                     "--trace", str(trace)]) == 0
+    with trace.open() as fp:
+        original = read_trace(fp)
+    assert len(original.moves) == 3
+    return game, trace.read_text().splitlines(), original
+
+
+def value_paths(node, path=()):
+    """The key path of every value inside a JSON document but the root."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from value_paths(child, path + (key,))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_audit_of_a_mutated_trace(fuzz_case, data):
+    """One JSON value of the header or of a move replaced or deleted: the
+    audit exits 0, 2 or 3, no exception escapes main, and it exits 0 only
+    when the file reads back as the original trace."""
+    game, lines, original = fuzz_case
+    index = data.draw(st.integers(0, len(lines) - 1))
+    doc = json.loads(lines[index])
+    *to_parent, key = data.draw(st.sampled_from(list(value_paths(doc))))
+    parent = functools.reduce(operator.getitem, to_parent, doc)
+    value = data.draw(st.none() | JSON_VALUES)  # None deletes the value
+    if value is None:
+        del parent[key]
+    else:
+        parent[key] = mark = "\0value"  # a string no trace holds, then spliced
+    text = json.dumps(doc, sort_keys=True)
+    text = text if value is None else text.replace(json.dumps(mark), value)
+    mutated = game.parent / "mutated.jsonl"
+    mutated.write_text("\n".join([*lines[:index], text, *lines[index + 1:]]) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["audit", "--game", str(game), "--trace", str(mutated)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        with mutated.open() as fp:
+            assert read_trace(fp) == original
+
+
 def run_process(*argv: str, python: str = sys.executable) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter at the default int/str digit limit,
     so that an uncaught exception would show as a traceback on stderr.
@@ -488,9 +559,9 @@ def test_solve_rejects_a_degree_above_the_limit(tmp_path, degree):
 
 @pytest.mark.parametrize("edit, message", [
     (("[[0]]", "5"), "player 0: 'strategies' must be a list"),
-    (("[[0]]", "[]"), "player has no strategies"),
-    (("[[0]]", "[[0, 0]]"), "duplicate resource in strategy (0, 0)"),
-    (('["0", "1"]', '["0", "1", "0"]'), "3 coefficients exceed degree 1"),
+    (("[[0]]", "[]"), "player 0: player has no strategies"),
+    (("[[0]]", "[[0, 0]]"), "player 0: duplicate resource in strategy (0, 0)"),
+    (('["0", "1"]', '["0", "1", "0"]'), "resource 0: 3 coefficients exceed degree 1"),
     (('"degree": 1', '"degree": 0'), "degree must be >= 1, got 0"),
 ])
 def test_solve_rejects_a_malformed_instance(tmp_path, capsys, edit, message):

@@ -91,13 +91,24 @@ class TestParsing:
 
     @pytest.mark.parametrize("edit, error, message", [
         (('"degree": 1', '"degree": 0'), MalformedInstanceError, "degree must be >= 1, got 0"),
-        (('["0", "1"]', '["0", "1", "0"]'), DegreeMismatchError, "3 coefficients exceed degree 1"),
-        (('["0", "1"]', "[]"), MalformedInstanceError, "cost polynomial needs >= 1 coefficient"),
-        (("[[0]]", "[]"), EmptyStrategyError, "player has no strategies"),
-        (("[[0]]", "[[0, 0]]"), MalformedInstanceError, r"duplicate resource in strategy \(0, 0\)"),
+        (('["0", "1"]', '["0", "1", "0"]'), DegreeMismatchError,
+         "resource 0: 3 coefficients exceed degree 1"),
+        (('["0", "1"]', "[]"), MalformedInstanceError,
+         "resource 0: cost polynomial needs >= 1 coefficient"),
+        (("[[0]]", "[]"), EmptyStrategyError, "player 0: player has no strategies"),
+        (("[[0]]", "[[0, 0]]"), MalformedInstanceError,
+         r"player 0: duplicate resource in strategy \(0, 0\)"),
+        (('"weight": "1"', '"weight": "-1"'), MalformedInstanceError,
+         "player 0: weight must be positive, got -1"),
+        (("[[0]]", "[[1]]"), ResourceIndexError, "player 0: resource index 1 out of range"),
+        (('["0", "1"]} ]', '["0", "1"]}, {"coeffs": ["1", "-1"]} ]'), NegativeCoefficientError,
+         "resource 1: negative coefficient -1"),
+        (("[[0]]} ]", '[[0]]}, {"weight": "1", "strategies": [[0], []]} ]'), EmptyStrategyError,
+         "player 1: empty strategy"),
     ])
     def test_values_are_judged_by_the_constructors(self, edit, error, message):
-        # with the constructors' own messages, as for a library caller
+        # with the constructors' own messages, as for a library caller, each
+        # prefixed with the index of the resource or player at fault
         with pytest.raises(error, match=f"^{message}$"):
             parse_instance(MINIMAL.replace(*edit))
 
@@ -157,8 +168,9 @@ class TestConstructionChecks:
     def test_resource_index_range(self, strategy, bad):
         resources = (CostPolynomial((Fraction(1),)),) * 2
         Game(1, resources, (make_player(Fraction(1), [[0, 1]]),))
-        with pytest.raises(ResourceIndexError, match=f"^resource index {bad} out of range$"):
-            Game(1, resources, (PlayerSpec(Fraction(1), ((0,), strategy)),))
+        players = (make_player(Fraction(1), [[0]]), PlayerSpec(Fraction(1), ((0,), strategy)))
+        with pytest.raises(ResourceIndexError, match=f"^player 1: resource index {bad} out of range$"):
+            Game(1, resources, players)
 
     @pytest.mark.parametrize("strategies, error", [
         ("[[-1]]", ResourceIndexError),

@@ -404,18 +404,6 @@ class TestAuditTrace:
         assert report.passed, report.failures
         assert any(ph.move_count for ph in report.phases[1:])
 
-    def test_reveal_bound_takes_each_movers_last_move(self):
-        # player 0 moves twice in phase 0: to cost 44, then back down to 32
-        game = gen_random(3, 1, 4, 3, 2, (Fraction(0), Fraction(4)),
-                          weight_range=(Fraction(1), Fraction(9)), seed=20)
-        _, trace = run_algorithm(game, State((0,) * 3))
-        assert [(mv.phase, mv.player) for mv in trace.moves] == [(0, 0), (0, 1), (0, 2), (0, 0)]
-        assert (trace.moves[0].cost_after, trace.moves[3].cost_after) == (44, 32)
-        phase = audit_trace(game, trace).phases[0]
-        last = 32 + trace.moves[1].cost_after + trace.moves[2].cost_after
-        assert phase.last_move_costs_bound == trace.schedule.alpha * last
-        assert phase.move_count == 4 and phase.movers == {0, 1, 2}
-
     def test_tampered_cost_raises(self, rng):
         game = random_game(rng, 4, 1, 5, positive_costs=True)
         trace = None
