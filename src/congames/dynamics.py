@@ -17,11 +17,11 @@ best responses resolve to the lowest strategy index.  A complete Trace of
 the run is emitted for independent auditing.  The rules are written once:
 Schedule.rule with improves, and newly_fixed; so is a move's update of
 the integer state, IntState.move.  The solver's IncrementalScan is an
-IntState, and the auditor replays a trace on one of its own.  The scan
-takes the phase's rule and knows nothing of schedules, phases or fixing:
-the auditor scans each replayed phase end with a stateless scan
-(first_eligible_move) on its state and the costs it passes in; the solver
-keeps the same scan up to date across moves.
+IntState, and the auditor replays a trace on one of its own.  The scan,
+IncrementalScan.next_move, is written once too.  It takes the phase's
+rule and knows nothing of schedules, phases or fixing.  The solver keeps
+one scan up to date across moves; the auditor builds one from scratch
+at each replayed phase end that follows a move, and never moves it.
 """
 
 from __future__ import annotations
@@ -161,45 +161,37 @@ class IntState:
         return changed
 
 
-def first_eligible_move(
-    state: IntState, costs: Sequence[int], rule: Rule
-) -> tuple[int, int, int, int, str] | None:
-    """The scan: the lowest-index player whose best response beats the
-    improvement factor the rule sets for her cost, as (player, best
-    response, cost, best-response cost, move class), costs scaled; None
-    when no player may move.  ``costs`` are the player costs of ``state``."""
-    ig = state.ig
-    for u, cost in enumerate(costs):
-        if (answer := rule(u, cost)) is not None:
-            br, best, now = ig.best_response(state.choices, state.x, state.rcosts, u)
-            if improves(now, best, answer[0]):
-                return u, br, cost, ig.weights[u] * best, answer[1]
-    return None
-
-
 class IncrementalScan(IntState):
-    """The solver's scan: first_eligible_move kept up to date across moves.
+    """The scan: the lowest-index player whose best response beats the
+    improvement factor the rule sets for her cost, kept up to date across
+    moves.  The solver moves it; the auditor builds one at a state and
+    only scans.
 
     An IntState that also keeps the player costs, and caches each player's
     best response (None when stale) and the rule's answer for her (None
     when she may not move).  A move touches only the players with a
-    strategy on a resource whose load it changed: each loses her cached
-    best response, and only the mover and the players whose current
-    strategy uses such a resource get their cost and answer re-derived, as
-    no other cost changed.  The touched players with an answer are queued
-    in a heap, lowest index on top.  next_move computes a stale best
-    response only at the top, and pops a player who does not beat her
-    answer (or a copy queued earlier) until a move or start queues her
-    again."""
+    strategy on a resource whose load it changed (``users``, built at the
+    first move): each loses her cached best response, and only the mover
+    and the players whose current strategy uses such a resource get their
+    cost and answer re-derived, as no other cost changed.  The touched
+    players with an answer are queued in a heap, lowest index on top.
+    next_move computes a stale best response only at the top, and pops a
+    player who does not beat her answer (or a copy queued earlier) until
+    a move or start queues her again."""
 
     def __init__(self, ig: IntGame, choices: Sequence[int]) -> None:
         super().__init__(ig, choices)
         self.costs = ig.player_costs(self.choices, self.rcosts)
-        self.users: list[set[int]] = [set() for _ in self.x]  # a best response reads them all
-        for u, strategies in enumerate(ig.strategies):
-            for e in set().union(*strategies):
-                self.users[e].add(u)
         self.responses: list[tuple[int, int, int] | None] = [None] * len(self.choices)
+
+    @cached_property
+    def users(self) -> list[set[int]]:
+        """Each resource's players with a strategy on it: a best response reads them all."""
+        users: list[set[int]] = [set() for _ in self.x]
+        for u, strategies in enumerate(self.ig.strategies):
+            for e in set().union(*strategies):
+                users[e].add(u)
+        return users
 
     def start(self, rule: Rule) -> None:
         """Take the rule and re-classify every player from the cached costs."""
@@ -208,7 +200,9 @@ class IncrementalScan(IntState):
         self.heap = [u for u, answer in enumerate(self.answers) if answer]
 
     def next_move(self) -> tuple[int, int, int, int, str] | None:
-        """What first_eligible_move returns at the current state."""
+        """The first eligible move at the current state, as (player, best
+        response, cost, best-response cost, move class), costs scaled;
+        None when no player may move under the rule of the last start."""
         heap = self.heap
         while heap:
             u = heap[0]
@@ -358,11 +352,11 @@ def run_algorithm(
     """Run the phased best-response dynamics from s_init.
 
     Inside each phase the lowest-index eligible player moves first, as
-    first_eligible_move finds her; an IncrementalScan keeps that answer up
-    to date across moves, and the fixing reads its costs.  Every comparison
-    against a boundary or an improvement threshold is exact.  Returns the
-    final state and the full Trace.  If all initial costs are zero the
-    state is returned unchanged with an empty trace.
+    an IncrementalScan finds her and keeps that answer up to date across
+    moves; the fixing reads its costs.  Every comparison against a
+    boundary or an improvement threshold is exact.  Returns the final
+    state and the full Trace.  If all initial costs are zero the state is
+    returned unchanged with an empty trace.
     """
     try:
         schedule = compute_schedule(game, s_init, p_override)

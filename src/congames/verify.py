@@ -6,8 +6,8 @@ integer game (Game.compiled, a game.IntGame): each test is homogeneous in
 the cost scale, so answers and ratios are those on Fractions.  The
 auditor replays a trace on a dynamics.IntState of its own, whose move is
 the solver's update of the loads, resource costs and potential, and
-applies the solver's rules to the states it replays with the stateless
-scan first_eligible_move.  The PoA oracles walk the states in product
+applies the solver's rules and scan (a fresh dynamics.IncrementalScan)
+to the states it replays.  The PoA oracles walk the states in product
 order, updating loads and costs only where a player's turn changes them,
 and read a player's strategy costs from IntGame.strategy_costs through
 the walk's memo of _horner: brute force through IntGame.best_response,
@@ -33,10 +33,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dynamics import (
+    IncrementalScan,
     IntState,
     Trace,
     compute_schedule,
-    first_eligible_move,
     improves,
     newly_fixed,
 )
@@ -393,13 +393,14 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
     resource costs and potential are computed from scratch at the initial
     state and then updated by IntState.move, the solver's own update, so a
     move costs O(size of the move); the mover's costs are read from the
-    resource costs.  Every player's cost is computed once per phase end
-    that follows a move, and the scan for an eligible move, the fixing rule
-    and the drift check all read it.  The walk keeps none of
-    IncrementalScan's bookkeeping (users, cached best responses, heap), but
-    it applies the solver's own rules to the states it replays (see
-    dynamics): the legality test and the scan both read the phase's
-    Schedule.rule.  It reads each cost with IntGame.player_cost.
+    resource costs, read with IntGame.player_cost.  The scan is an
+    IncrementalScan built from scratch at the first phase end and at each
+    one that follows a move, and never moved: each phase end starts it with
+    the phase's rule, and the phase is settled when next_move is None, so
+    a phase without moves reuses its cached best responses.  The fixing
+    rule and the drift check read its costs.  The auditor shares the
+    solver's rules (see dynamics) and the scan's loop, not its incremental
+    update; the legality test and the scan both read Schedule.rule.
     """
     _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
     _check_indices(game, trace)
@@ -450,7 +451,6 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
 
     replay = IntState(ig, trace.initial_state.choices)
     choices, rcosts = replay.choices, replay.rcosts
-    costs: list[int] | None = None  # every player's, from the first phase end after a move
     fixed: dict[int, tuple[int, int]] = {}  # player -> (phase, scaled cost then)
     read = 0  # the moves are read in trace order, once, phase by phase
 
@@ -528,9 +528,10 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
         if not budget_ok:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
 
-        if moves or costs is None:
-            costs = ig.player_costs(choices, rcosts)
-        settled = first_eligible_move(replay, costs, rule) is None
+        if moves or not phase:
+            scan = IncrementalScan(ig, choices)
+        scan.start(rule)
+        settled = scan.next_move() is None
         if not settled:
             failures.append(f"phase {phase}: ended while an eligible move remained")
 
@@ -549,6 +550,7 @@ def audit_trace(game: Game, trace: Trace) -> AuditReport:
             )
         )
 
+        costs = scan.costs
         newly = newly_fixed(costs, fixed, bounds, phase)
         _check_same(f"phase {phase} fixed set", trace.fixed_sets[phase], newly)
         fixed.update((u, (phase, costs[u])) for u in newly)

@@ -19,7 +19,10 @@ MoveRecord, Trace, the move classes and the errors):
   moves with it).  Calls validate_state, the input check; alpha,
   target_p, every threshold, the fixing rule (reference_fix), and the
   ceiling and budgets, from the inequalities the audit checks, are
-  written here.
+  written here.  The scan, dynamics.IncrementalScan.next_move, whose
+  oracle reference_first_eligible_move walks the players in index order
+  from scratch; it calls the phase's rule, IntGame.best_response and
+  improves on purpose.
 - PoA oracles: verify.brute_force_poa, max_group_poa_ratio,
   max_rho_stretch_ratio, the states of verify._Walk, and verify._rows.
   Types only, but for reference_rows, which calls the kernel on purpose.
@@ -49,7 +52,7 @@ import math
 import re
 from dataclasses import fields
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from congames.codec import format_rational, parse_rational
 from congames.dynamics import (
@@ -57,10 +60,10 @@ from congames.dynamics import (
     P_MOVE,
     IntState,
     MoveRecord,
+    Rule,
     Schedule,
     Trace,
     compute_schedule,
-    first_eligible_move,
     improves,
     newly_fixed,
 )
@@ -340,6 +343,22 @@ def reference_trace(game: Game, schedule: Schedule, s_init: State, moves) -> Tra
     )
 
 
+def reference_first_eligible_move(
+    state: IntState, costs: Sequence[int], rule: Rule
+) -> tuple[int, int, int, int, str] | None:
+    """The scan: the lowest-index player whose best response beats the
+    improvement factor the rule sets for her cost, as (player, best
+    response, cost, best-response cost, move class), costs scaled; None
+    when no player may move.  ``costs`` are the player costs of ``state``."""
+    ig = state.ig
+    for u, cost in enumerate(costs):
+        if (answer := rule(u, cost)) is not None:
+            br, best, now = ig.best_response(state.choices, state.x, state.rcosts, u)
+            if improves(now, best, answer[0]):
+                return u, br, cost, ig.weights[u] * best, answer[1]
+    return None
+
+
 def reference_run(game: Game, s_init: State, p_override: int | None) -> Trace:
     """The phased dynamics on Fractions alone, every value from scratch;
     it calls no rule of the package.  The trace is reference_trace of the
@@ -468,7 +487,7 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
     the mover's costs from her own resources (IntGame.own_costs) and every
     player's cost at each phase end (IntGame.player_costs).  It calls the
     solver's rules on purpose: compute_schedule, Schedule.rule with
-    improves, first_eligible_move on an IntState, newly_fixed,
+    improves, reference_first_eligible_move on an IntState, newly_fixed,
     potential.alpha, social_cost, min_equilibrium_factor and verify's
     _check_same and _check_indices."""
     _check_same("game fingerprint", trace.game_sha256, game.fingerprint)
@@ -574,7 +593,7 @@ def reference_audit_trace(game: Game, trace) -> AuditReport:
         if len(moves) > budget:
             failures.append(f"phase {phase}: {len(moves)} moves exceed budget {budget}")
         scratch = IntState(ig, choices)
-        settled = first_eligible_move(
+        settled = reference_first_eligible_move(
             scratch, ig.player_costs(choices, scratch.rcosts), rule
         ) is None
         if not settled:

@@ -17,7 +17,10 @@ the references derived from the paper's inequalities, with p down to
 alpha + 1.  Each property the audit reports rather than raises fails on
 a crafted trace whose every record replays exactly: the move budget, the
 key bound, a fixed player's drift and the final-factor ceiling, each
-with the reference's report.
+with the reference's report.  The settled check does not inherit a fault
+of the solver's incremental scan: a solver whose IncrementalScan.move
+keeps a stale best response ends a phase early, and the audit, which
+builds its scan from scratch and never moves it, reports that phase.
 
 Two inequalities of the analysis hold on every trace whose records
 replay exactly, and are tested here as properties of such traces, solver
@@ -54,6 +57,7 @@ The audit keeps this check and reports each move's drop and floor.
 from __future__ import annotations
 
 import contextlib
+import heapq
 from dataclasses import replace
 from fractions import Fraction
 
@@ -63,7 +67,7 @@ from hypothesis import strategies as st
 
 from congames import CostPolynomial, State, gen_random, make_player, normalize, run_algorithm
 from congames.dynamics import (
-    ALPHA_MOVE, P_MOVE, IntState, MoveRecord, Trace, compute_schedule,
+    ALPHA_MOVE, P_MOVE, IncrementalScan, IntState, MoveRecord, Trace, compute_schedule,
 )
 from congames.errors import AlreadyZeroError, ZeroMinCostError
 from congames.game import Game
@@ -340,6 +344,66 @@ def test_final_factor_failure():
         game, chosen_trace(game, State((0, 0)), P, []), "final factor 100 exceeds ceiling 18"
     )
     assert (report.final_factor, report.factor_ceiling, report.factor_ok) == (100, 18, False)
+
+
+def stale_response_move(scan: IncrementalScan, u: int, k: int) -> set[int]:
+    """IncrementalScan.move with a fault: a player's cached best response
+    is dropped only when she moves or her current strategy uses a changed
+    resource, so a player whose other strategy got cheaper keeps a stale
+    answer."""
+    changed = IntState.move(scan, u, k)
+    ig, choices, answers = scan.ig, scan.choices, scan.answers
+    for v in set().union(*map(scan.users.__getitem__, changed)):
+        if v == u or not changed.isdisjoint(ig.strategies[v][choices[v]]):
+            scan.responses[v] = None
+            scan.costs[v] = ig.player_cost(choices, scan.rcosts, v)
+            answers[v] = scan.rule(v, scan.costs[v])
+        if answers[v] is not None:
+            heapq.heappush(scan.heap, v)
+    return changed
+
+
+def vacated_game() -> Game:
+    """Player 0 sits on a cost-3 resource; her other strategy is an x-cost
+    resource that player 1 holds, at cost 2 to her, which does not beat
+    alpha + 1/p = 7/3 at p = 3.  Player 1 then leaves it for a cost-1/4
+    one, and player 0's move to it, at cost 1, becomes eligible."""
+    players = (make_player(1, [[0], [1]]), make_player(1, [[1], [2]]))
+    return Game(1, (constant(3), LINEAR, constant(Fraction(1, 4))), players)
+
+
+def test_audit_does_not_inherit_a_stale_scan():
+    """The solver with stale best responses ends phase 0 without player
+    0's move; the audit, whose scan is built from scratch at each phase
+    end after a move, reports it."""
+    game, s0 = vacated_game(), State((0, 0))
+    _, trace = run_algorithm(game, s0, P)
+    assert [(mv.phase, mv.player) for mv in trace.moves] == [(0, 1), (0, 0)]
+    assert audit_trace(game, trace).passed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalScan, "move", stale_response_move)
+        _, stale = run_algorithm(game, s0, P)
+    assert [(mv.phase, mv.player) for mv in stale.moves] == [(0, 1)]
+    report = failed_audit(game, stale, "phase 0: ended while an eligible move remained")
+    assert report.failures == ("phase 0: ended while an eligible move remained",)
+    assert not report.phases[0].settled
+
+
+@pytest.mark.parametrize("game, s0, p", [
+    (vacated_game(), State((0, 0)), P),
+    (*crafted_p_move_game(), 4),
+])
+def test_audit_never_moves_its_scan(game, s0, p):
+    """The audit scans its replayed states but moves no IncrementalScan."""
+    _, trace = run_algorithm(game, s0, p)
+
+    def refused(*_):
+        raise AssertionError("the audit moved an IncrementalScan")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalScan, "move", refused)
+        report = audit_trace(game, trace)
+    assert report.passed and report.moves
 
 
 # --------------------------------------------------------------------------

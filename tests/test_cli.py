@@ -392,6 +392,87 @@ def test_audit_of_a_mutated_trace(fuzz_case, data):
             assert read_trace(fp) == original
 
 
+# Values for the argv fuzzer: integers small enough that no game or
+# bisection grows without bound (the degree also takes 10^20, which every
+# command must reject at once), and rationals valid or malformed.
+FUZZ_INTS = st.integers(-3, 20).map(str)
+FUZZ_RATIONALS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 20), st.integers(1, 20)),
+    FUZZ_INTS,
+    st.sampled_from(["1.5", "1/0", "3/", "/2", "1/-2", "1e3", "0x10", "abc", "", " 2", "9" * 5000]),
+)
+FUZZ_TEXT = {
+    "rho": FUZZ_RATIONALS,
+    "coeff_range": st.one_of(st.builds("{}:{}".format, FUZZ_RATIONALS, FUZZ_RATIONALS),
+                             st.sampled_from(["1/2", "1:2:3", ":"])),
+    "group": st.one_of(st.lists(FUZZ_INTS, max_size=4).map(",".join),
+                       st.sampled_from(["a", "1,,2", " "])),
+}
+FUZZ_TEXT["weight_range"] = FUZZ_TEXT["coeff_range"]
+# a path option's file: a small valid instance, state and trace, or a
+# missing, malformed or unreadable one (a directory, not UTF-8, empty);
+# half the draws take the file the option expects
+FUZZ_FILES = ["game.json", "state.json", "trace.jsonl", "missing.json", "nodir/out.json",
+              "bad.json", "shape.json", "binary.json", "empty.json", "dir"]
+FUZZ_EXPECTED = {"input": "game.json", "game": "game.json", "state": "state.json",
+                 "trace": "trace.jsonl", "output": "out.json", "out": "out.json"}
+
+
+@pytest.fixture(scope="module")
+def argv_root(tmp_path_factory):
+    """A directory whose base/ holds the files FUZZ_FILES names that exist."""
+    root = tmp_path_factory.mktemp("argv")
+    base = root / "base"
+    base.mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*GEN, "--out", str(base / "game.json")]) == 0
+        assert main(["solve", "--input", str(base / "game.json"), "--output",
+                     str(base / "state.json"), "--trace", str(base / "trace.jsonl")]) == 0
+    (base / "bad.json").write_text('{"degree": ')
+    (base / "shape.json").write_text('{"degree": 1, "players": [], "choices": 0}')
+    (base / "binary.json").write_bytes(b"\xff\xfe{}")
+    (base / "empty.json").write_text("")
+    (base / "dir").mkdir()
+    return root
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_argv_fuzz(argv_root, data):
+    """A subcommand with some of its options, each drawn from the values
+    its parser action takes: main exits 0, 1, 2 or 3, no exception
+    escapes it, and stderr holds no traceback.  Every example runs on a
+    fresh copy of the files, as a command may overwrite one."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    command = data.draw(st.sampled_from(sorted(subparsers.choices)))
+    workdir = argv_root / f"run{len(os.listdir(argv_root))}"
+    shutil.copytree(argv_root / "base", workdir)
+    argv = [command]
+    for action in subparsers.choices[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        kept = [True] * 9 + [False] if action.required else [True, False]
+        if not data.draw(st.sampled_from(kept)):
+            continue
+        if action.type is int:
+            values = FUZZ_INTS | st.just(str(10**20)) if action.dest == "d" else FUZZ_INTS
+        elif action.choices:
+            values = st.sampled_from([*action.choices, "xml"])
+        elif action.dest in FUZZ_TEXT:
+            values = FUZZ_TEXT[action.dest]
+        else:
+            names = [FUZZ_EXPECTED[action.dest]] * len(FUZZ_FILES) + FUZZ_FILES
+            values = st.sampled_from(names).map(lambda name: str(workdir / name))
+        argv += [action.option_strings[0], data.draw(values)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
 def run_process(*argv: str, python: str = sys.executable) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter at the default int/str digit limit,
     so that an uncaught exception would show as a traceback on stderr.

@@ -34,7 +34,6 @@ from congames.dynamics import (
     IncrementalScan,
     IntState,
     _ceil_log2,
-    first_eligible_move,
     read_trace,
     write_trace,
 )
@@ -56,6 +55,7 @@ from conftest import (
     single_player_game,
     with_choice,
 )
+from reference import reference_first_eligible_move
 
 
 class TestBestResponse:
@@ -234,7 +234,7 @@ class TestScan:
         for fixed, mover in ((set(), 0), ({0}, 1), ({1}, 0), ({0, 1}, None)):
             rule = schedule.rule(phase, bounds, fixed)
             scan.start(rule)  # the same scan, re-classified from its cache
-            for found in (first_eligible_move(state, costs, rule), scan.next_move()):
+            for found in (reference_first_eligible_move(state, costs, rule), scan.next_move()):
                 if mover is None:
                     assert found is None
                 else:
@@ -345,19 +345,25 @@ class TestRunAlgorithm:
         from scratch after every move makes 481,504, and 18,037 player-cost
         calls, where re-deriving the cost of every player with a strategy
         on a changed resource makes 49,444.  The auditor updates
-        only the resources a move changes and computes the player costs
-        once per phase end after a move: 50,295 polynomial evaluations and
-        7 load computations, where a replay with loads and potential from
-        scratch after every move makes 329,917 and 547.  Neither calls a
-        Fraction view of the kernel (game.loads, game.player_costs,
-        dynamics.best_response, potential.potential or
-        potential.partial_potential), by any module's name for it."""
+        only the resources a move changes and builds a scan from scratch
+        once per phase end after a move: 38,810 polynomial evaluations and
+        6 load computations, where a replay with loads and potential from
+        scratch after every move makes 329,917 and 547.  It makes 4,000
+        best-response calls: 2,000 at the phase-0 end, none at the
+        phase-1 end, where no move came between and the scan's cached
+        answers stand (a scan per phase end makes 2,000 more), and 2,000
+        for the final factor.  Neither calls a Fraction view of the kernel
+        (game.loads, game.player_costs, dynamics.best_response,
+        potential.potential or potential.partial_potential), by any
+        module's name for it."""
         game = normalize(gen_random(
             n=2000, d=2, num_resources=500, strategies_per_player=3, max_strategy_size=3,
             coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
             seed=5,
         ))
-        counts = {"best_response": 0, "player_cost": 0, "_horner": 0, "loads": 0, "views": 0}
+        counts = dict.fromkeys(
+            ["best_response", "player_cost", "_horner", "loads", "audit_best_response", "views"], 0
+        )
 
         def counting(name, fn):
             def call(*args):
@@ -383,9 +389,12 @@ class TestRunAlgorithm:
                 for module in (game_module, dynamics, verify):
                     patch.setattr(module, "_horner", counting("_horner", game_module._horner))
                 patch.setattr(IntGame, "loads", counting("loads", IntGame.loads))
+                patch.setattr(IntGame, "best_response",
+                              counting("audit_best_response", IntGame.best_response))
                 report = audit_trace(game, trace)
         assert report.passed, report.failures
         assert counts["_horner"] <= 75_000 and counts["loads"] <= 10, counts
+        assert counts["audit_best_response"] == 4_000, counts
         assert counts["views"] == 0, counts
 
     def test_trace_round_trip(self):

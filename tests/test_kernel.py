@@ -12,9 +12,9 @@ followed by the scan's own bookkeeping, must keep the loads, resource
 costs, player costs and potential of a recomputation.  run_algorithm
 must produce the very trace of a from-scratch Fraction replay of the
 phased dynamics, and at every step of every phase the solver's
-IncrementalScan must answer what first_eligible_move answers on an
-IntState built from scratch, as it must under a phase-free rule.  The
-exhaustive PoA oracles, min_equilibrium_factor (of all players, of a
+IncrementalScan must answer what reference_first_eligible_move answers
+on an IntState built from scratch, as it must under a phase-free rule.
+The exhaustive PoA oracles, min_equilibrium_factor (of all players, of a
 group and of each player alone, which decides her rho-moves), group_cost,
 social_cost and compute_schedule must return the values, states and
 errors of their from-scratch Fraction versions, also on lower-bound
@@ -60,7 +60,6 @@ from congames.dynamics import (
     IncrementalScan,
     IntState,
     compute_schedule,
-    first_eligible_move,
     run_algorithm,
     target_p,
 )
@@ -83,6 +82,7 @@ from conftest import (
 )
 from reference import (
     reference_compute_schedule,
+    reference_first_eligible_move,
     reference_group_cost,
     reference_min_equilibrium_factor,
     reference_rows,
@@ -320,8 +320,8 @@ def test_p_move_trace_matches_fraction_replay():
 def scan_checked_against_oracle():
     """Patch IncrementalScan.next_move so that each of its answers, its
     cached player costs and every best response it holds cached are
-    compared with first_eligible_move, player_costs and best_response on
-    loads recomputed from scratch; yields the answers."""
+    compared with reference_first_eligible_move, player_costs and
+    best_response on loads recomputed from scratch; yields the answers."""
     answers = []
     incremental = IncrementalScan.next_move
 
@@ -333,7 +333,7 @@ def scan_checked_against_oracle():
         for u, response in enumerate(scan.responses):
             if response is not None:
                 assert response == ig.best_response(scratch.choices, scratch.x, scratch.rcosts, u)
-        assert found == first_eligible_move(scratch, costs, scan.rule)
+        assert found == reference_first_eligible_move(scratch, costs, scan.rule)
         answers.append(found)
         return found
 
@@ -374,7 +374,7 @@ def test_incremental_scan_matches_scan_from_scratch_on_p_move_game():
 def test_incremental_scan_under_phase_free_rule(case, threshold):
     """Plain lowest-index threshold dynamics on the scan: one rule for
     every player at every cost, with no schedule, phase or fixed set.  Each
-    answer must be first_eligible_move's from scratch.  The run stops after
+    answer must be reference_first_eligible_move's from scratch.  The run stops after
     20 moves, as plain dynamics need not converge for d >= 2."""
     game, state, _ = case
     scan = IncrementalScan(game.compiled, state.choices)
