@@ -40,9 +40,11 @@ class CheckResult:
     """Outcome of a grid inequality check: ``worst_slack``, the least
     (rhs - lhs) / scale over the grid (negative: violated), the first
     ``worst_point`` with it, and ``passed``, that least slack against
-    TOLERANCE.  Every passing smoothness or combination check reports 0.0
-    at (0, 0.0, 0.0), where x = y = 0 makes both sides 0, so its slack
-    carries no margin."""
+    TOLERANCE.  A NaN slack is the worst of all: the check fails and
+    reports its first NaN point.  Every passing smoothness or combination
+    check reports 0.0 at (0, 0.0, 0.0), where x = y = 0 makes both sides
+    0, so its slack carries no margin, and those checks compute a slack
+    only where it can lower the worst (see _check_monomials)."""
 
     passed: bool
     worst_slack: float
@@ -215,33 +217,47 @@ def poa_bounds(d: int, rho: float) -> AnalysisResult:
     )
 
 
+def _worse(slack: float, worst: float) -> bool:
+    """Whether a slack lowers the worst so far: a NaN slack counts as the
+    worst of all, so the first one sets a worst no later slack lowers."""
+    return slack < worst or slack != slack and worst == worst
+
+
 def _check_monomials(d: int, a: float, b: float) -> CheckResult:
     """Grid-check y*(x+y)^v <= a*y*y^v + b*x*x^v for v = 0..d and x, y on
     GRID_AXIS: the worst signed relative slack and the first point
-    (v, x, y) attaining it."""
-    worst = math.inf
+    (v, x, y) attaining it (see _worse for a NaN slack).
+
+    The slack is computed only where it can lower the worst: at a point
+    with lhs <= rhs < inf it is a number >= 0, so once the worst is at
+    most 0 (the zero point, met first, sets it to 0 on finite a and b) only
+    the other points, the violations and the NaN slacks, are computed."""
+    worst = inf = math.inf
     worst_point: tuple = ()
     for v in range(d + 1):
+        ays = [a * y * y**v for y in GRID_AXIS]
         for x in GRID_AXIS:
             bx = b * x * x**v
-            for y in GRID_AXIS:
+            for y, ay in zip(GRID_AXIS, ays):
                 lhs = y * (x + y) ** v
-                rhs = a * y * y**v + bx
-                slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
-                if slack < worst:
-                    worst = slack
-                    worst_point = (v, x, y)
+                rhs = ay + bx
+                if worst > 0.0 or not lhs <= rhs < inf:
+                    slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
+                    if _worse(slack, worst):
+                        worst = slack
+                        worst_point = (v, x, y)
     return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)
 
 
 def _worst_slack(cases) -> CheckResult:
     """The worst signed relative slack (rhs - lhs) / max(|lhs|, |rhs|) over
-    (point, lhs, rhs) cases, and the first point attaining it."""
+    (point, lhs, rhs) cases, and the first point attaining it (see _worse
+    for a NaN slack)."""
     worst = math.inf
     worst_point: tuple = ()
     for point, lhs, rhs in cases:
         slack = (rhs - lhs) / max(abs(lhs), abs(rhs), 1e-300)
-        if slack < worst:
+        if _worse(slack, worst):
             worst = slack
             worst_point = point
     return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis, dynamics, instances, verify
 from .codec import format_rational, parse_rational, read_state, write_state
 from .errors import CongamesError, InstanceError, NoEquilibriumError, TraceMismatchError
-from .game import State, parse_instance, serialize_instance, validate_state
+from .game import MAX_DEGREE, State, parse_instance, serialize_instance, validate_state
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,8 +130,9 @@ _POA_COLUMNS = ("d", "rho", "phi", "poa_bound", "lambert_bound", "mu_hat", "B_at
 
 
 def _cmd_poa(args: argparse.Namespace) -> int:
-    if args.table is not None and args.table < 1:
-        print(f"congames poa: error: --table must be at least 1, got {args.table}", file=sys.stderr)
+    if args.table is not None and not 1 <= args.table <= MAX_DEGREE:
+        bound = "at least 1" if args.table < 1 else f"at most MAX_DEGREE = {MAX_DEGREE}"
+        print(f"congames poa: error: --table must be {bound}, got {args.table}", file=sys.stderr)
         return EXIT_USAGE
     d_values = list(range(1, args.table + 1)) if args.table else [args.d]
     try:  # a degree below 1, rho below 1, or a value past the float range

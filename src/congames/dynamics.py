@@ -131,32 +131,39 @@ def improves(cost, br_cost, threshold: Fraction) -> bool:
 
 
 class IntState:
-    """A state of the integer game: its choices, loads x, resource costs
-    and scaled potential, computed from scratch once and then kept by
-    move.  The solver's IncrementalScan is one, and the auditor replays a
-    trace on one, so a move's update is written here only; the PoA
-    oracles' walk keeps its own, from per-call tables (see verify._Walk)."""
+    """A state of the integer game: its choices, loads x and resource
+    costs, computed from scratch once and then kept by move, and its
+    scaled potential, computed on first read (move reads it before it
+    changes a load) and then kept by move too.  The solver's
+    IncrementalScan is one, and the auditor replays a trace on one, so a
+    move's update is written here only; the PoA oracles' walk keeps its
+    own, from per-call tables (see verify._Walk)."""
 
     def __init__(self, ig: IntGame, choices: Sequence[int]) -> None:
         self.ig = ig
         self.choices = list(choices)
         self.x = ig.loads(self.choices)
         self.rcosts = ig.resource_costs(self.x)
-        self.potential = ig.potential(self.x)
+
+    @cached_property
+    def potential(self) -> int:
+        """The scaled potential at the loads: the auditor's scans never read it."""
+        return self.ig.potential(self.x)
 
     def move(self, u: int, k: int) -> set[int]:
         """Switch player u to strategy k, updating the load, resource cost
         and potential on each resource the move changes; returns those
         resources, the symmetric difference of her old and new strategy."""
-        ig, x, rcosts = self.ig, self.x, self.rcosts
+        ig, x, rcosts, potential = self.ig, self.x, self.rcosts, self.potential
         w, potentials = ig.weights[u], ig.potentials
         old, new = set(ig.strategies[u][self.choices[u]]), set(ig.strategies[u][k])
         changed = old ^ new
         for e in changed:
             x_new = x[e] + w if e in new else x[e] - w
-            self.potential += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
+            potential += _horner(potentials[e], x_new) - _horner(potentials[e], x[e])
             x[e] = x_new
             rcosts[e] = _horner(ig.costs[e], x_new)
+        self.potential = potential
         self.choices[u] = k
         return changed
 

@@ -131,6 +131,18 @@ def crafted_p_move_game() -> tuple[Game, State]:
     return Game(degree=2, resources=tuple(res), players=tuple(players)), State((0,) * 6)
 
 
+def vacated_game() -> Game:
+    """Player 0 sits on a cost-3 resource; her other strategy is an x-cost
+    resource that player 1 holds, at cost 2 to her, which does not beat
+    alpha + 1/p = 7/3 at p = 3.  Player 1 then leaves it for a cost-1/4
+    one, and player 0's move to it, at cost 1, becomes eligible: a scan
+    that keeps player 0's best response from before player 1's move
+    misses it, as her current strategy uses no resource the move changed."""
+    resources = (CostPolynomial((Fraction(3),)), CostPolynomial((Fraction(0), Fraction(1))),
+                 CostPolynomial((Fraction(1, 4),)))
+    return Game(1, resources, (make_player(1, [[0], [1]]), make_player(1, [[1], [2]])))
+
+
 rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 8))
 weights = st.builds(Fraction, st.integers(1, 24), st.integers(1, 8))
 

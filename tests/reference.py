@@ -41,7 +41,9 @@ MoveRecord, Trace, the move classes and the errors):
 - Random games: instances.gen_random, each resource subset drawn by
   popping from a list of the resources not yet picked.  Calls SplitMix64
   and instances._sample_fraction, which define the stream.
-- Analysis: analysis.phi_ratio, by bisection.  Nothing.
+- Analysis: analysis.phi_ratio, by bisection, and the grid check
+  analysis._check_monomials, by the loop that computes the slack at every
+  point.  Takes GRID_AXIS and TOLERANCE, which define the check.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from congames.analysis import GRID_AXIS, TOLERANCE, CheckResult
 from congames.codec import format_rational, parse_rational
 from congames.dynamics import (
     ALPHA_MOVE,
@@ -945,3 +948,22 @@ def bisect_phi(d: int, rho: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_check_monomials(d: int, a: float, b: float) -> CheckResult:
+    """analysis._check_monomials with the slack computed at every grid
+    point: the least slack and the first point attaining it, or the first
+    NaN slack, which fails the check, over any number."""
+    worst = math.inf
+    worst_point: tuple = ()
+    for v in range(d + 1):
+        for x in GRID_AXIS:
+            bx = b * x * x**v
+            for y in GRID_AXIS:
+                lhs = y * (x + y) ** v
+                rhs = a * y * y**v + bx
+                slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
+                if slack < worst or math.isnan(slack) and not math.isnan(worst):
+                    worst = slack
+                    worst_point = (v, x, y)
+    return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congames import (
     check_combination_inequality,
@@ -19,13 +21,15 @@ from congames import (
 )
 from congames.analysis import (
     GRID_AXIS,
+    _check_monomials,
+    _worst_slack,
     check_concavity_inequality,
     check_epsilon_inverse_bound,
     combination_constant,
 )
 
-from conftest import GOLDEN
-from reference import bisect_phi
+from conftest import GOLDEN, SETTINGS
+from reference import bisect_phi, reference_check_monomials
 
 
 class TestLambertW:
@@ -254,3 +258,42 @@ class TestPinnedResults:
     def test_concavity_and_epsilon_inverse(self):
         assert pinned(check_concavity_inequality()) == (True, -1.1037178115902433e-13, (1.0, Y_LOW))
         assert pinned(check_epsilon_inverse_bound()) == (True, 5.049995782979128e-07, (100, 1e6))
+
+
+# Finite coefficients, with zeros of both signs, negatives, the least
+# subnormal, and values so large that a side overflows to inf
+COEFFS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 5e-324, 1e13, 1e300, -1e300, 1.7976931348623157e308]
+)
+POA_PAIR = poa_bounds(3, 1.5)
+
+
+class TestGridCheckSkip:
+    """The grid check computes a slack only where it can lower the worst;
+    the reference computes it at every point."""
+
+    @settings(SETTINGS, max_examples=100)
+    @given(st.integers(0, 5), COEFFS, COEFFS)
+    @example(3, POA_PAIR.lambda_hat, POA_PAIR.mu_hat)  # passes, 0.0 at the zero point
+    @example(3, 0.5, 1e13)  # fails, at a point past the zero point's row
+    @example(2, -1.0, -2.0)  # -0.0 at the zero point
+    @example(2, 1e308, 0.5)  # the right side overflows to inf: a NaN slack past the zero point
+    @example(1, -1e308, 1e308)  # inf - inf on the right side
+    def test_matches_the_slack_at_every_point(self, d, a, b):
+        assert repr(_check_monomials(d, a, b)) == repr(reference_check_monomials(d, a, b))
+
+    @pytest.mark.parametrize("res", [
+        check_smoothness_constraint(1, 1.0, math.inf, 0.5),
+        check_smoothness_constraint(1, 1.0, math.nan, 0.5),
+        check_combination_inequality(1, 1e-320),  # the constant overflows to inf
+    ], ids=["inf", "nan", "overflow"])
+    def test_nan_or_infinite_input_fails(self, res):
+        assert not res.passed and math.isnan(res.worst_slack), res
+        assert res.worst_point == (0, 0.0, 0.0)
+
+    def test_nan_slack_fails_at_its_first_point(self):
+        res = _worst_slack(
+            [("a", 1.0, 2.0), ("b", 2.0, 1.0), ("c", math.nan, 1.0), ("d", math.inf, 1.0),
+             ("e", 9.0, 1.0)]
+        )
+        assert not res.passed and math.isnan(res.worst_slack) and res.worst_point == "c"

@@ -87,6 +87,7 @@ from conftest import (
     header_mutations,
     mutation_traces,
     record_mutations,
+    vacated_game,
     weights,
     with_choice,
 )
@@ -361,15 +362,6 @@ def stale_response_move(scan: IncrementalScan, u: int, k: int) -> set[int]:
         if answers[v] is not None:
             heapq.heappush(scan.heap, v)
     return changed
-
-
-def vacated_game() -> Game:
-    """Player 0 sits on a cost-3 resource; her other strategy is an x-cost
-    resource that player 1 holds, at cost 2 to her, which does not beat
-    alpha + 1/p = 7/3 at p = 3.  Player 1 then leaves it for a cost-1/4
-    one, and player 0's move to it, at cost 1, becomes eligible."""
-    players = (make_player(1, [[0], [1]]), make_player(1, [[1], [2]]))
-    return Game(1, (constant(3), LINEAR, constant(Fraction(1, 4))), players)
 
 
 def test_audit_does_not_inherit_a_stale_scan():

@@ -97,6 +97,14 @@ class TestPoa:
         assert f"--table must be at least 1, got {table}" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("table", ["1001", str(10**20)])
+    def test_table_above_max_degree_is_a_usage_error(self, table, capsys):
+        code, out, err = run(capsys, "poa", "--table", table)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"--table must be at most MAX_DEGREE = 1000, got {table}" in err
+        assert out == ""
+
     def test_degree_and_rho_grid_never_ends_in_a_traceback(self, capsys):
         # 13 degrees by 11 values of rho, from the float analysis's edges to
         # past the float range; rho = 10^10 once failed the Lambert check.
@@ -393,8 +401,9 @@ def test_audit_of_a_mutated_trace(fuzz_case, data):
 
 
 # Values for the argv fuzzer: integers small enough that no game or
-# bisection grows without bound (the degree also takes 10^20, which every
-# command must reject at once), and rationals valid or malformed.
+# bisection grows without bound (the degree and poa's --table also take
+# 10^20, which every command must reject at once), and rationals valid or
+# malformed.
 FUZZ_INTS = st.integers(-3, 20).map(str)
 FUZZ_RATIONALS = st.one_of(
     st.builds("{}/{}".format, st.integers(-3, 20), st.integers(1, 20)),
@@ -457,7 +466,8 @@ def test_argv_fuzz(argv_root, data):
         if not data.draw(st.sampled_from(kept)):
             continue
         if action.type is int:
-            values = FUZZ_INTS | st.just(str(10**20)) if action.dest == "d" else FUZZ_INTS
+            huge = action.dest in ("d", "table")
+            values = FUZZ_INTS | st.just(str(10**20)) if huge else FUZZ_INTS
         elif action.choices:
             values = st.sampled_from([*action.choices, "xml"])
         elif action.dest in FUZZ_TEXT:

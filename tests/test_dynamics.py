@@ -346,9 +346,11 @@ class TestRunAlgorithm:
         calls, where re-deriving the cost of every player with a strategy
         on a changed resource makes 49,444.  The auditor updates
         only the resources a move changes and builds a scan from scratch
-        once per phase end after a move: 38,810 polynomial evaluations and
-        6 load computations, where a replay with loads and potential from
-        scratch after every move makes 329,917 and 547.  It makes 4,000
+        once per phase end after a move: 38,310 polynomial evaluations, 6
+        load computations and one potential, its replay's (a scan that
+        computes the potential it never reads makes 38,810 and 2), where a
+        replay with loads and potential from scratch after every move
+        makes 329,917 evaluations and 547 load computations.  It makes 4,000
         best-response calls: 2,000 at the phase-0 end, none at the
         phase-1 end, where no move came between and the scan's cached
         answers stand (a scan per phase end makes 2,000 more), and 2,000
@@ -361,9 +363,8 @@ class TestRunAlgorithm:
             coeff_range=(Fraction(1, 4), Fraction(2)), weight_range=(Fraction(1), Fraction(3)),
             seed=5,
         ))
-        counts = dict.fromkeys(
-            ["best_response", "player_cost", "_horner", "loads", "audit_best_response", "views"], 0
-        )
+        counts = dict.fromkeys(["best_response", "player_cost", "_horner", "loads", "potential",
+                                "audit_best_response", "views"], 0)
 
         def counting(name, fn):
             def call(*args):
@@ -386,14 +387,17 @@ class TestRunAlgorithm:
             assert counts["best_response"] <= 100_000
             assert counts["player_cost"] == 18_037, counts
             with monkeypatch.context() as patch:
+                horner = counting("_horner", game_module._horner)  # one wrapper, counted once
                 for module in (game_module, dynamics, verify):
-                    patch.setattr(module, "_horner", counting("_horner", game_module._horner))
+                    patch.setattr(module, "_horner", horner)
                 patch.setattr(IntGame, "loads", counting("loads", IntGame.loads))
+                patch.setattr(IntGame, "potential", counting("potential", IntGame.potential))
                 patch.setattr(IntGame, "best_response",
                               counting("audit_best_response", IntGame.best_response))
                 report = audit_trace(game, trace)
         assert report.passed, report.failures
         assert counts["_horner"] <= 75_000 and counts["loads"] <= 10, counts
+        assert (counts["_horner"], counts["potential"]) == (38_310, 1), counts
         assert counts["audit_best_response"] == 4_000, counts
         assert counts["views"] == 0, counts
 
