@@ -10,7 +10,8 @@ route to the same constant goes through
 
 whose infimum over mu in (0,1) is attained at mu_hat and equals
 Phi^(d+1).  The check_* operations verify the underlying polynomial
-inequalities numerically on log-spaced grids.
+inequalities numerically on log-spaced grids, through one grid checker,
+_worst_slack, over the (point, lhs, rhs) cases each check generates.
 
 This module works in 64-bit floats; all tolerances are stated per
 operation.  It feeds reports and test assertions only — the solver's
@@ -37,14 +38,16 @@ TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a grid inequality check: ``worst_slack``, the least
-    (rhs - lhs) / scale over the grid (negative: violated), the first
-    ``worst_point`` with it, and ``passed``, that least slack against
-    TOLERANCE.  A NaN slack is the worst of all: the check fails and
-    reports its first NaN point.  Every passing smoothness or combination
-    check reports 0.0 at (0, 0.0, 0.0), where x = y = 0 makes both sides
-    0, so its slack carries no margin, and those checks compute a slack
-    only where it can lower the worst (see _check_monomials)."""
+    """Outcome of a grid inequality check (see _worst_slack):
+    ``worst_slack``, the least (rhs - lhs) / scale over the grid
+    (negative: violated), the first ``worst_point`` with it, and
+    ``passed``, that least slack against TOLERANCE.  A NaN slack is the
+    worst of all: the check fails and reports its first NaN point.  Every
+    passing smoothness or combination check reports 0.0 at (0, 0.0, 0.0),
+    where x = y = 0 makes both sides 0, so its slack carries no margin,
+    and those checks generate only the cases that can lower the worst (see
+    _monomial_cases).  A side past the float range is inf and gives a NaN
+    slack, so from d = 93 on, where y*(x+y)^d passes it, they fail."""
 
     passed: bool
     worst_slack: float
@@ -217,50 +220,56 @@ def poa_bounds(d: int, rho: float) -> AnalysisResult:
     )
 
 
-def _worse(slack: float, worst: float) -> bool:
-    """Whether a slack lowers the worst so far: a NaN slack counts as the
-    worst of all, so the first one sets a worst no later slack lowers."""
-    return slack < worst or slack != slack and worst == worst
-
-
-def _check_monomials(d: int, a: float, b: float) -> CheckResult:
-    """Grid-check y*(x+y)^v <= a*y*y^v + b*x*x^v for v = 0..d and x, y on
-    GRID_AXIS: the worst signed relative slack and the first point
-    (v, x, y) attaining it (see _worse for a NaN slack).
-
-    The slack is computed only where it can lower the worst: at a point
-    with lhs <= rhs < inf it is a number >= 0, so once the worst is at
-    most 0 (the zero point, met first, sets it to 0 on finite a and b) only
-    the other points, the violations and the NaN slacks, are computed."""
-    worst = inf = math.inf
-    worst_point: tuple = ()
-    for v in range(d + 1):
-        ays = [a * y * y**v for y in GRID_AXIS]
-        for x in GRID_AXIS:
-            bx = b * x * x**v
-            for y, ay in zip(GRID_AXIS, ays):
-                lhs = y * (x + y) ** v
-                rhs = ay + bx
-                if worst > 0.0 or not lhs <= rhs < inf:
-                    slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
-                    if _worse(slack, worst):
-                        worst = slack
-                        worst_point = (v, x, y)
-    return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)
-
-
 def _worst_slack(cases) -> CheckResult:
-    """The worst signed relative slack (rhs - lhs) / max(|lhs|, |rhs|) over
-    (point, lhs, rhs) cases, and the first point attaining it (see _worse
-    for a NaN slack)."""
+    """The grid checker: the worst signed relative slack
+    (rhs - lhs) / max(|lhs|, |rhs|) over (point, lhs, rhs) cases, and the
+    first point attaining it.  A NaN slack is the worst of all: the first
+    one sets a worst that no later slack lowers, and the check fails."""
     worst = math.inf
     worst_point: tuple = ()
     for point, lhs, rhs in cases:
         slack = (rhs - lhs) / max(abs(lhs), abs(rhs), 1e-300)
-        if _worse(slack, worst):
+        if slack < worst or slack != slack and worst == worst:
             worst = slack
             worst_point = point
     return CheckResult(passed=worst >= -TOLERANCE, worst_slack=worst, worst_point=worst_point)
+
+
+def _monomial_cases(d: int, a: float, b: float):
+    """The cases of y*(x+y)^v <= a*y*y^v + b*x*x^v, for v = 0..d and x, y
+    on GRID_AXIS, that can set the worst slack.  A float power past the
+    float range is inf, which gives a NaN slack.
+
+    First the zero point (0, 0.0, 0.0), where lhs = 0 and rhs = 0 on finite
+    a and b, then, in grid order, only the points where not
+    lhs <= rhs < inf: the violations and the NaN slacks.  A point skipped
+    has a slack >= 0, so it cannot lower the zero point's 0 (or its NaN)."""
+    inf = math.inf
+    yield (0, 0.0, 0.0), 0.0, a * 0.0 + b * 0.0
+    for v in range(d + 1):
+        powers = []  # t**v for t on GRID_AXIS
+        for t in GRID_AXIS:
+            try:
+                powers.append(t**v)
+            except OverflowError:
+                powers.append(inf)
+        ays = [a * y * yv for y, yv in zip(GRID_AXIS, powers)]
+        for x, xv in zip(GRID_AXIS, powers):
+            bx = b * x * xv
+            for y, ay in zip(GRID_AXIS, ays):
+                try:
+                    lhs = y * (x + y) ** v
+                except OverflowError:
+                    lhs = y * inf
+                rhs = ay + bx
+                if not lhs <= rhs < inf:
+                    yield (v, x, y), lhs, rhs
+
+
+def _check_monomials(d: int, a: float, b: float) -> CheckResult:
+    """Grid-check y*(x+y)^v <= a*y*y^v + b*x*x^v for v = 0..d and x, y on
+    GRID_AXIS: the worst slack and the first point (v, x, y) with it."""
+    return _worst_slack(_monomial_cases(d, a, b))
 
 
 def check_smoothness_constraint(d: int, rho: float, lam: float, mu: float) -> CheckResult:

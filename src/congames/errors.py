@@ -51,11 +51,6 @@ class MoveBudgetExceededError(CongamesError):
     """A phase exceeded its theoretical move budget; indicates a bug."""
 
 
-class PrecisionTooLowError(CongamesError):
-    """The rational root approximation is too coarse to certify the
-    generated instance's equilibrium property."""
-
-
 class StateSpaceTooLargeError(CongamesError):
     """Exhaustive enumeration was requested on a game above the state cap."""
 

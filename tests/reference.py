@@ -43,7 +43,8 @@ MoveRecord, Trace, the move classes and the errors):
   and instances._sample_fraction, which define the stream.
 - Analysis: analysis.phi_ratio, by bisection, and the grid check
   analysis._check_monomials, by the loop that computes the slack at every
-  point.  Takes GRID_AXIS and TOLERANCE, which define the check.
+  point, with every power past the float range taken as inf.  Takes
+  GRID_AXIS and TOLERANCE, which define the check.
 """
 
 from __future__ import annotations
@@ -950,18 +951,27 @@ def bisect_phi(d: int, rho: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _float_power(t: float, v: int) -> float:
+    """t**v, or inf where the float power passes the float range."""
+    try:
+        return t**v
+    except OverflowError:
+        return math.inf
+
+
 def reference_check_monomials(d: int, a: float, b: float) -> CheckResult:
     """analysis._check_monomials with the slack computed at every grid
     point: the least slack and the first point attaining it, or the first
-    NaN slack, which fails the check, over any number."""
+    NaN slack, which fails the check, over any number.  A power past the
+    float range is inf."""
     worst = math.inf
     worst_point: tuple = ()
     for v in range(d + 1):
         for x in GRID_AXIS:
-            bx = b * x * x**v
+            bx = b * x * _float_power(x, v)
             for y in GRID_AXIS:
-                lhs = y * (x + y) ** v
-                rhs = a * y * y**v + bx
+                lhs = y * _float_power(x + y, v)
+                rhs = a * y * _float_power(y, v) + bx
                 slack = (rhs - lhs) / max(lhs, abs(rhs), 1e-300)  # lhs >= 0 on the grid
                 if slack < worst or math.isnan(slack) and not math.isnan(worst):
                     worst = slack

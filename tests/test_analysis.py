@@ -297,3 +297,18 @@ class TestGridCheckSkip:
              ("e", 9.0, 1.0)]
         )
         assert not res.passed and math.isnan(res.worst_slack) and res.worst_point == "c"
+
+    @pytest.mark.parametrize("d", [93, 94, 120])
+    def test_powers_past_the_float_range(self, d):
+        """From d = 94 the power (x + y)**v passes the float range, and from
+        d = 103 x**v does too; each is inf, so the check fails, with a NaN
+        slack like d = 93's, and raises nothing."""
+        r = poa_bounds(d, 1.0)
+        for res, a, b in [
+            (check_smoothness_constraint(d, 1.0, r.lambda_hat, r.mu_hat), r.lambda_hat, r.mu_hat),
+            (check_combination_inequality(d, 1.0), 2.0, combination_constant(d, 1.0)),
+            (_check_monomials(d, 0.0, 0.0), 0.0, 0.0),
+        ]:
+            assert not res.passed, res
+            assert math.isnan(res.worst_slack)
+            assert repr(res) == repr(reference_check_monomials(d, a, b))

@@ -24,15 +24,18 @@ from congames import (
     normalize,
     player_costs,
     run_algorithm,
+    serialize_instance,
     target_p,
 )
 from congames import dynamics, verify
+from congames.cli import main
 from congames import game as game_module
 from congames.dynamics import (
     ALPHA_MOVE,
     P_MOVE,
     IncrementalScan,
     IntState,
+    Schedule,
     _ceil_log2,
     read_trace,
     write_trace,
@@ -41,6 +44,7 @@ from congames.errors import (
     AlreadyZeroError,
     MalformedInstanceError,
     MalformedTraceError,
+    MoveBudgetExceededError,
     ZeroMinCostError,
 )
 from congames.game import IntGame
@@ -408,6 +412,33 @@ class TestRunAlgorithm:
         write_trace(trace, buf)
         buf.seek(0)
         assert read_trace(buf) == trace
+
+    def test_move_budget_guard(self, tmp_path, monkeypatch, capsys):
+        """Phase 0 of this game makes k = 3 moves.  With phase 0's budget
+        at k the run is unchanged; at k - 1 it raises at move k, and solve
+        exits 3 with a message, not a traceback."""
+        game = gen_random(4, 1, 4, 2, 2, coeff_range=(Fraction(1, 4), Fraction(2)), seed=4)
+        s0 = State((0,) * game.n)
+        trace = run_algorithm(game, s0)[1]
+        k = sum(mv.phase == 0 for mv in trace.moves)
+        assert k == 3
+        budget = Schedule.move_budget
+
+        def cap_phase_0(cap):
+            monkeypatch.setattr(Schedule, "move_budget",
+                                lambda self, phase: cap if phase == 0 else budget(self, phase))
+
+        cap_phase_0(k)
+        assert run_algorithm(game, s0)[1] == trace
+        cap_phase_0(k - 1)
+        with pytest.raises(MoveBudgetExceededError, match="phase 0 exceeded its move budget 2"):
+            run_algorithm(game, s0)
+        path = tmp_path / "game.json"
+        path.write_text(serialize_instance(game))
+        code = main(["solve", "--input", str(path), "--output", str(tmp_path / "state.json")])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err
+        assert "input error: phase 0 exceeded its move budget 2" in err
 
 
 @pytest.mark.parametrize(

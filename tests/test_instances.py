@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from congames import (
     gen_lower_bound,
@@ -20,7 +22,7 @@ from congames.game import MAX_DEGREE
 from congames.instances import SplitMix64, rational_root_below
 
 import reference
-from conftest import GOLDEN, with_choice
+from conftest import GOLDEN, SETTINGS, with_choice
 from reference import reference_gen_random, reference_lower_bound_game
 
 
@@ -69,15 +71,38 @@ class TestLowerBoundFamily:
             bundle = gen_lower_bound(d, rho, 4, 30)
             assert min_equilibrium_factor(bundle.game, bundle.equilibrium_state) == rho
 
-    def test_improvement_ratios_certified(self):
-        bundle = gen_lower_bound(2, Fraction(3, 2), 5, 40)
-        rho = Fraction(3, 2)
-        tol = Fraction(1, 10**38)
+    @SETTINGS
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8).flatmap(lambda q: st.integers(q, 8 * q).map(lambda p: Fraction(p, q))),
+        st.integers(10, 50),
+        st.integers(1, 6),
+    )
+    @example(2, Fraction(3, 2), 40, 5)
+    def test_improvement_ratios(self, d, rho, digits, n):
+        """At the all-congested state player 0's stay/leave ratio is rho and
+        every other player's lies in (rho*(1 - 10^-digits), rho].
+
+        Player 0's ratio is c_1(w)/c_0 = r^(d+2) / (r^(d+2)/rho) = rho for
+        every r.  Player u >= 1's telescopes to rho*g(r), with
+        g(x) = x^(d+1) / (rho*(1+x)^d), and g(Phi) = 1 at the root Phi.
+        g'(x) = g(x)*(x+d+1) / (x*(x+1)) > 0, so g(r) <= 1, as r <= Phi.
+        By the mean value theorem 1 - g(r) = g'(xi)*(Phi - r) for some xi
+        in (r, Phi); there g(xi) <= 1 and (xi+d+1) / (xi*(xi+1)) decreases
+        in xi, so with 0 <= Phi - r <= 10^-digits
+        1 - g(r) <= (r+d+1) / (r*(r+1)) * 10^-digits.  The factor is largest
+        at d = 1, rho = 1, where it is about 0.854 (for every d up to
+        MAX_DEGREE), so 1 - g(r) < 0.86 * 10^-digits."""
+        bundle = gen_lower_bound(d, rho, n, digits)
         s = bundle.equilibrium_state
-        for u in range(5):
-            stay = reference.player_costs(bundle.game, s)[u]
-            leave = reference.player_costs(bundle.game, with_choice(s, u, 0))[u]
-            assert abs(stay / leave / rho - 1) <= tol
+        stay = reference.player_costs(bundle.game, s)
+        ratios = [
+            stay[u] / reference.player_costs(bundle.game, with_choice(s, u, 0))[u]
+            for u in range(n)
+        ]
+        assert ratios[0] == rho
+        assert all(rho * (1 - Fraction(1, 10**digits)) < q <= rho for q in ratios[1:])
+        assert min_equilibrium_factor(bundle.game, s) == rho
 
     def test_precision_floor(self):
         with pytest.raises(MalformedInstanceError):

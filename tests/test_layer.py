@@ -3,8 +3,8 @@ named reference_* or _reference_*, is defined in tests/reference.py, and
 no test module imports another.  The one exception is conftest, which
 reads the golden cases, CASES and _cli, from test_golden.  And two rules
 of the package's: JSON is decoded, and the int/str digit limit mapped to
-DigitLimitError, only in src/congames/codec.py; and every module stays
-under PARSER_TOKENS tokens."""
+DigitLimitError, only in src/congames/codec.py; one function computes a
+grid check's slack; and every module stays under PARSER_TOKENS tokens."""
 
 from __future__ import annotations
 
@@ -55,6 +55,27 @@ def test_one_codec():
                 if _name(exc).split(".")[-1] == "DigitLimitError":
                     found.append(f"{path.name}:{node.lineno} raises DigitLimitError")
     assert found and all(site.startswith("codec.py:") for site in found), found
+
+
+def _slack_sites(node: ast.AST, where: str, found: set) -> None:
+    """Add to found each function (module.function, nested ones dotted on)
+    that computes a grid slack (rhs - lhs) / ..."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        where = f"{where}.{getattr(node, 'name', '<lambda>')}"
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and (_name(node.left.left), _name(node.left.right)) == ("rhs", "lhs")):
+        found.add(where)
+    for child in ast.iter_child_nodes(node):
+        _slack_sites(child, where, found)
+
+
+def test_one_grid_checker():
+    """Every grid check goes through one loop, analysis._worst_slack."""
+    found: set = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        _slack_sites(ast.parse(path.read_text()), path.stem, found)
+    assert len(found) == 1, sorted(found)
 
 
 def test_modules_under_the_parser_token_doubling():
