@@ -52,6 +52,10 @@ def _factor_str(factor) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.trace and Path(args.trace).resolve() == Path(args.output).resolve():
+        print(f"congames solve: error: --trace and --output name the same file, {args.trace}",
+              file=sys.stderr)
+        return EXIT_USAGE
     game, initial = _read_instance(args.input)
     state = initial if initial is not None else State((0,) * game.n)
     final, trace = dynamics.run_algorithm(game, state, p_override=args.p_override)

@@ -1,7 +1,8 @@
 """The file codecs' shared rules: the rational text form "p/q", the JSON
-reader (read_json), which maps text that is not UTF-8 or not JSON to the
-caller's error class and a number past the interpreter's int/str digit
-limit (4,300 digits by default) to DigitLimitError, and the state file.
+reader (read_json), which maps text that is not UTF-8 or not JSON, or
+nested deeper than the decoder recurses, to the caller's error class and
+a number past the interpreter's int/str digit limit (4,300 digits by
+default) to DigitLimitError, and the state file.
 The instance schema is in game.py and the trace schema in dynamics.py:
 they build the package's types, which this module does not import.
 """
@@ -44,14 +45,15 @@ def format_rational(value: Fraction) -> str:
 def read_json(source, error: type[Exception], invalid: str, where: str, lines: bool = False):
     """The JSON document of ``source`` (text, UTF-8 bytes or a text stream),
     or with lines=True the documents of its nonblank lines (JSON Lines).
-    Bad text raises error(f"{invalid}: ..."), a long integer DigitLimitError."""
+    Bad text, nesting too deep for the decoder included, raises
+    error(f"{invalid}: ..."), a long integer DigitLimitError."""
     try:
         text = source.read() if hasattr(source, "read") else source
         text = text.decode("utf-8") if isinstance(text, bytes) else text
         if lines:
             return [json.loads(line) for line in text.splitlines() if line.strip()]
         return json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{invalid}: {exc}") from exc
     except ValueError as exc:  # an integer literal past the int/str digit limit
         raise DigitLimitError(f"integer too long in {where}: {exc}") from exc

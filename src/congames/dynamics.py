@@ -462,7 +462,11 @@ def _bool(value, what: str) -> bool:
 
 
 def _ints(value, what: str) -> tuple[int, ...]:
-    return tuple(_int(k, what) for k in _list(value, what))
+    """A list of ints as a tuple: the types are checked all at once, and
+    item by item only to name the first that is not an int."""
+    if {*map(type, _list(value, what))} <= {int}:
+        return tuple(value)
+    return tuple(_int(k, what) for k in value)  # raises at the first non-int
 
 
 def _int_lists(value, what: str) -> list[tuple[int, ...]]:
@@ -519,11 +523,15 @@ def _from_doc(cls, doc, where: str, **given):
     return cls(**given, **read_fields)
 
 
+# json.dumps(doc, sort_keys=True), with the encoder made once
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_trace(trace: Trace, fp: IO[str]) -> None:
     """Write a trace as JSON Lines: one header line, then one move per line."""
-    fp.write(json.dumps(_to_doc(trace), sort_keys=True) + "\n")
+    fp.write(_encode(_to_doc(trace)) + "\n")
     for mv in trace.moves:
-        fp.write(json.dumps(_to_doc(mv), sort_keys=True) + "\n")
+        fp.write(_encode(_to_doc(mv)) + "\n")
 
 
 def read_trace(fp: IO[str]) -> Trace:

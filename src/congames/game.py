@@ -74,14 +74,10 @@ def check_degree(degree: int) -> None:
         raise MalformedInstanceError(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
 
-def _at(kind: str, i: int, build: Callable, *args):
-    """build(*args), with an InstanceError it raises prefixed by the index
-    of what it builds ("resource 3: ", "player 0: "), which build does not
-    know; the error keeps its class."""
-    try:
-        return build(*args)
-    except InstanceError as exc:
-        raise type(exc)(f"{kind} {i}: {exc}") from exc
+def _at(exc: InstanceError, kind: str, i: int) -> InstanceError:
+    """The error exc of building item i, prefixed by the index it does not
+    know ("resource 3: ", "player 0: "); the error keeps its class."""
+    return type(exc)(f"{kind} {i}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +172,13 @@ class Game:
             raise MalformedInstanceError("game needs at least one player")
         if not self.resources:
             raise MalformedInstanceError("game needs at least one resource")
-        object.__setattr__(self, "resources", tuple(
-            _at("resource", i, p.padded, self.degree) for i, p in enumerate(self.resources)
-        ))
+        resources: list[CostPolynomial] = []
+        try:
+            for p in self.resources:
+                resources.append(p.padded(self.degree))
+        except InstanceError as exc:
+            raise _at(exc, "resource", len(resources)) from exc
+        object.__setattr__(self, "resources", tuple(resources))
         m = len(self.resources)
         for u, player in enumerate(self.players):
             for strat in player.strategies:
@@ -434,44 +434,52 @@ class IntGame:
         return -(-c.numerator * self.W * self.D // c.denominator)
 
 
-def _scale(
-    polys: Sequence[Sequence[Fraction]], W: int
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """A common denominator L * W^t of every coefficient of every p(X/W),
-    with each polynomial's integer coefficients over it, highest first: L
-    is the lcm of the coefficient denominators (taken in ascending order,
-    cheap when each divides the next) and t the top exponent, so a_v/W^v
-    becomes a_v.numerator * (L // a_v.denominator) * W^(t-v), with no gcd."""
-    top = max(len(coeffs) for coeffs in polys) - 1
-    descending = sorted({a.denominator for coeffs in polys for a in coeffs}, reverse=True)
+def _common_denominator(values: Iterable[Fraction]) -> tuple[int, dict[int, int]]:
+    """L, the lcm of the values' denominators (taken in ascending order,
+    cheap when each divides the next), and L // d for each denominator d."""
+    descending = sorted({a.denominator for a in values}, reverse=True)
     L = math.lcm(*reversed(descending))
     # L // d for each denominator d, largest first: when d divides the next
     # larger e, L // d = (L // e) * (e // d), a short division, not a long one
     quotient: dict[int, int] = {}
     for d, e in zip(descending, [0, *descending]):
         quotient[d] = quotient[e] * (e // d) if e and e % d == 0 else L // d
-    powers = [W ** (top - v) for v in range(top + 1)]
-    return L * powers[0], tuple(
-        tuple(
-            a.numerator * quotient[a.denominator] * powers[v] if a else 0
-            for v, a in reversed(tuple(enumerate(coeffs)))
-        )
+    return L, quotient
+
+
+def _scale(
+    polys: Sequence[Sequence[Fraction]], W: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A common denominator L * W^t of every coefficient of every p(X/W),
+    with each polynomial's integer coefficients over it, highest first: L
+    is the lcm of the coefficient denominators (_common_denominator) and t
+    the top exponent, so a_v/W^v becomes a_v.numerator * (L //
+    a_v.denominator) * W^(t-v), with no gcd."""
+    top = max(map(len, polys)) - 1
+    L, quotient = _common_denominator(a for coeffs in polys for a in coeffs)
+    powers = [W ** v for v in range(top + 1)]  # coefficient v's factor is powers[top - v]
+    return L * powers[top], tuple([
+        tuple([
+            a.numerator * quotient[a.denominator] * w
+            for a, w in zip(reversed(coeffs), powers[top + 1 - len(coeffs):])
+        ])
         for coeffs in polys
-    )
+    ])
 
 
 def compile_game(game: Game) -> IntGame:
     """Compile a game to the integer form of IntGame: W is the lcm of the
-    weight denominators and D the denominator, both made by _scale, which
-    also scales each weight w to the integer w * W.  Use Game.compiled,
-    which compiles each Game once."""
-    W, weights = _scale([(p.weight,) for p in game.players], 1)
+    weight denominators (_common_denominator), each weight w becomes the
+    integer w * W, and D is the denominator made by _scale.  Use
+    Game.compiled, which compiles each Game once."""
+    weights = [p.weight for p in game.players]
+    W, quotient = _common_denominator(weights)
     D, costs = _scale([poly.coeffs for poly in game.resources], W)
     return IntGame(
         W=W,
         D=D,
-        weights=tuple(w for (w,) in weights),
-        strategies=tuple(p.strategies for p in game.players),
+        weights=tuple([w.numerator * quotient[w.denominator] for w in weights]),
+        strategies=tuple([p.strategies for p in game.players]),
         costs=costs,
     )
 
@@ -481,10 +489,19 @@ def compile_game(game: Game) -> IntGame:
 # --------------------------------------------------------------------------
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise MalformedInstanceError(f"unknown keys {sorted(unknown)} in {where}")
+_KEYS = {
+    "instance": frozenset({"degree", "resources", "players", "initial_state"}),
+    "resource": frozenset({"coeffs"}),
+    "player": frozenset({"weight", "strategies"}),
+}
+
+
+def _require_keys(obj: dict, kind: str, i: int | None = None) -> None:
+    """Reject a key of obj outside _KEYS[kind]; the message names the item
+    as "resource 3" (kind and index) and is formatted only on failure."""
+    if not obj.keys() <= _KEYS[kind]:
+        where = kind if i is None else f"{kind} {i}"
+        raise MalformedInstanceError(f"unknown keys {sorted(obj.keys() - _KEYS[kind])} in {where}")
 
 
 def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
@@ -514,7 +531,7 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
     raw = read_json(data, MalformedInstanceError, "invalid JSON", "instance")
     if not isinstance(raw, dict):
         raise MalformedInstanceError("top level must be an object")
-    _require_keys(raw, {"degree", "resources", "players", "initial_state"}, "instance")
+    _require_keys(raw, "instance")
 
     # read_json makes every integer an exact int, so type() rejects bools
     degree = raw.get("degree")
@@ -527,11 +544,15 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
     for i, entry in enumerate(raw["resources"]):
         if not isinstance(entry, dict):
             raise MalformedInstanceError(f"resource {i} must be an object")
-        _require_keys(entry, {"coeffs"}, f"resource {i}")
+        _require_keys(entry, "resource", i)
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list):
             raise MalformedInstanceError(f"resource {i}: 'coeffs' must be a list")
-        resources.append(_at("resource", i, CostPolynomial, tuple(map(rational, coeffs))))
+        coeffs = tuple(map(rational, coeffs))
+        try:
+            resources.append(CostPolynomial(coeffs))
+        except InstanceError as exc:
+            raise _at(exc, "resource", i) from exc
 
     if not isinstance(raw.get("players"), list):
         raise MalformedInstanceError("'players' must be a list")
@@ -539,12 +560,11 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
     for i, entry in enumerate(raw["players"]):
         if not isinstance(entry, dict):
             raise MalformedInstanceError(f"player {i} must be an object")
-        _require_keys(entry, {"weight", "strategies"}, f"player {i}")
+        _require_keys(entry, "player", i)
         weight = rational(entry.get("weight"))
         strategies = entry.get("strategies")
         if not isinstance(strategies, list):
             raise MalformedInstanceError(f"player {i}: 'strategies' must be a list")
-        canonical = []
         for strat in strategies:
             if not isinstance(strat, list):
                 raise MalformedInstanceError(f"player {i}: strategy must be a list")
@@ -553,8 +573,12 @@ def parse_instance(data: bytes | str) -> tuple[Game, State | None]:
                     raise MalformedInstanceError(
                         f"player {i}: resource index {e!r} must be an integer"
                     )
-            canonical.append(tuple(sorted(strat)))
-        players.append(_at("player", i, PlayerSpec, weight, tuple(canonical)))
+            strat.sort()  # a list of the decoded document, which is ours
+        strategies = tuple(map(tuple, strategies))
+        try:
+            players.append(PlayerSpec(weight, strategies))
+        except InstanceError as exc:
+            raise _at(exc, "player", i) from exc
 
     game = Game(degree=degree, resources=tuple(resources), players=tuple(players))
 
@@ -583,20 +607,23 @@ def serialize_instance(game: Game, initial_state: State | None = None) -> str:
     """Serialize to the canonical instance format (deterministic bytes):
     exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", written
     directly, keys in sorted order.  The values need no escaping: ints,
-    and rationals made of digits, "-" and "/"."""
+    and rationals made of digits, "-" and "/".  The lists of a Game's
+    players, strategies, resources and coefficients are never empty (its
+    constructors see to that), so each is written as one join of its
+    items between the brackets' fixed lines; only the top-level object
+    and the initial state go through _json_block."""
     players = [
-        _json_block([
-            '"strategies": '
-            + _json_block([_json_block([str(e) for e in s], 8) for s in p.strategies], 6),
-            f'"weight": "{format_rational(p.weight)}"',
-        ], 4, "{}")
+        '{\n      "strategies": [\n        [\n          '
+        + "\n        ],\n        [\n          ".join(
+            [",\n          ".join(map(str, s)) for s in p.strategies]
+        )
+        + f'\n        ]\n      ],\n      "weight": "{format_rational(p.weight)}"\n    }}'
         for p in game.players
     ]
     resources = [
-        _json_block(
-            ['"coeffs": ' + _json_block([f'"{format_rational(c)}"' for c in poly.coeffs], 6)],
-            4, "{}",
-        )
+        '{\n      "coeffs": [\n        "'
+        + '",\n        "'.join(map(format_rational, poly.coeffs))
+        + '"\n      ]\n    }'
         for poly in game.resources
     ]
     fields = [f'"degree": {game.degree}']

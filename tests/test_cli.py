@@ -759,6 +759,47 @@ def test_unreadable_input_file(tmp_path, capsys, reader, defect):
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# a document of each file kind whose value nests 100,000 lists deep, past
+# the JSON decoder's recursion limit, and the command that reads it
+DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_FILES = {
+    "instance": ("game", '{"degree": 1, "resources": %s}' % DEEP),
+    "trace": ("trace", '{"initial_state": %s}\n' % DEEP),
+    "state": ("state", '{"choices": %s}' % DEEP),
+}
+
+
+@pytest.mark.parametrize("kind", DEEP_FILES)
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, kind):
+    """JSON nested past the decoder's recursion limit is an input error
+    (exit 3), not a RecursionError traceback, whose exit code 1 reads as a
+    usage error."""
+    files = dict(zip(("game", "state", "trace"), solved(tmp_path, capsys)))
+    name, text = DEEP_FILES[kind]
+    files[name].write_text(text)
+    proc = run_process(*{
+        "instance": ["verify", "--game", str(files["game"]), "--state", str(files["state"])],
+        "trace": ["audit", "--game", str(files["game"]), "--trace", str(files["trace"])],
+        "state": ["verify", "--game", str(files["game"]), "--state", str(files["state"])],
+    }[kind])
+    assert proc.returncode == 3, proc.stderr
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+    assert "maximum recursion depth" in proc.stderr
+
+
+@pytest.mark.parametrize("spelling", ["same.out", "./same.out", "{tmp}/same.out"])
+def test_solve_trace_on_the_output_file_is_a_usage_error(tmp_path, capsys, monkeypatch, spelling):
+    """--trace naming the --output file, however spelled, would leave only
+    one of the two in it: a usage error (exit 1) that writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, *GEN, "--out", "game.json")
+    code, out, err = run(capsys, "solve", "--input", "game.json", "--output", "same.out",
+                         "--trace", spelling.format(tmp=tmp_path))
+    assert code == 1 and out == ""
+    assert "--trace and --output name the same file" in err and "Traceback" not in err
+    assert not (tmp_path / "same.out").exists()
+
+
 class TestParser:
     def test_built_once_and_reused(self):
         assert build_parser() is build_parser()

@@ -168,7 +168,8 @@ CORPUS += [
 ] + [
     MINIMAL.replace("[[0]]", strategies)
     for strategies in (
-        "[[-1]]", "[[1]]", "[[true]]", "[[0.0]]", "[[1, 0]]", "[[0], [0]]", "[0]", "[]", "5"
+        "[[-1]]", "[[1]]", "[[true]]", "[[0.0]]", "[[1, 0]]", "[[0], [0]]", "[0]", "[]", "5",
+        "[[0, true]]", "[[0], [true]]",
     )
 ] + [_with_initial_state(state) for state in ("[true]", "[-1]", "[0, 0]", "0")] + [
     MINIMAL.replace('{"coeffs"', '{"weight": "1", "coeffs"'),

@@ -441,6 +441,12 @@ class TestRunAlgorithm:
         assert "input error: phase 0 exceeded its move budget 2" in err
 
 
+def _put(key: str, value):
+    """An edit of the header that appends value to the ints of field key,
+    or of its first row."""
+    return lambda doc: (doc[key] if key == "initial_state" else doc[key][0]).append(value)
+
+
 @pytest.mark.parametrize(
     "line, edit",
     [
@@ -451,6 +457,12 @@ class TestRunAlgorithm:
         (0, lambda doc: doc["schedule"].update(exact_constants=0)),
         (0, lambda doc: doc["schedule"].pop("boundaries")),
         (1, lambda doc: doc.pop("player")),
+        # a bool is an int to isinstance, and 1.0 equals 1: both are rejected
+        *[
+            (0, _put(key, value))
+            for key in ("phase_end_states", "fixed_sets", "movers_per_phase", "initial_state")
+            for value in (True, 1.0)
+        ],
     ],
 )
 def test_read_trace_rejects_malformed_fields(line, edit):

@@ -93,6 +93,8 @@ class TestParsing:
         (('"degree": 1', '"degree": 0'), MalformedInstanceError, "degree must be >= 1, got 0"),
         (('["0", "1"]', '["0", "1", "0"]'), DegreeMismatchError,
          "resource 0: 3 coefficients exceed degree 1"),
+        (('["0", "1"]} ]', '["0", "1"]}, {"coeffs": ["1", "0", "2"]} ]'), DegreeMismatchError,
+         "resource 1: 3 coefficients exceed degree 1"),
         (('["0", "1"]', "[]"), MalformedInstanceError,
          "resource 0: cost polynomial needs >= 1 coefficient"),
         (("[[0]]", "[]"), EmptyStrategyError, "player 0: player has no strategies"),
@@ -176,6 +178,8 @@ class TestConstructionChecks:
         ("[[-1]]", ResourceIndexError),
         ("[[1]]", ResourceIndexError),
         ("[[0], [1, 0, 1]]", MalformedInstanceError),
+        ("[[true]]", MalformedInstanceError),  # a bool is an int to isinstance
+        ("[[0], [0, true]]", MalformedInstanceError),
     ])
     def test_parse_index_checks(self, strategies, error):
         with pytest.raises(error):
